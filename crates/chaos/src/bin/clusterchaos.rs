@@ -1,115 +1,14 @@
-//! `clusterchaos` — replication-chain chaos campaign: kill the primary
-//! twice, survive both, with a byte-deterministic JSON report.
+//! `clusterchaos` — replication-chain chaos campaign, primary killed
+//! twice: [`small_serve::campaign::CLUSTERCHAOS`].
 //!
 //! ```text
 //! clusterchaos [--seeds N | --seeds a,b,c] [--sessions N] [--requests N]
 //!              [--kill-points a,b,c] [--out PATH]
 //! ```
 //!
-//! For every `(seed, first kill point)` pair: run a three-node chain —
-//! sharded primary → relay standby S1 → relay standby S2 — under the
-//! seeded netchaos fault discipline (torn frames, pinned-offset resets
-//! under a cluster-aware failing-over client, duplicated / delayed /
-//! corrupted pulls on both hops). Kill the primary at the pinned index;
-//! S1's lease expires and S1 promotes on its own listener while still
-//! shipping WAL to S2. Then kill the promoted node too; S2 promotes the
-//! same way and serves the rest of the script plus a fully sequenced
-//! epilogue. Every reply must be byte-identical to an uninterrupted
-//! serial twin, and re-sent pre-kill mutations must be answered from
-//! the replicated dedup windows across one and two promotions. Exit is
-//! nonzero on any divergence. CI runs this twice and `cmp`s the
-//! reports; retry/reconnect/redial counters are timing-dependent and
-//! appear on stderr only.
+//! Writes `results/clusterchaos_report.json`; exit 1 on any divergence
+//! or unsurvived fault, 2 on bad flags.
 
-use small_serve::clusterchaos::{run_clusterchaos, ClusterChaosParams};
-use small_serve::gen::PINNED_SEEDS;
-use std::process::ExitCode;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_list<T: std::str::FromStr>(spec: &str, what: &str) -> Result<Vec<T>, String> {
-    spec.split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad {what}: {s}")))
-        .collect()
-}
-
-fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
-    if spec.contains(',') {
-        return parse_list(spec, "seed");
-    }
-    let n: usize = spec
-        .parse()
-        .map_err(|_| format!("bad seed count: {spec}"))?;
-    if n == 0 || n > PINNED_SEEDS.len() {
-        return Err(format!("--seeds must be 1..={}", PINNED_SEEDS.len()));
-    }
-    Ok(PINNED_SEEDS[..n].to_vec())
-}
-
-fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut p = ClusterChaosParams::default();
-    if let Some(s) = arg_value(&args, "--seeds") {
-        p.seeds = parse_seeds(&s)?;
-    }
-    if let Some(s) = arg_value(&args, "--sessions") {
-        p.sessions = s.parse().map_err(|_| "bad --sessions")?;
-    }
-    if let Some(s) = arg_value(&args, "--requests") {
-        p.requests = s.parse().map_err(|_| "bad --requests")?;
-    }
-    if let Some(s) = arg_value(&args, "--kill-points") {
-        p.kill_points = parse_list(&s, "kill point")?;
-    }
-    if p.kill_points.is_empty() {
-        return Err("need at least one kill point".to_string());
-    }
-    let out =
-        arg_value(&args, "--out").unwrap_or_else(|| "results/clusterchaos_report.json".to_string());
-
-    let outcome = run_clusterchaos(&p).map_err(|e| e.to_string())?;
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        }
-    }
-    std::fs::write(&out, &outcome.report).map_err(|e| e.to_string())?;
-
-    eprintln!(
-        "clusterchaos: {} seeds x {} kill points ({} sessions x {} requests, chain of 3) -> {}",
-        p.seeds.len(),
-        p.kill_points.len(),
-        p.sessions,
-        p.requests,
-        out
-    );
-    eprintln!(
-        "clusterchaos: fault_points={} mismatches={}",
-        outcome.fault_points, outcome.mismatches
-    );
-    // Timing-dependent client-side telemetry: stderr only, never in
-    // the byte-compared report.
-    eprintln!(
-        "clusterchaos: client retries={} reconnects={} redials={}",
-        outcome.client_retries, outcome.client_reconnects, outcome.client_redials
-    );
-    if outcome.mismatches > 0 {
-        eprintln!("clusterchaos: FAILED: a fault was not survived or the twin diverged");
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("clusterchaos: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    small_serve::campaign::cli_main(&small_serve::campaign::CLUSTERCHAOS)
 }

@@ -1,110 +1,14 @@
-//! `netchaos` — deterministic network-fault chaos campaign for the
-//! serving stack, with a byte-deterministic JSON report.
+//! `netchaos` — network-fault chaos campaign for the serving stack:
+//! [`small_serve::campaign::NETCHAOS`].
 //!
 //! ```text
 //! netchaos [--seeds N | --seeds a,b,c] [--sessions N] [--requests N]
 //!          [--kill-points a,b,c] [--out PATH]
 //! ```
 //!
-//! For every `(seed, kill point)` pair: run a replicating primary
-//! behind a seeded fault plan (torn frames, pinned-offset connection
-//! resets under a retrying client, duplicated / delayed / corrupted
-//! replica pulls), kill the primary at the pinned operation index, let
-//! the standby's lease expire and self-promote, and compare every
-//! reply byte-for-byte against an uninterrupted serial twin — plus
-//! prove a re-sent pre-kill request is answered from the replicated
-//! dedup window, not re-executed. Exit is nonzero on any divergence or
-//! unsurvived fault. CI runs this twice and `cmp`s the reports.
+//! Writes `results/netchaos_report.json`; exit 1 on any divergence or
+//! unsurvived fault, 2 on bad flags.
 
-use small_serve::gen::PINNED_SEEDS;
-use small_serve::netchaos::{run_netchaos, NetChaosParams};
-use std::process::ExitCode;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_list<T: std::str::FromStr>(spec: &str, what: &str) -> Result<Vec<T>, String> {
-    spec.split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad {what}: {s}")))
-        .collect()
-}
-
-fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
-    if spec.contains(',') {
-        return parse_list(spec, "seed");
-    }
-    let n: usize = spec
-        .parse()
-        .map_err(|_| format!("bad seed count: {spec}"))?;
-    if n == 0 || n > PINNED_SEEDS.len() {
-        return Err(format!("--seeds must be 1..={}", PINNED_SEEDS.len()));
-    }
-    Ok(PINNED_SEEDS[..n].to_vec())
-}
-
-fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut p = NetChaosParams::default();
-    if let Some(s) = arg_value(&args, "--seeds") {
-        p.seeds = parse_seeds(&s)?;
-    }
-    if let Some(s) = arg_value(&args, "--sessions") {
-        p.sessions = s.parse().map_err(|_| "bad --sessions")?;
-    }
-    if let Some(s) = arg_value(&args, "--requests") {
-        p.requests = s.parse().map_err(|_| "bad --requests")?;
-    }
-    if let Some(s) = arg_value(&args, "--kill-points") {
-        p.kill_points = parse_list(&s, "kill point")?;
-    }
-    if p.kill_points.is_empty() {
-        return Err("need at least one kill point".to_string());
-    }
-    let out =
-        arg_value(&args, "--out").unwrap_or_else(|| "results/netchaos_report.json".to_string());
-
-    let outcome = run_netchaos(&p).map_err(|e| e.to_string())?;
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        }
-    }
-    std::fs::write(&out, &outcome.report).map_err(|e| e.to_string())?;
-
-    eprintln!(
-        "netchaos: {} seeds x {} kill points ({} sessions x {} requests) -> {}",
-        p.seeds.len(),
-        p.kill_points.len(),
-        p.sessions,
-        p.requests,
-        out
-    );
-    eprintln!(
-        "netchaos: fault_points={} mismatches={}",
-        outcome.fault_points, outcome.mismatches
-    );
-    // Timing-dependent client-side telemetry: stderr only, never in
-    // the byte-compared report.
-    eprintln!(
-        "netchaos: client retries={} reconnects={} redials={}",
-        outcome.client_retries, outcome.client_reconnects, outcome.client_redials
-    );
-    if outcome.mismatches > 0 {
-        eprintln!("netchaos: FAILED: a fault was not survived or the twin diverged");
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("netchaos: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    small_serve::campaign::cli_main(&small_serve::campaign::NETCHAOS)
 }

@@ -1,104 +1,14 @@
-//! `failover` — kill-primary replication campaign with a
-//! byte-deterministic JSON report.
+//! `failover` — kill-primary replication campaign:
+//! [`small_serve::campaign::FAILOVER`].
 //!
 //! ```text
 //! failover [--seeds N | --seeds a,b,c] [--sessions N] [--requests N]
 //!          [--kill-points a,b,c] [--out PATH]
 //! ```
 //!
-//! For every `(seed, kill point)` pair: run a replicating primary in
-//! lockstep with a WAL-pulling warm standby, kill the primary at the
-//! pinned operation index, promote the standby, finish the script on
-//! the survivor, and compare everything byte-for-byte against an
-//! uninterrupted serial twin. Exit is nonzero on any divergence. CI
-//! runs this twice and `cmp`s the reports.
+//! Writes `results/failover_report.json`; exit 1 on any divergence
+//! from the serial twin, 2 on bad flags.
 
-use small_serve::failover::{run_failover, FailoverParams};
-use small_serve::gen::PINNED_SEEDS;
-use std::process::ExitCode;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_list<T: std::str::FromStr>(spec: &str, what: &str) -> Result<Vec<T>, String> {
-    spec.split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad {what}: {s}")))
-        .collect()
-}
-
-fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
-    if spec.contains(',') {
-        return parse_list(spec, "seed");
-    }
-    let n: usize = spec
-        .parse()
-        .map_err(|_| format!("bad seed count: {spec}"))?;
-    if n == 0 || n > PINNED_SEEDS.len() {
-        return Err(format!("--seeds must be 1..={}", PINNED_SEEDS.len()));
-    }
-    Ok(PINNED_SEEDS[..n].to_vec())
-}
-
-fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut p = FailoverParams::default();
-    if let Some(s) = arg_value(&args, "--seeds") {
-        p.seeds = parse_seeds(&s)?;
-    }
-    if let Some(s) = arg_value(&args, "--sessions") {
-        p.sessions = s.parse().map_err(|_| "bad --sessions")?;
-    }
-    if let Some(s) = arg_value(&args, "--requests") {
-        p.requests = s.parse().map_err(|_| "bad --requests")?;
-    }
-    if let Some(s) = arg_value(&args, "--kill-points") {
-        p.kill_points = parse_list(&s, "kill point")?;
-    }
-    if p.kill_points.is_empty() {
-        return Err("need at least one kill point".to_string());
-    }
-    let out =
-        arg_value(&args, "--out").unwrap_or_else(|| "results/failover_report.json".to_string());
-
-    let outcome = run_failover(&p).map_err(|e| e.to_string())?;
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        }
-    }
-    std::fs::write(&out, &outcome.report).map_err(|e| e.to_string())?;
-
-    eprintln!(
-        "failover: {} seeds x {} kill points ({} sessions x {} requests) -> {}",
-        p.seeds.len(),
-        p.kill_points.len(),
-        p.sessions,
-        p.requests,
-        out
-    );
-    eprintln!("failover: mismatches={}", outcome.mismatches);
-    // Timing-dependent client-side telemetry: reported here, never in
-    // the byte-compared report.
-    eprintln!(
-        "failover: client retries={} reconnects={} redials={}",
-        outcome.client_retries, outcome.client_reconnects, outcome.client_redials
-    );
-    if outcome.mismatches > 0 {
-        eprintln!("failover: FAILED: promoted standby diverged from the serial twin");
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("failover: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    small_serve::campaign::cli_main(&small_serve::campaign::FAILOVER)
 }

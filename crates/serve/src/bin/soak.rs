@@ -8,126 +8,72 @@
 //!      [--wall] [--metrics-out PATH] [--trace-out PATH]
 //! ```
 //!
-//! `--seeds N` (a single integer) takes the first `N` pinned seeds, so
-//! `soak --seeds 3 --clients 8` is a stable CI invocation. A comma
-//! list pins explicit seeds. `--churn N` appends a phase that rolls
-//! `N` short-lived sessions through a fresh server across a small
-//! worker fleet. Exit is nonzero on any transcript, aggregate-count,
-//! or metrics-snapshot mismatch, or if the run exercised no
-//! eviction/resume churn.
-//!
-//! Telemetry: every run prints sustained req/s and per-shard p50/p99
-//! eval latency (virtual clock) to stderr, and the report embeds the
-//! deterministic metrics snapshot fetched live over `(metrics)`.
-//! `--wall` additionally records wall-clock latency histograms,
-//! `--metrics-out PATH` writes the merged Prometheus text exposition,
-//! and `--trace-out PATH` records shard event-loop spans and writes a
-//! Chrome Trace Format JSON (open in `chrome://tracing`).
+//! `--seeds N` takes the first `N` pinned seeds; a comma list pins
+//! explicit ones. `--churn N` adds a phase rolling `N` short-lived
+//! sessions through a fresh server. `--wall` records wall-clock
+//! latency, `--metrics-out` writes the Prometheus exposition and
+//! `--trace-out` a Chrome trace. Exit 1 on any mismatch or if no
+//! suspend/resume churn happened, 2 on bad flags.
 
-use small_serve::gen::PINNED_SEEDS;
-use small_serve::session::ServeConfig;
+use small_serve::campaign::{usage_error, write_report, Args};
 use small_serve::soak::{run_soak, SoakParams};
 use std::process::ExitCode;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
-    if spec.contains(',') {
-        return spec
-            .split(',')
-            .map(|s| s.trim().parse().map_err(|_| format!("bad seed: {s}")))
-            .collect();
-    }
-    let n: usize = spec
-        .parse()
-        .map_err(|_| format!("bad seed count: {spec}"))?;
-    if n == 0 || n > PINNED_SEEDS.len() {
-        return Err(format!("--seeds must be 1..={}", PINNED_SEEDS.len()));
-    }
-    Ok(PINNED_SEEDS[..n].to_vec())
-}
-
-fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn parse() -> Result<(Args, SoakParams), String> {
+    let a = Args::parse(
+        std::env::args().skip(1),
+        "--seeds --clients --requests --max-resident --shards --queue-cap --churn \
+         --churn-workers --out --metrics-out --trace-out",
+        "--wall",
+    )?;
     let mut p = SoakParams::default();
-    if let Some(s) = arg_value(&args, "--seeds") {
-        p.seeds = parse_seeds(&s)?;
-    }
-    if let Some(s) = arg_value(&args, "--clients") {
-        p.clients = s.parse().map_err(|_| "bad --clients")?;
-    }
-    if let Some(s) = arg_value(&args, "--requests") {
-        p.requests = s.parse().map_err(|_| "bad --requests")?;
-    }
-    if let Some(s) = arg_value(&args, "--max-resident") {
-        p.cfg = ServeConfig {
-            max_resident: s.parse().map_err(|_| "bad --max-resident")?,
-            ..p.cfg
-        };
-    }
-    if let Some(s) = arg_value(&args, "--shards") {
-        p.server.shards = s.parse().map_err(|_| "bad --shards")?;
-    }
-    if let Some(s) = arg_value(&args, "--queue-cap") {
-        p.server.queue_cap = s.parse().map_err(|_| "bad --queue-cap")?;
-    }
-    if let Some(s) = arg_value(&args, "--churn") {
-        p.churn = s.parse().map_err(|_| "bad --churn")?;
-    }
-    if let Some(s) = arg_value(&args, "--churn-workers") {
-        p.churn_workers = s.parse().map_err(|_| "bad --churn-workers")?;
-    }
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "results/soak_report.json".to_string());
-    let metrics_out = arg_value(&args, "--metrics-out");
-    let trace_out = arg_value(&args, "--trace-out");
-    p.server.wall = args.iter().any(|a| a == "--wall");
-    p.server.trace = trace_out.is_some();
+    p.seeds = a.seeds(p.seeds)?;
+    p.clients = a.get("--clients", p.clients)?;
+    p.requests = a.get("--requests", p.requests)?;
+    p.cfg.max_resident = a.get("--max-resident", p.cfg.max_resident)?;
+    p.server.shards = a.get("--shards", p.server.shards)?;
+    p.server.queue_cap = a.get("--queue-cap", p.server.queue_cap)?;
+    p.churn = a.get("--churn", p.churn)?;
+    p.churn_workers = a.get("--churn-workers", p.churn_workers)?;
+    p.server.wall = a.value("--wall").is_some();
+    p.server.trace = a.value("--trace-out").is_some();
+    Ok((a, p))
+}
 
-    let outcome = run_soak(&p).map_err(|e| e.to_string())?;
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        }
-    }
-    std::fs::write(&out, &outcome.report).map_err(|e| e.to_string())?;
+fn run(a: &Args, p: &SoakParams) -> Result<ExitCode, String> {
+    let out = a.value("--out").unwrap_or("results/soak_report.json");
+    let outcome = run_soak(p).map_err(|e| e.to_string())?;
+    write_report(out, &outcome.report)?;
     for line in &outcome.summary {
         eprintln!("soak: {line}");
     }
-    if let Some(path) = metrics_out {
-        std::fs::write(&path, &outcome.prometheus).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = a.value("--metrics-out") {
+        write_report(path, &outcome.prometheus)?;
         eprintln!("soak: metrics exposition written to {path}");
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = a.value("--trace-out") {
         let json = outcome
             .chrome_trace
             .as_deref()
             .ok_or("trace was enabled but no trace was collected")?;
-        std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
+        write_report(path, json)?;
         eprintln!("soak: chrome trace written to {path} (open in chrome://tracing)");
     }
 
+    // Client retry counts are timing-dependent: reported here, never in
+    // the byte-compared report.
     eprintln!(
-        "soak: {} seeds x {} clients x {} requests ({} shards, churn {}) -> {}",
+        "soak: {} seeds x {} clients x {} requests ({} shards, churn {}) -> {out}\n\
+         soak: evictions={} resumes={} mismatches={}, client {}",
         p.seeds.len(),
         p.clients,
         p.requests,
         p.server.shards,
         p.churn,
-        out
-    );
-    eprintln!(
-        "soak: evictions={} resumes={} mismatches={}",
-        outcome.evictions, outcome.resumes, outcome.mismatches
-    );
-    // Timing-dependent client-side telemetry: reported here, never in
-    // the byte-compared report.
-    eprintln!(
-        "soak: client retries={} reconnects={} redials={}",
-        outcome.client_retries, outcome.client_reconnects, outcome.client_redials
+        outcome.evictions,
+        outcome.resumes,
+        outcome.mismatches,
+        outcome.clients,
     );
     if outcome.mismatches > 0 {
         eprintln!("soak: FAILED: server transcripts diverged from the serial twin");
@@ -141,7 +87,11 @@ fn run() -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let (args, params) = match parse() {
+        Ok(parsed) => parsed,
+        Err(e) => return usage_error("soak", &e),
+    };
+    match run(&args, &params) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("soak: {e}");

@@ -11,7 +11,7 @@
 //! constructed `Client` is always protocol-compatible.
 //!
 //! [`Client`] is generic over a [`Transport`] so the network-chaos
-//! harness ([`crate::netchaos`]) can slide a fault-injecting stream
+//! campaigns ([`crate::campaign`]) can slide a fault-injecting stream
 //! underneath it without the client noticing. [`RetryClient`] layers
 //! deadline + seeded-jitter-backoff + reconnect-with-resume on top:
 //! a request that dies mid-flight is re-sent *verbatim* on a fresh
@@ -334,7 +334,7 @@ impl<T: Transport> std::fmt::Debug for RetryClient<T> {
 /// splitmix64 over a private state word — the same tiny generator the
 /// fault schedules use, so backoff jitter never perturbs any other
 /// seeded stream.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

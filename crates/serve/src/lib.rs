@@ -34,28 +34,23 @@
 //!   (deterministic virtual cycles, opt-in wall time), volatile
 //!   queue/shed/WAL-lag observables, a Prometheus text dump, and a
 //!   wall-clock [`telemetry::TraceLog`] exporting Chrome traces.
-//! * [`gen`] / [`soak`] / [`failover`] — seeded load generation, the
+//! * [`gen`] / [`soak`] — seeded load generation and the
 //!   fleet-vs-serial-twin soak (plus multi-thousand-session churn),
-//!   and the kill-primary failover campaign (lease-driven promotion),
-//!   all with byte-deterministic reports.
-//! * [`netchaos`] — deterministic network-fault chaos: a seeded fault
-//!   plan (torn frames, pinned-offset connection resets, duplicated /
-//!   delayed / corrupted replica pulls) injected under a retrying
-//!   client, proving exactly-once retry semantics and lease-based
-//!   automatic failover against the serial twin.
-//! * [`clusterchaos`] — the chain campaign: primary → S1 → S2 relayed
-//!   WAL shipping under the same seeded faults, the primary killed
-//!   twice in sequence, with a cluster-aware failing-over client whose
-//!   every reply must match the serial twin across both promotions.
+//!   with a byte-deterministic report.
+//! * [`campaign`] — the lockstep replication campaigns as data: a
+//!   [`campaign::Scenario`] (relay chain × faults × kills × script ×
+//!   epilogue) run by one engine against the serial twin, with
+//!   lease-driven promotion and seeded wire/replication faults.
+//!   [`campaign::FAILOVER`], [`campaign::NETCHAOS`] and
+//!   [`campaign::CLUSTERCHAOS`] are the three committed campaigns; the
+//!   module also holds the serving bins' one argument parser.
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod client;
-pub mod clusterchaos;
-pub mod failover;
 pub mod gen;
 pub mod manager;
-pub mod netchaos;
 pub mod protocol;
 pub mod reactor;
 pub mod repl;
@@ -65,11 +60,12 @@ pub mod shard;
 pub mod soak;
 pub mod telemetry;
 
+pub use campaign::{
+    run_campaign, CampaignOutcome, CampaignParams, ClientCounters, FaultPlan, FaultyStream,
+    Scenario,
+};
 pub use client::{Client, RetryClient, RetryPolicy, Transport};
-pub use clusterchaos::{run_clusterchaos, ClusterChaosOutcome, ClusterChaosParams};
-pub use failover::{run_failover, FailoverOutcome, FailoverParams};
 pub use manager::SessionStore;
-pub use netchaos::{run_netchaos, FaultPlan, FaultyStream, NetChaosOutcome, NetChaosParams};
 pub use protocol::{Reply, Request, Role, PROTO_VERSION};
 pub use repl::{Lease, LeaseParams, RelayNode, RelayParts, Standby, Wal};
 pub use server::{start, start_promoted, DrainOutcome, ServerHandle, ServerParams};

@@ -3,61 +3,48 @@
 //! in-process twin.
 //!
 //! For every pinned seed, `clients` threads each open a session and
-//! replay the seed's generated request stream (see [`crate::gen`]),
-//! collecting the full reply transcript — evals, ledger, digest,
-//! close. The same streams then run serially through a
-//! [`SessionStore`] twin with eviction disabled
-//! ([`SessionStore::apply`] produces exactly the replies the server
-//! encodes). Session isolation and eviction-transparency reduce to one
-//! check: **every transcript must be byte-identical across the two
-//! runs**, even though the server run interleaved requests across
-//! shards and suspended/resumed sessions under per-shard LRU pressure.
-//! Session ids are allocated in decode order and therefore racy across
-//! concurrent clients, so fleet transcripts exclude the `(ok opened …)`
-//! reply; every other reply is id-free.
+//! replay the seed's generated requests (see [`crate::gen`]); the same
+//! streams then run serially through a never-evicting
+//! [`SessionStore`] twin. Session isolation and eviction transparency
+//! reduce to one check: **every transcript must be byte-identical**,
+//! although the server interleaved requests across shards and
+//! suspended/resumed sessions under per-shard LRU pressure. Fleet
+//! session ids are racy, so fleet transcripts exclude the `(ok opened
+//! …)` reply; every other reply is id-free.
 //!
-//! A deterministic *eviction sweep* follows the fleet on both sides:
+//! A deterministic *eviction sweep* follows on both sides:
 //! `max_resident + 2` sessions driven round-robin over one lockstep
-//! connection, so every request round forces suspend/resume churn in a
-//! fixed order (and, being lockstep, fixed ids — the sweep transcript
-//! *does* include open replies). This guarantees the suspend/resume
-//! path is exercised regardless of how the parallel phase was
-//! scheduled.
+//! connection, so suspend/resume churn happens in a fixed order (with
+//! fixed ids, so its transcript includes the opens) however the fleet
+//! was scheduled. Then a live `(metrics)` snapshot's deterministic
+//! section (per-kind counts and virtual-cycle latency histograms) must
+//! equal the twin's: virtual latency is a pure function of each
+//! request's operation stream and histogram merging is
+//! order-independent. An optional **churn phase** (`churn > 0`) rolls
+//! thousands of short-lived sessions through a fresh server across a
+//! small worker fleet.
 //!
-//! An optional **churn phase** (`churn > 0`) then rolls thousands of
-//! short-lived sessions through a fresh server — open, a few requests,
-//! close — across a small worker fleet, proving the sharded core
-//! sustains multi-thousand-session turnover behind bounded queues with
-//! zero busy-sheds at lockstep depth.
-//!
-//! After the sweep, the harness fetches a live `(metrics)` snapshot
-//! over the wire and byte-compares its deterministic section (per-kind
-//! request counts and virtual-cycle latency histograms) against the
-//! serial twin's: request latency on the virtual clock is a pure
-//! function of each request's operation stream, and histogram merging
-//! is order-independent, so shard scheduling and eviction churn must
-//! be invisible in the snapshot too.
-//!
-//! The report (`results/soak_report.json`) contains only
-//! schedule-independent data — transcripts' digests, per-run aggregate
-//! event counts, the deterministic metrics snapshot, match flags — and
-//! is therefore byte-identical across runs; CI `cmp`s a double run.
-//! Scheduling-dependent observables (eviction/resume totals, wall-clock
-//! req/s, per-shard latency summaries, Prometheus text, Chrome traces)
-//! are returned to the caller for threshold assertions and stderr,
-//! never written to the report.
+//! The report (`results/soak_report.json`) holds only
+//! schedule-independent data — digests, aggregate event counts, the
+//! deterministic snapshot, match flags — so CI `cmp`s a double run.
+//! Scheduling-dependent observables (evictions, req/s, per-shard
+//! latency, Prometheus text, Chrome traces) go to the caller and
+//! stderr, never to the report.
 
-use crate::client::{Client, RetryClient, RetryPolicy};
+use crate::campaign::{
+    clean_dial, digest_json, list_json, retry_client, serial_twin, transcript_digest,
+    ClientCounters, Json,
+};
+use crate::client::Client;
 use crate::gen::programs_for;
 use crate::manager::SessionStore;
-use crate::protocol::{Reply, Request, Role};
-use crate::server::{self, ServerParams};
+use crate::protocol::{Reply, Request, Role, PROTO_VERSION};
+use crate::server::{self, DrainOutcome, ServerParams};
 use crate::session::ServeConfig;
 use crate::telemetry::{prometheus_text, ReqKind, ShardMetrics, VolatileMetrics};
 use small_metrics::EventCounts;
-use small_persist::{digest_bytes, DIGEST_SEED};
 use std::io;
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::time::Instant;
 
 /// Soak run shape.
@@ -108,20 +95,18 @@ impl Default for SoakParams {
 }
 
 /// What a soak run produced.
+#[derive(Default)]
 pub struct SoakOutcome {
     /// The deterministic JSON report body.
     pub report: String,
-    /// Transcript (or aggregate-count, or metrics-snapshot) divergences
-    /// found.
+    /// Divergent transcripts, aggregate counts and metrics snapshots.
     pub mismatches: usize,
     /// Total LRU evictions across all servers (scheduling-dependent).
     pub evictions: u64,
     /// Total resume-on-touch events (scheduling-dependent).
     pub resumes: u64,
-    /// Human-readable per-seed/per-shard telemetry lines — sustained
-    /// requests/sec and binned p50/p99 eval latency on the virtual
-    /// clock. Scheduling-dependent (stderr material, never report
-    /// material).
+    /// Per-seed/per-shard stderr lines: sustained req/s and virtual
+    /// eval latency p50/p99 (scheduling-dependent).
     pub summary: Vec<String>,
     /// Prometheus-style text exposition of the telemetry merged across
     /// every seed's server (the `--metrics-out` payload).
@@ -129,114 +114,98 @@ pub struct SoakOutcome {
     /// Chrome Trace Format JSON from the last seed's server, when the
     /// soak ran with [`ServerParams::trace`].
     pub chrome_trace: Option<String>,
-    /// Summed [`RetryClient::retries`] across every fleet and churn
-    /// worker. Attempt counts are timing-dependent, so these three
-    /// live in the stderr summary only — never in the byte-compared
-    /// report.
-    pub client_retries: u64,
-    /// Summed [`RetryClient::reconnects`] across workers.
-    pub client_reconnects: u64,
-    /// Summed [`RetryClient::redials`] across workers.
-    pub client_redials: u64,
+    /// Retry totals of every fleet and churn worker: expected zero on
+    /// clean local TCP, from the same client the chaos campaigns use.
+    pub clients: ClientCounters,
 }
 
-/// (retries, reconnects, redials) of one worker's client.
-type ClientCounters = (u64, u64, u64);
-
-/// A fresh single-endpoint retrying client against `addr`. The soak
-/// wire is clean local TCP, so the counters are expected to read
-/// zero — but the fleet runs the same client type the chaos campaigns
-/// torture, and the bins report whatever it actually absorbed.
-fn retry_client(addr: std::net::SocketAddr, seed: u64) -> RetryClient<TcpStream> {
-    RetryClient::new(
-        move || {
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            Client::from_transport(stream, Role::Client)
-        },
-        RetryPolicy {
-            seed,
-            ..RetryPolicy::default()
-        },
-    )
-}
-
-fn transcript_digest(replies: &[String]) -> u64 {
-    let mut h = DIGEST_SEED;
-    for r in replies {
-        h = digest_bytes(h, r.as_bytes());
-    }
-    h
-}
-
-/// The typed request stream one fleet client sends after opening its
-/// session (transcripted; the racy `(ok opened …)` reply is not).
-fn client_requests(id: u64, seed: u64, client: u64, requests: usize) -> Vec<Request> {
-    let mut reqs: Vec<Request> = programs_for(seed, client, requests)
+/// One session's typed requests after its open: the programs as
+/// evals, an audited session's ledger and digest, then the close.
+fn session_requests(id: u64, programs: Vec<String>, audit: bool) -> Vec<Request> {
+    let mut reqs: Vec<Request> = programs
         .into_iter()
         .map(|src| Request::Eval { id, seq: None, src })
         .collect();
-    reqs.push(Request::Ledger { id });
-    reqs.push(Request::Digest { id });
+    if audit {
+        reqs.extend([Request::Ledger { id }, Request::Digest { id }]);
+    }
     reqs.push(Request::Close { id, seq: None });
     reqs
 }
 
-/// One TCP client's full scripted conversation, plus its retry
-/// counters (surfaced in the bin summary, never in the report).
-fn tcp_client_run(
-    addr: std::net::SocketAddr,
-    seed: u64,
-    client: u64,
-    requests: usize,
-) -> io::Result<(Vec<String>, ClientCounters)> {
-    let mut c = retry_client(addr, seed ^ client.rotate_left(32));
-    let id = match c.request(&Request::Open { token: None })? {
-        Reply::Opened { id } => id,
-        other => return Err(io::Error::new(io::ErrorKind::InvalidData, other.encode())),
-    };
+/// A worker's wire transcript plus its retry counters.
+type WireRun = io::Result<(Vec<String>, ClientCounters)>;
+
+/// One worker's conversation over TCP: per session, open, then send
+/// its requests and transcript every reply but the open's (session ids
+/// are racy across concurrent workers).
+fn wire_worker(addr: SocketAddr, jitter: u64, sessions: Vec<Vec<String>>, audit: bool) -> WireRun {
+    let mut c = retry_client(vec![clean_dial(addr)], jitter);
     let mut t = Vec::new();
-    for req in client_requests(id, seed, client, requests) {
-        t.push(c.request_text(&req.encode())?);
+    for programs in sessions {
+        let id = match c.request(&Request::Open { token: None })? {
+            Reply::Opened { id } => id,
+            other => return Err(io::Error::new(io::ErrorKind::InvalidData, other.encode())),
+        };
+        for req in session_requests(id, programs, audit) {
+            t.push(c.request_text(&req.encode())?);
+        }
     }
-    Ok((t, (c.retries(), c.reconnects(), c.redials())))
+    Ok((t, ClientCounters::of(&c)))
 }
 
-/// The serial twin of [`tcp_client_run`]: same typed requests, one
-/// thread, no eviction.
-fn serial_client_run(
+/// The serial twin of [`wire_worker`]: same typed requests, one
+/// thread, no eviction, each reply kept as `read` makes it.
+fn twin_worker<R>(
     twin: &mut SessionStore,
-    seed: u64,
-    client: u64,
-    requests: usize,
-) -> Vec<String> {
-    let id = twin.open();
-    client_requests(id, seed, client, requests)
-        .iter()
-        .map(|req| twin.apply(req).encode())
-        .collect()
+    sessions: Vec<Vec<String>>,
+    audit: bool,
+    read: impl Fn(Reply) -> R,
+) -> Vec<R> {
+    let mut t = Vec::new();
+    for programs in sessions {
+        let id = twin.open();
+        for req in session_requests(id, programs, audit) {
+            t.push(read(twin.apply(&req)));
+        }
+    }
+    t
 }
 
-/// The deterministic eviction sweep, expressed over any request
-/// transport. Opens `max_resident + 2` sessions and drives them
-/// round-robin so every round suspends and resumes sessions in a
-/// fixed order. Lockstep on one connection, so the open replies are
-/// deterministic and transcripted.
-fn run_sweep(
-    req: &mut dyn FnMut(&Request) -> io::Result<String>,
+/// Run `n` workers on scoped threads; a panicked worker reads as an
+/// error.
+fn fleet(n: usize, work: impl Fn(u64) -> WireRun + Sync) -> Vec<WireRun> {
+    std::thread::scope(|s| {
+        let work = &work;
+        let joins: Vec<_> = (0..n as u64).map(|w| s.spawn(move || work(w))).collect();
+        joins
+            .into_iter()
+            .map(|j| {
+                j.join()
+                    .unwrap_or_else(|_| Err(io::Error::other("worker panicked")))
+            })
+            .collect()
+    })
+}
+
+/// The deterministic eviction sweep over any transport: two sessions
+/// more than `max_resident`, driven round-robin, so every round
+/// suspends and resumes in a fixed order. Lockstep, so the opens are
+/// deterministic and transcripted; `opened` reads the id out of one.
+fn run_sweep<R>(
     seed: u64,
     cfg: &ServeConfig,
-) -> io::Result<Vec<String>> {
+    mut send: impl FnMut(&Request) -> io::Result<R>,
+    opened: impl Fn(&R) -> Option<u64>,
+) -> io::Result<Vec<R>> {
     let fleet = cfg.max_resident + 2;
     let sweep_seed = seed.wrapping_add(0x5eed);
     let mut t = Vec::new();
     let mut ids = Vec::new();
     for _ in 0..fleet {
-        let reply = req(&Request::Open { token: None })?;
-        let id = match Reply::decode(&reply) {
-            Some(Reply::Opened { id }) => id,
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, reply)),
-        };
+        let reply = send(&Request::Open { token: None })?;
+        let id = opened(&reply)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "sweep open refused"))?;
         t.push(reply);
         ids.push(id);
     }
@@ -246,7 +215,7 @@ fn run_sweep(
     let rounds = progs[0].len();
     for round in 0..rounds {
         for (&id, prog) in ids.iter().zip(progs.iter()) {
-            t.push(req(&Request::Eval {
+            t.push(send(&Request::Eval {
                 id,
                 seq: None,
                 src: prog[round].clone(),
@@ -254,11 +223,29 @@ fn run_sweep(
         }
     }
     for &id in &ids {
-        t.push(req(&Request::Ledger { id })?);
-        t.push(req(&Request::Digest { id })?);
-        t.push(req(&Request::Close { id, seq: None })?);
+        t.push(send(&Request::Ledger { id })?);
+        t.push(send(&Request::Digest { id })?);
+        t.push(send(&Request::Close { id, seq: None })?);
     }
     Ok(t)
+}
+
+fn opened_id(reply: &Reply) -> Option<u64> {
+    match reply {
+        Reply::Opened { id } => Some(*id),
+        _ => None,
+    }
+}
+
+/// [`run_sweep`] with replies read as transcript text.
+fn text_sweep(
+    seed: u64,
+    cfg: &ServeConfig,
+    send: impl FnMut(&Request) -> io::Result<String>,
+) -> io::Result<Vec<String>> {
+    run_sweep(seed, cfg, send, |text: &String| {
+        Reply::decode(text).as_ref().and_then(opened_id)
+    })
 }
 
 /// Run one seed's serial twin alone — the fleet scripts plus the
@@ -272,174 +259,98 @@ pub fn twin_telemetry(
     requests: usize,
     cfg: &ServeConfig,
 ) -> ShardMetrics {
-    let mut twin = SessionStore::new(ServeConfig {
-        max_resident: usize::MAX,
-        ..*cfg
-    });
-    for c in 0..clients {
-        // Same request stream as `serial_client_run`, but nobody reads
-        // the replies here — telemetry is recorded inside `apply` — so
-        // skip the transcript encode.
-        let id = twin.open();
-        for req in client_requests(id, seed, c as u64, requests) {
-            let _ = twin.apply(&req);
-        }
+    let mut twin = serial_twin(cfg);
+    // The same requests as the transcripted path, but nobody reads the
+    // replies here — telemetry is recorded inside `apply` — so no reply
+    // is ever encoded.
+    for c in 0..clients as u64 {
+        twin_worker(&mut twin, vec![programs_for(seed, c, requests)], true, drop);
     }
-    // The eviction sweep, mirroring `run_sweep`'s exact request
-    // sequence (same opens, same round-robin evals, same teardown —
-    // `regress --check` holds the telemetry byte-identical to the
-    // transcripted path), minus the reply encode/decode round-trips
-    // nothing here reads.
-    let fleet = cfg.max_resident + 2;
-    let sweep_seed = seed.wrapping_add(0x5eed);
-    let ids: Vec<u64> = (0..fleet)
-        .map(|_| match twin.apply(&Request::Open { token: None }) {
-            Reply::Opened { id } => id,
-            other => unreachable!("twin open failed: {}", other.encode()),
-        })
-        .collect();
-    let progs: Vec<Vec<String>> = (0..fleet)
-        .map(|k| programs_for(sweep_seed, k as u64, 6))
-        .collect();
-    for round in 0..progs[0].len() {
-        for (&id, prog) in ids.iter().zip(progs.iter()) {
-            let _ = twin.apply(&Request::Eval {
-                id,
-                seq: None,
-                src: prog[round].clone(),
-            });
-        }
-    }
-    for &id in &ids {
-        let _ = twin.apply(&Request::Ledger { id });
-        let _ = twin.apply(&Request::Digest { id });
-        let _ = twin.apply(&Request::Close { id, seq: None });
-    }
+    run_sweep(seed, cfg, |req| Ok(twin.apply(req)), opened_id).expect("serial sweep is infallible");
     twin.telemetry().clone()
 }
 
 fn counts_json(c: &EventCounts) -> String {
-    let words = c.to_words();
-    let fields: Vec<String> = EventCounts::WORD_NAMES
-        .iter()
-        .zip(words.iter())
-        .map(|(name, value)| format!("\"{name}\":{value}"))
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
-
-/// The request scripts of one churn worker: `sessions` short-lived
-/// sessions, each opened, exercised briefly, and closed.
-fn churn_scripts(seed: u64, worker: u64, sessions: usize) -> Vec<Vec<String>> {
-    (0..sessions)
-        .map(|k| programs_for(seed ^ 0xc4a0, worker * 1_000_003 + k as u64, 2))
-        .collect()
-}
-
-/// One churn worker's conversation: open → short script → close per
-/// session, transcripting every id-free reply.
-fn churn_worker_run(
-    addr: std::net::SocketAddr,
-    seed: u64,
-    worker: u64,
-    sessions: usize,
-) -> io::Result<(Vec<String>, ClientCounters)> {
-    let mut c = retry_client(addr, seed ^ worker.rotate_left(48));
-    let mut t = Vec::new();
-    for script in churn_scripts(seed, worker, sessions) {
-        let id = match c.request(&Request::Open { token: None })? {
-            Reply::Opened { id } => id,
-            other => return Err(io::Error::new(io::ErrorKind::InvalidData, other.encode())),
-        };
-        for src in script {
-            t.push(c.request_text(&Request::Eval { id, seq: None, src }.encode())?);
-        }
-        t.push(c.request_text(&Request::Close { id, seq: None }.encode())?);
+    let mut json = Json::default();
+    for (name, value) in EventCounts::WORD_NAMES.iter().zip(c.to_words()) {
+        json.put(*name, value);
     }
-    Ok((t, (c.retries(), c.reconnects(), c.redials())))
+    json.render()
 }
 
-struct ChurnResult {
-    json: String,
-    mismatches: usize,
-    evictions: u64,
-    resumes: u64,
-    counters: ClientCounters,
+/// The totals accumulate in the outcome as the soak runs.
+impl SoakOutcome {
+    /// Count every failed check as a mismatch.
+    fn check(&mut self, oks: &[bool]) {
+        self.mismatches += oks.iter().filter(|ok| !**ok).count();
+    }
+
+    /// Add a drained server's eviction/resume counters.
+    fn drained(&mut self, outcome: &DrainOutcome) {
+        let (evictions, resumes) = outcome.eviction_counters();
+        self.evictions += evictions;
+        self.resumes += resumes;
+    }
+
+    /// Replay each worker's sessions through the twin and compare with
+    /// its wire transcript (one that could not be collected cannot
+    /// match): one `{who, reply_digest, match}` entry per worker.
+    fn compare(
+        &mut self,
+        twin: &mut SessionStore,
+        wire: &[WireRun],
+        who: &str,
+        sessions: impl Fn(u64) -> Vec<Vec<String>>,
+        audit: bool,
+    ) -> String {
+        let mut entries = Vec::new();
+        for (w, got) in wire.iter().enumerate() {
+            let serial = twin_worker(twin, sessions(w as u64), audit, |r| r.encode());
+            let ok = matches!(got, Ok((t, _)) if *t == serial);
+            if let Ok((_, c)) = got {
+                self.clients += *c;
+            }
+            self.check(&[ok]);
+            let mut entry = Json::default();
+            entry.put(who, w);
+            entry.put("reply_digest", digest_json(transcript_digest(&serial)));
+            entries.push(entry.put("match", ok).render());
+        }
+        list_json(&entries)
+    }
 }
 
-/// The churn phase: `total` sessions rolled through a fresh server by
-/// `workers` concurrent connections, vs. a serial twin.
-fn run_churn(p: &SoakParams, seed: u64) -> io::Result<ChurnResult> {
-    let total = p.churn;
+/// The churn phase: `p.churn` sessions rolled through a fresh server by
+/// `p.churn_workers` concurrent connections, vs. a serial twin.
+fn run_churn(p: &SoakParams, seed: u64, out: &mut SoakOutcome) -> io::Result<String> {
     let workers = p.churn_workers.max(1);
-    let per_worker = total.div_ceil(workers);
+    let per_worker = p.churn.div_ceil(workers);
     let handle = server::start("127.0.0.1:0", p.cfg, p.server)?;
     let addr = handle.addr();
-
-    let transcripts: Vec<io::Result<(Vec<String>, ClientCounters)>> = std::thread::scope(|s| {
-        let joins: Vec<_> = (0..workers)
-            .map(|w| s.spawn(move || churn_worker_run(addr, seed, w as u64, per_worker)))
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| {
-                j.join()
-                    .unwrap_or_else(|_| Err(io::Error::other("churn worker panicked")))
-            })
+    // Each worker rolls `per_worker` short-lived sessions: open, a
+    // short generated script, close.
+    let sessions = |w: u64| -> Vec<Vec<String>> {
+        (0..per_worker as u64)
+            .map(|k| programs_for(seed ^ 0xc4a0, w * 1_000_003 + k, 2))
             .collect()
+    };
+    let wire = fleet(workers, |w| {
+        wire_worker(addr, seed ^ w.rotate_left(48), sessions(w), false)
     });
-
     let outcome = handle.shutdown();
-    let (evictions, resumes) = outcome.eviction_counters();
-    let server_counts = outcome.aggregate_counts();
+    out.drained(&outcome);
 
     // Serial twin: every worker's scripts, one store, no eviction.
-    let mut twin = SessionStore::new(ServeConfig {
-        max_resident: usize::MAX,
-        ..p.cfg
-    });
-    let mut mismatches = 0usize;
-    let mut digests = Vec::new();
-    let mut counters = (0u64, 0u64, 0u64);
-    for (w, transcript) in transcripts.iter().enumerate() {
-        let mut serial = Vec::new();
-        for script in churn_scripts(seed, w as u64, per_worker) {
-            let id = twin.open();
-            for src in script {
-                serial.push(twin.apply(&Request::Eval { id, seq: None, src }).encode());
-            }
-            serial.push(twin.apply(&Request::Close { id, seq: None }).encode());
-        }
-        let ok = matches!(transcript, Ok((t, _)) if *t == serial);
-        if !ok {
-            mismatches += 1;
-        }
-        if let Ok((_, (retries, reconnects, redials))) = transcript {
-            counters.0 += retries;
-            counters.1 += reconnects;
-            counters.2 += redials;
-        }
-        digests.push(format!(
-            "{{\"worker\":{w},\"reply_digest\":\"d{:016x}\",\"match\":{ok}}}",
-            transcript_digest(&serial)
-        ));
-    }
-    let counts_ok = server_counts == twin.aggregate_counts();
-    if !counts_ok {
-        mismatches += 1;
-    }
-    let sessions = per_worker * workers;
-    Ok(ChurnResult {
-        json: format!(
-            "{{\"sessions\":{sessions},\"workers\":{workers},\
-             \"counts_match\":{counts_ok},\"transcripts\":[{}]}}",
-            digests.join(",")
-        ),
-        mismatches,
-        evictions,
-        resumes,
-        counters,
-    })
+    let mut twin = serial_twin(&p.cfg);
+    let transcripts = out.compare(&mut twin, &wire, "worker", sessions, false);
+    let counts_ok = outcome.aggregate_counts() == twin.aggregate_counts();
+    out.check(&[counts_ok]);
+    Ok(Json::default()
+        .put("sessions", per_worker * workers)
+        .put("workers", workers)
+        .put("counts_match", counts_ok)
+        .put("transcripts", transcripts)
+        .render())
 }
 
 /// Run the full soak campaign. IO errors from the TCP leg surface as
@@ -447,14 +358,9 @@ fn run_churn(p: &SoakParams, seed: u64) -> io::Result<ChurnResult> {
 /// not process aborts.
 pub fn run_soak(p: &SoakParams) -> io::Result<SoakOutcome> {
     let mut runs = Vec::new();
-    let mut mismatches = 0usize;
-    let mut evictions = 0u64;
-    let mut resumes = 0u64;
-    let mut summary = Vec::new();
+    let mut out = SoakOutcome::default();
     let mut total_reqs = ShardMetrics::default();
     let mut total_vol = VolatileMetrics::default();
-    let mut chrome_trace = None;
-    let (mut client_retries, mut client_reconnects, mut client_redials) = (0u64, 0u64, 0u64);
 
     for &seed in &p.seeds {
         let handle = server::start("127.0.0.1:0", p.cfg, p.server)?;
@@ -462,29 +368,16 @@ pub fn run_soak(p: &SoakParams) -> io::Result<SoakOutcome> {
         let t_run = Instant::now();
 
         // Phase 1: the concurrent fleet.
-        let server_transcripts: Vec<io::Result<(Vec<String>, ClientCounters)>> =
-            std::thread::scope(|s| {
-                let joins: Vec<_> = (0..p.clients)
-                    .map(|c| s.spawn(move || tcp_client_run(addr, seed, c as u64, p.requests)))
-                    .collect();
-                joins
-                    .into_iter()
-                    .map(|j| {
-                        j.join()
-                            .unwrap_or_else(|_| Err(io::Error::other("client thread panicked")))
-                    })
-                    .collect()
-            });
-        for (_, (retries, reconnects, redials)) in server_transcripts.iter().flatten() {
-            client_retries += retries;
-            client_reconnects += reconnects;
-            client_redials += redials;
-        }
+        // One audited session per client.
+        let sessions = |c| vec![programs_for(seed, c, p.requests)];
+        let wire = fleet(p.clients, |c| {
+            wire_worker(addr, seed ^ c.rotate_left(32), sessions(c), true)
+        });
 
         // Phase 2: the deterministic eviction sweep over one connection.
         let sweep_server: io::Result<Vec<String>> = (|| {
             let mut c = Client::connect(addr, Role::Client)?;
-            run_sweep(&mut |req| c.request_text(&req.encode()), seed, &p.cfg)
+            text_sweep(seed, &p.cfg, |req| c.request_text(&req.encode()))
         })();
 
         let elapsed = t_run.elapsed();
@@ -494,13 +387,10 @@ pub fn run_soak(p: &SoakParams) -> io::Result<SoakOutcome> {
         // happens only after the owning shard publishes its telemetry
         // cell, so this merged snapshot is final — its deterministic
         // section must equal the serial twin's, byte for byte.
-        let wire_metrics: io::Result<(String, String)> = (|| {
+        let wire_metrics: io::Result<String> = (|| {
             let mut c = Client::connect(addr, Role::Client)?;
-            match c.request(&Request::Metrics).map_err(io::Error::other)? {
-                Reply::Metrics {
-                    deterministic,
-                    volatile,
-                } => Ok((deterministic, volatile)),
+            match c.request(&Request::Metrics)? {
+                Reply::Metrics { deterministic, .. } => Ok(deterministic),
                 other => Err(io::Error::new(io::ErrorKind::InvalidData, other.encode())),
             }
         })();
@@ -510,10 +400,7 @@ pub fn run_soak(p: &SoakParams) -> io::Result<SoakOutcome> {
             let _ = c.request(&Request::Shutdown);
         }
         let outcome = handle.shutdown();
-        let server_counts = outcome.aggregate_counts();
-        let (ev, res) = outcome.eviction_counters();
-        evictions += ev;
-        resumes += res;
+        out.drained(&outcome);
 
         // Per-shard virtual-clock latency summary (scheduling-dependent:
         // fleet session ids are racy, so shard assignment varies).
@@ -523,14 +410,14 @@ pub fn run_soak(p: &SoakParams) -> io::Result<SoakOutcome> {
             .map(|s| s.telemetry().requests())
             .sum();
         let secs = elapsed.as_secs_f64().max(1e-9);
-        summary.push(format!(
+        out.summary.push(format!(
             "seed {seed}: {seed_reqs} requests in {secs:.3}s ({:.0} req/s sustained)",
             seed_reqs as f64 / secs
         ));
         for (k, store) in outcome.stores.iter().enumerate() {
             let t = store.telemetry();
             let e = t.kind(ReqKind::Eval);
-            summary.push(format!(
+            out.summary.push(format!(
                 "  shard {k}: {} requests, {} evals, eval latency p50={} p99={} cycles",
                 t.requests(),
                 e.count.get(),
@@ -541,111 +428,63 @@ pub fn run_soak(p: &SoakParams) -> io::Result<SoakOutcome> {
         total_reqs.merge(&outcome.telemetry());
         total_vol.merge(&outcome.volatile_total());
         if let Some(json) = outcome.chrome_trace() {
-            chrome_trace = Some(json);
+            out.chrome_trace = Some(json);
         }
         // The drain guarantee has teeth: every suspended blob written
         // by the final evictions must decode cleanly.
         let blobs_ok = outcome.verify_suspended().is_ok();
 
         // Serial twin: same typed requests, one thread, no eviction.
-        let mut twin = SessionStore::new(ServeConfig {
-            max_resident: usize::MAX,
-            ..p.cfg
-        });
-        let serial_transcripts: Vec<Vec<String>> = (0..p.clients)
-            .map(|c| serial_client_run(&mut twin, seed, c as u64, p.requests))
-            .collect();
-        let sweep_serial = run_sweep(&mut |req| Ok(twin.apply(req).encode()), seed, &p.cfg)
+        let mut twin = serial_twin(&p.cfg);
+        let sessions_json = out.compare(&mut twin, &wire, "client", sessions, true);
+        let sweep_serial = text_sweep(seed, &p.cfg, |req| Ok(twin.apply(req).encode()))
             .expect("serial sweep is infallible");
         let serial_counts = twin.aggregate_counts();
         let twin_metrics = twin.telemetry().deterministic_json();
 
-        // Compare.
-        let mut sessions_json = Vec::new();
-        for c in 0..p.clients {
-            let serial = &serial_transcripts[c];
-            let ok = matches!(&server_transcripts[c], Ok((t, _)) if t == serial);
-            if !ok {
-                mismatches += 1;
-            }
-            sessions_json.push(format!(
-                "{{\"client\":{c},\"reply_digest\":\"d{:016x}\",\"match\":{ok}}}",
-                transcript_digest(serial)
-            ));
-        }
         let sweep_ok = matches!(&sweep_server, Ok(t) if *t == sweep_serial);
-        if !sweep_ok {
-            mismatches += 1;
-        }
-        let counts_ok = server_counts == serial_counts;
-        if !counts_ok {
-            mismatches += 1;
-        }
-        if !blobs_ok {
-            mismatches += 1;
-        }
-        // The telemetry gate: the snapshot fetched over the wire from
-        // the sharded, racy, eviction-thrashed server must be
-        // byte-identical to the serial twin's — virtual-cycle latency
-        // is a pure function of each request's op stream, and
-        // histogram merging is order-independent.
-        let metrics_ok = matches!(&wire_metrics, Ok((det, _)) if *det == twin_metrics);
-        if !metrics_ok {
-            mismatches += 1;
-        }
-        runs.push(format!(
-            "{{\"seed\":{seed},\"sessions\":[{}],\
-             \"sweep_digest\":\"d{:016x}\",\"sweep_match\":{sweep_ok},\
-             \"counts_match\":{counts_ok},\"metrics_match\":{metrics_ok},\
-             \"drain_blobs_ok\":{blobs_ok},\"metrics\":{twin_metrics},\"aggregate\":{}}}",
-            sessions_json.join(","),
-            transcript_digest(&sweep_serial),
-            counts_json(&serial_counts),
-        ));
+        let counts_ok = outcome.aggregate_counts() == serial_counts;
+        // The telemetry gate: the sharded, racy, eviction-thrashed
+        // server's snapshot must be byte-identical to the twin's.
+        let metrics_ok = matches!(&wire_metrics, Ok(det) if *det == twin_metrics);
+        out.check(&[sweep_ok, counts_ok, blobs_ok, metrics_ok]);
+        runs.push(
+            Json::default()
+                .put("seed", seed)
+                .put("sessions", sessions_json)
+                .put(
+                    "sweep_digest",
+                    digest_json(transcript_digest(&sweep_serial)),
+                )
+                .put("sweep_match", sweep_ok)
+                .put("counts_match", counts_ok)
+                .put("metrics_match", metrics_ok)
+                .put("drain_blobs_ok", blobs_ok)
+                .put("metrics", twin_metrics)
+                .put("aggregate", counts_json(&serial_counts))
+                .render(),
+        );
     }
 
     // Phase 3 (optional): multi-thousand-session churn on the first seed.
-    let churn_json = if p.churn > 0 {
-        let seed = p.seeds.first().copied().unwrap_or(11);
-        let churn = run_churn(p, seed)?;
-        mismatches += churn.mismatches;
-        evictions += churn.evictions;
-        resumes += churn.resumes;
-        client_retries += churn.counters.0;
-        client_reconnects += churn.counters.1;
-        client_redials += churn.counters.2;
-        churn.json
-    } else {
-        "null".to_string()
+    let churn_json = match p.churn {
+        0 => "null".to_string(),
+        _ => run_churn(p, p.seeds.first().copied().unwrap_or(11), &mut out)?,
     };
 
-    let report = format!(
-        "{{\"schema\":\"soak_report_v3\",\"proto_version\":{},\"clients\":{},\"requests\":{},\
-         \"shards\":{},\"queue_cap\":{},\
-         \"seeds\":[{}],\"all_match\":{},\"churn\":{churn_json},\"runs\":[{}]}}\n",
-        crate::protocol::PROTO_VERSION,
-        p.clients,
-        p.requests,
-        p.server.shards,
-        p.server.queue_cap,
-        p.seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-        mismatches == 0,
-        runs.join(","),
-    );
-    Ok(SoakOutcome {
-        report,
-        mismatches,
-        evictions,
-        resumes,
-        summary,
-        prometheus: prometheus_text(&total_reqs, &total_vol),
-        chrome_trace,
-        client_retries,
-        client_reconnects,
-        client_redials,
-    })
+    out.report = Json::default()
+        .put("schema", "\"soak_report_v3\"")
+        .put("proto_version", PROTO_VERSION)
+        .put("clients", p.clients)
+        .put("requests", p.requests)
+        .put("shards", p.server.shards)
+        .put("queue_cap", p.server.queue_cap)
+        .put("seeds", list_json(&p.seeds))
+        .put("all_match", out.mismatches == 0)
+        .put("churn", churn_json)
+        .put("runs", format!("[{}]", runs.join(",")))
+        .render()
+        + "\n";
+    out.prometheus = prometheus_text(&total_reqs, &total_vol);
+    Ok(out)
 }
