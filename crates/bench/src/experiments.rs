@@ -11,8 +11,9 @@ use small_analysis::lru::StackDistances;
 use small_analysis::np::np_summary;
 use small_analysis::ChainStats;
 use small_core::machine::{traverse_preorder, SmallBackend};
-use small_core::timing::{TimedOp, TimingModel};
+use small_core::timing::TimingModel;
 use small_core::LpConfig;
+use small_metrics::OpClass;
 use small_simulator::driver::{run_sim, CacheConfig};
 use small_simulator::sweep;
 use small_simulator::SimParams;
@@ -452,11 +453,11 @@ pub fn timing_figures() -> String {
     let m = TimingModel::default();
     let mut rows = Vec::new();
     for (name, op) in [
-        ("readlist   (Fig 4.10)", TimedOp::ReadList),
-        ("access hit (Fig 4.11)", TimedOp::AccessHit),
-        ("access miss(Fig 4.11)", TimedOp::AccessMiss),
-        ("modify     (Fig 4.12)", TimedOp::Modify),
-        ("cons       (Fig 4.13)", TimedOp::Cons),
+        ("readlist   (Fig 4.10)", OpClass::ReadList),
+        ("access hit (Fig 4.11)", OpClass::AccessHit),
+        ("access miss(Fig 4.11)", OpClass::AccessMiss),
+        ("modify     (Fig 4.12)", OpClass::Modify),
+        ("cons       (Fig 4.13)", OpClass::Cons),
     ] {
         let t = m.op(op);
         rows.push(vec![
@@ -467,7 +468,7 @@ pub fn timing_figures() -> String {
             format!("{:.0}%", t.overlap_fraction() * 100.0),
         ]);
     }
-    let stream = m.run_stream(std::iter::repeat_n(TimedOp::Cons, 1000), 4);
+    let stream = m.run_stream(std::iter::repeat_n(OpClass::Cons, 1000), 4);
     format!(
         "Figures 4.10-4.13 — EP/LP timing (abstract cycles)\n{}\n1000 back-to-back conses with 4-cycle EP gaps: EP utilization {:.0}%\n",
         table(&["operation", "EP pre", "latency", "LP tail", "overlap"], &rows),

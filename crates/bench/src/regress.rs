@@ -49,7 +49,7 @@ pub struct GridPoint {
     /// LPT size the cell runs with.
     pub table_size: usize,
     /// EP cycles between successive operation issues. The default gap
-    /// ([`small_profile::DEFAULT_EP_GAP`]) absorbs every LP tail; a
+    /// ([`small_core::timing::DEFAULT_EP_GAP`]) absorbs every LP tail; a
     /// gap of 0 makes back-to-back issues collide with the previous
     /// operation's tail work and exercises the §4.3.2.5 chaining stall.
     pub ep_gap: u64,
@@ -63,25 +63,25 @@ pub const GRID: [GridPoint; 5] = [
         workload: "slang-2k-t512",
         primitives: 2000,
         table_size: 512,
-        ep_gap: small_profile::DEFAULT_EP_GAP,
+        ep_gap: small_core::timing::DEFAULT_EP_GAP,
     },
     GridPoint {
         workload: "slang-2k-t48",
         primitives: 2000,
         table_size: 48,
-        ep_gap: small_profile::DEFAULT_EP_GAP,
+        ep_gap: small_core::timing::DEFAULT_EP_GAP,
     },
     GridPoint {
         workload: "slang-8k-t512",
         primitives: 8000,
         table_size: 512,
-        ep_gap: small_profile::DEFAULT_EP_GAP,
+        ep_gap: small_core::timing::DEFAULT_EP_GAP,
     },
     GridPoint {
         workload: "plagen-4k-t512",
         primitives: 4000,
         table_size: 512,
-        ep_gap: small_profile::DEFAULT_EP_GAP,
+        ep_gap: small_core::timing::DEFAULT_EP_GAP,
     },
     // A zero-gap EP keeps no slack between issues, so a cons's 4-cycle
     // LP tail stalls the next 2-cycle-lookup request: the one grid
@@ -361,7 +361,7 @@ mod tests {
             workload: "slang-2k-t512",
             primitives: 300,
             table_size: 512,
-            ep_gap: small_profile::DEFAULT_EP_GAP,
+            ep_gap: small_core::timing::DEFAULT_EP_GAP,
         };
         let r = measure(&p, true);
         assert!(r.wall_us.is_some());
@@ -384,7 +384,7 @@ mod tests {
             "zero-gap point must report chaining stalls"
         );
         let relaxed = GridPoint {
-            ep_gap: small_profile::DEFAULT_EP_GAP,
+            ep_gap: small_core::timing::DEFAULT_EP_GAP,
             ..*tight
         };
         assert_eq!(measure(&relaxed, false).stall_cycles, 0);

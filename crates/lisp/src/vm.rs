@@ -385,21 +385,12 @@ impl<B: ListBackend> Vm<B> {
     /// Run from the program entry point; returns the final value left on
     /// the operand stack by `Halt` (or nil).
     ///
-    /// Dispatch backend selection: the default build routes through the
-    /// pre-decoded threaded-dispatch loop ([`Vm::run_threaded`]); with
-    /// the `reference-interp` feature on, it routes through the original
-    /// decode-per-step `match` loop ([`Vm::run_reference`]). Both
-    /// backends execute the same per-opcode handlers, so results, stats,
-    /// and backend traffic are identical instruction for instruction.
+    /// Runs the pre-decoded threaded-dispatch loop ([`Vm::run_threaded`]).
+    /// The decode-per-step [`Vm::run_reference`] executes the same
+    /// per-opcode handlers and is the oracle the dispatch differential
+    /// suite holds it against.
     pub fn run(&mut self) -> Result<VmValue<B::Ref>, VmError> {
-        #[cfg(feature = "reference-interp")]
-        {
-            self.run_reference()
-        }
-        #[cfg(not(feature = "reference-interp"))]
-        {
-            self.run_threaded()
-        }
+        self.run_threaded()
     }
 
     /// Run with the reference interpreter: re-decode `Inst` and branch

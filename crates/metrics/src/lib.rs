@@ -358,8 +358,9 @@ impl PrimKind {
 /// was served (a `car` only becomes an `AccessHit` or `AccessMiss`
 /// after the field lookup).
 ///
-/// Mirrors `small_core::timing::TimedOp`; it lives here so sinks can
-/// hear about operations without depending on the core crate.
+/// `small_core::timing::TimingModel::op` prices each class; it lives
+/// here so sinks can hear about operations without depending on the
+/// core crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Figure 4.10: list input; the EP idles for the heap I/O.

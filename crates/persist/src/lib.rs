@@ -18,7 +18,9 @@
 //!   encode to byte-identical checkpoints.
 //! * **Write-ahead journal** ([`JournalSink`], [`encode_frame`],
 //!   [`scan_journal`]) — an append-only log of per-operation digests,
-//!   group-committed one frame per trace event. Because the
+//!   group-committed one [`frame`] per trace event. The same
+//!   `[len][crc][payload]` frame carries the serving layer's
+//!   replication WAL. Because the
 //!   [`small_metrics::EventSink`] op hooks carry no operands, the journal
 //!   does not record *what* to redo — replay re-executes the
 //!   deterministic simulator from the checkpoint — it records what the
@@ -51,6 +53,8 @@
 //! parameters remain the source of truth). This mirrors the
 //! `BENCH_small.json` schema policy: formats evolve by explicit version
 //! bump plus regeneration, never by silent reinterpretation.
+
+pub mod frame;
 
 use small_core::{EntryImage, FieldImage, LpImage, LptStats};
 use small_heap::ControllerImage;
@@ -679,23 +683,21 @@ pub struct JournalBatch {
     pub records: Vec<JournalRecord>,
 }
 
-/// Encode one batch as a `[len][crc][payload]` frame.
+/// Encoded bytes of one [`JournalRecord`].
+const RECORD_BYTES: usize = 8 + 1 + 1 + 8;
+
+/// Encode one batch as a `[len][crc][payload]` [`frame`].
 pub fn encode_frame(batch: &JournalBatch) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    payload.put_u64(batch.event_index);
-    payload.put_u64(batch.records.len() as u64);
-    for rec in &batch.records {
-        payload.put_u64(rec.seq);
-        payload.put_u8(rec.prim);
-        payload.put_u8(rec.class);
-        payload.put_u64(rec.digest);
-    }
-    let payload = payload.finish();
-    let mut w = ByteWriter::new();
-    w.put_u32(payload.len() as u32);
-    w.put_u32(crc32(&payload));
-    w.buf.extend_from_slice(&payload);
-    w.finish()
+    frame::encode(16 + RECORD_BYTES * batch.records.len(), |w| {
+        w.put_u64(batch.event_index);
+        w.put_u64(batch.records.len() as u64);
+        for rec in &batch.records {
+            w.put_u64(rec.seq);
+            w.put_u8(rec.prim);
+            w.put_u8(rec.class);
+            w.put_u64(rec.digest);
+        }
+    })
 }
 
 /// Walk a journal, separating valid frames from a torn tail.
@@ -707,52 +709,27 @@ pub fn encode_frame(batch: &JournalBatch) -> Vec<u8> {
 /// fails its CRC or decodes inconsistently is corruption and fails
 /// closed.
 pub fn scan_journal(bytes: &[u8]) -> Result<(Vec<JournalBatch>, usize), PersistError> {
-    let mut batches = Vec::new();
-    let mut at = 0usize;
-    while bytes.len() - at >= 8 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let want_crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        let Some(end) = at.checked_add(8).and_then(|s| s.checked_add(len)) else {
-            break; // length overflow: unreadable tail, treat as torn
-        };
-        if end > bytes.len() {
-            break; // incomplete frame: torn write at the tail
-        }
-        let payload = &bytes[at + 8..end];
-        if crc32(payload) != want_crc {
-            return Err(PersistError::CorruptJournal {
-                offset: at,
-                reason: "crc mismatch",
+    frame::scan(bytes, |payload| {
+        let mut r = ByteReader::new(payload);
+        let event_index = r.u64()?;
+        let n = r.len()?;
+        // Grown by the records actually read, never sized from the count.
+        let mut records = Vec::new();
+        for _ in 0..n {
+            records.push(JournalRecord {
+                seq: r.u64()?,
+                prim: r.u8()?,
+                class: r.u8()?,
+                digest: r.u64()?,
             });
         }
-        let mut r = ByteReader::new(payload);
-        let decoded = (|| -> Result<JournalBatch, &'static str> {
-            let event_index = r.u64()?;
-            let n = r.len()?;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                records.push(JournalRecord {
-                    seq: r.u64()?,
-                    prim: r.u8()?,
-                    class: r.u8()?,
-                    digest: r.u64()?,
-                });
-            }
-            r.expect_end()?;
-            Ok(JournalBatch {
-                event_index,
-                records,
-            })
-        })();
-        match decoded {
-            Ok(b) => batches.push(b),
-            Err(reason) => {
-                return Err(PersistError::CorruptJournal { offset: at, reason });
-            }
-        }
-        at = end;
-    }
-    Ok((batches, at))
+        r.expect_end()?;
+        Ok(JournalBatch {
+            event_index,
+            records,
+        })
+    })
+    .map_err(|frame::FrameError { offset, reason }| PersistError::CorruptJournal { offset, reason })
 }
 
 // ---------------------------------------------------------------------
@@ -1209,31 +1186,19 @@ mod tests {
 
     #[test]
     fn journal_scan_handles_torn_tail_and_corruption() {
+        let rec = |seq, prim, class, digest| JournalRecord {
+            seq,
+            prim,
+            class,
+            digest,
+        };
         let b1 = JournalBatch {
             event_index: 0,
-            records: vec![JournalRecord {
-                seq: 0,
-                prim: 1,
-                class: 1,
-                digest: 0xDEAD,
-            }],
+            records: vec![rec(0, 1, 1, 0xDEAD)],
         };
         let b2 = JournalBatch {
             event_index: 1,
-            records: vec![
-                JournalRecord {
-                    seq: 1,
-                    prim: 3,
-                    class: 4,
-                    digest: 0xBEEF,
-                },
-                JournalRecord {
-                    seq: 2,
-                    prim: 0,
-                    class: 0,
-                    digest: 0xF00D,
-                },
-            ],
+            records: vec![rec(1, 3, 4, 0xBEEF), rec(2, 0, 0, 0xF00D)],
         };
         let mut journal = encode_frame(&b1);
         let f2 = encode_frame(&b2);
@@ -1250,7 +1215,7 @@ mod tests {
         let boundary = full_len - f2.len();
         for cut in boundary..full_len {
             let (batches, valid) = scan_journal(&journal[..cut]).unwrap();
-            assert_eq!(batches.len(), 1, "cut {cut}");
+            assert_eq!(batches, vec![b1.clone()], "cut {cut}");
             assert_eq!(valid, boundary, "cut {cut}");
         }
 

@@ -6,18 +6,17 @@
 //! `small-metrics` cannot answer those questions; this crate turns the
 //! diagrams into queryable data.
 //!
-//! [`SpanSink`] is an [`EventSink`] that drives a virtual clock — the
-//! *same* arithmetic as [`TimingModel::run_stream`], applied one
-//! operation at a time as the List Processor announces request
-//! boundaries via [`EventSink::op_begin`]/[`EventSink::op_end`] — and
-//! records open/close span intervals for EP requests, LP busy windows,
-//! LP tail (post-response) work, heap splits/merges/read-ins, and
-//! overflow/cycle-collection episodes. Because the clock replicates
-//! `run_stream` exactly, the profile's totals (elapsed cycles, EP idle,
-//! chaining-stall cycles, overlapped LP tail work) are *equal*, not
-//! merely close, to the batch accounting on the same operation stream —
-//! a property tested here and asserted by the `profile_timeline`
-//! example.
+//! [`SpanSink`] is an [`EventSink`] that advances a [`CycleClock`] —
+//! the one §4.3.2.5 recurrence, which [`TimingModel::run_stream`] folds
+//! over a whole stream — one operation at a time as the List Processor
+//! announces request boundaries via
+//! [`EventSink::op_begin`]/[`EventSink::op_end`]. From the window the
+//! clock returns for each operation, it records open/close span
+//! intervals for EP requests, LP busy windows, LP tail (post-response)
+//! work, heap splits/merges/read-ins, and overflow/cycle-collection
+//! episodes. The profile's totals (elapsed cycles, EP idle,
+//! chaining-stall cycles, overlapped LP tail work) are therefore the
+//! batch accounting of the same operation stream.
 //!
 //! Three exporters are provided on the finished [`Profile`]:
 //!
@@ -34,7 +33,7 @@
 //! nothing: every method body is behind `if !ACTIVE`, a const the
 //! compiler erases (the `metrics_overhead` bench pins this down).
 
-use small_core::timing::{StreamTiming, TimedOp, TimingModel};
+use small_core::timing::{CycleClock, StreamTiming, TimingModel, DEFAULT_EP_GAP};
 use small_metrics::{Event, EventSink, JsonObject, OpClass, PrimKind};
 
 /// Trace tracks: one per hardware agent of the §4.3 machine.
@@ -141,15 +140,9 @@ impl PrimAttribution {
 /// profiler is wanted without changing the processor's type structure.
 #[derive(Debug, Clone)]
 pub struct SpanSink<const ACTIVE: bool = true> {
-    model: TimingModel,
-    ep_gap: u64,
+    clock: CycleClock,
     workload: String,
     keep_spans: bool,
-    // run_stream state, advanced one operation at a time.
-    now: u64,
-    lp_free_at: u64,
-    ep_idle: u64,
-    lp_busy: u64,
     // Monotone placement cursors for the heap and GC tracks.
     heap_cursor: u64,
     gc_cursor: u64,
@@ -157,21 +150,14 @@ pub struct SpanSink<const ACTIVE: bool = true> {
     /// Scratch buffer for the open operation's events, reused across
     /// operations (a per-op `Vec` was measurable on the sweep path).
     buf: Vec<Event>,
-    classes: Vec<OpClass>,
     spans: Vec<Span>,
     attr: [PrimAttribution; PrimKind::ALL.len()],
     outside: PrimAttribution,
 }
 
-/// EP evaluation cycles between list operations fed to the virtual
-/// clock, matching the `ep_gap` argument of [`TimingModel::run_stream`].
-/// Two environment interrogations' worth of EP-side work is the default
-/// the repository's timing experiments use.
-pub const DEFAULT_EP_GAP: u64 = 4;
-
 impl SpanSink<true> {
-    /// A full-fidelity profiler: spans, attribution, and the class
-    /// stream, under the default [`TimingModel`].
+    /// A full-fidelity profiler: spans and attribution, under the
+    /// default [`TimingModel`] and [`DEFAULT_EP_GAP`].
     pub fn new(workload: &str) -> Self {
         Self::with_model(workload, TimingModel::default(), DEFAULT_EP_GAP)
     }
@@ -182,28 +168,22 @@ impl<const ACTIVE: bool> SpanSink<ACTIVE> {
     /// gap (the `run_stream` parameters).
     pub fn with_model(workload: &str, model: TimingModel, ep_gap: u64) -> Self {
         SpanSink {
-            model,
-            ep_gap,
+            clock: CycleClock::new(model, ep_gap),
             workload: workload.to_string(),
             keep_spans: true,
-            now: 0,
-            lp_free_at: 0,
-            ep_idle: 0,
-            lp_busy: 0,
             heap_cursor: 0,
             gc_cursor: 0,
             cur: None,
             buf: Vec::new(),
-            classes: Vec::new(),
             spans: Vec::new(),
             attr: [PrimAttribution::default(); PrimKind::ALL.len()],
             outside: PrimAttribution::default(),
         }
     }
 
-    /// Drop per-span storage: the virtual clock, class stream, and
-    /// attribution still run, but no timeline is kept. This is the
-    /// configuration the sweep engine uses — O(1) memory per cell.
+    /// Drop per-span storage: the virtual clock and attribution still
+    /// run, but no timeline is kept. This is the configuration the
+    /// sweep engine uses — O(1) memory per cell.
     pub fn summary_only(mut self) -> Self {
         self.keep_spans = false;
         self
@@ -211,49 +191,32 @@ impl<const ACTIVE: bool> SpanSink<ACTIVE> {
 
     /// Close the books and return the finished [`Profile`].
     pub fn finish(self) -> Profile {
-        let total = self.now.max(self.lp_free_at);
-        let timing = StreamTiming {
-            total,
-            ep_idle: self.ep_idle,
-            lp_idle: total - self.lp_busy.min(total),
-            ops: self.classes.len() as u64,
-        };
         Profile {
             workload: self.workload,
-            model: self.model,
-            ep_gap: self.ep_gap,
-            timing,
-            classes: self.classes,
+            model: self.clock.model,
+            ep_gap: self.clock.ep_gap,
+            timing: self.clock.timing(),
             spans: self.spans,
             attribution: self.attr,
             outside: self.outside,
         }
     }
 
-    /// Advance the virtual clock over one completed operation — the loop
-    /// body of [`TimingModel::run_stream`], verbatim.
+    /// Advance the virtual clock over one completed operation, then
+    /// attribute its window to `prim` and place its spans.
     fn close_op(&mut self, prim: PrimKind, class: OpClass, events: &[Event]) {
-        self.classes.push(class);
-        let t = self.model.op(TimedOp::from_class(class));
-        let op_start = self.now;
-        let pre_end = op_start + t.ep_pre;
-        // §4.3.2.5 chaining stall: the LP accepts a new request only
-        // after finishing the previous operation's tail.
-        let stall = self.lp_free_at.saturating_sub(pre_end);
-        let service_start = pre_end + stall;
-        let service_end = service_start + t.latency;
-        let tail_end = service_end + t.lp_tail;
-        self.ep_idle += stall + t.latency;
-        self.lp_busy += t.latency + t.lp_tail;
-        self.lp_free_at = tail_end;
-        self.now = service_end + self.ep_gap;
-
+        let w = self.clock.advance(class);
+        let (ep_pre, latency, lp_tail) = (
+            w.pre_end - w.op_start,
+            w.service_end - w.service_start,
+            w.tail_end - w.service_end,
+        );
         let a = &mut self.attr[prim.index()];
         a.ops += 1;
-        a.ep_pre += t.ep_pre;
-        a.stall += stall;
-        a.blocked += t.latency;
-        a.lp_tail += t.lp_tail;
+        a.ep_pre += ep_pre;
+        a.stall += w.stall;
+        a.blocked += latency;
+        a.lp_tail += lp_tail;
         for e in events {
             a.add_event(e);
         }
@@ -263,14 +226,14 @@ impl<const ACTIVE: bool> SpanSink<ACTIVE> {
             self.spans.push(Span {
                 track: Track::Ep,
                 name: prim.name(),
-                start: op_start,
-                dur: service_end - op_start,
+                start: w.op_start,
+                dur: w.service_end - w.op_start,
                 prim: Some(prim),
             });
             for (name, start, dur) in [
-                ("ep_pre", op_start, t.ep_pre),
-                ("stall", pre_end, stall),
-                ("blocked", service_start, t.latency),
+                ("ep_pre", w.op_start, ep_pre),
+                ("stall", w.pre_end, w.stall),
+                ("blocked", w.service_start, latency),
             ] {
                 if dur > 0 {
                     self.spans.push(Span {
@@ -286,13 +249,13 @@ impl<const ACTIVE: bool> SpanSink<ACTIVE> {
             self.spans.push(Span {
                 track: Track::Lp,
                 name: prim.name(),
-                start: service_start,
-                dur: tail_end - service_start,
+                start: w.service_start,
+                dur: w.tail_end - w.service_start,
                 prim: Some(prim),
             });
             for (name, start, dur) in [
-                ("service", service_start, t.latency),
-                ("tail", service_end, t.lp_tail),
+                ("service", w.service_start, latency),
+                ("tail", w.service_end, lp_tail),
             ] {
                 if dur > 0 {
                     self.spans.push(Span {
@@ -305,34 +268,34 @@ impl<const ACTIVE: bool> SpanSink<ACTIVE> {
                 }
             }
         }
-        self.place_episode_spans(events, service_start, Some(prim));
+        self.place_episode_spans(events, w.service_start, Some(prim));
     }
 
     /// Heap and reclamation episodes get their own tracks. They are
     /// placed at a monotone cursor anchored to the service window that
     /// caused them and priced by the cost model — *illustrative*
     /// placement that deliberately does not feed back into the EP/LP
-    /// clock, so the run_stream equality is untouched.
+    /// clock.
     fn place_episode_spans(&mut self, events: &[Event], anchor: u64, prim: Option<PrimKind>) {
         if !self.keep_spans {
             return;
         }
         for e in events {
             let (track, name, dur) = match e {
-                Event::HeapSplit => (Track::Heap, "heap_split", self.model.heap_split),
-                Event::HeapMerge => (Track::Heap, "heap_merge", self.model.heap_split),
-                Event::HeapReadIn => (Track::Heap, "heap_read_in", self.model.heap_io),
+                Event::HeapSplit => (Track::Heap, "heap_split", self.clock.model.heap_split),
+                Event::HeapMerge => (Track::Heap, "heap_merge", self.clock.model.heap_split),
+                Event::HeapReadIn => (Track::Heap, "heap_read_in", self.clock.model.heap_io),
                 Event::PseudoOverflow { reclaimed } => (
                     Track::Gc,
                     "pseudo_overflow",
-                    (*reclaimed).max(1) as u64 * self.model.heap_split,
+                    (*reclaimed).max(1) as u64 * self.clock.model.heap_split,
                 ),
                 Event::CycleCollection { reclaimed } => (
                     Track::Gc,
                     "cycle_collection",
-                    (*reclaimed).max(1) as u64 * self.model.lpt_access,
+                    (*reclaimed).max(1) as u64 * self.clock.model.lpt_access,
                 ),
-                Event::TrueOverflow => (Track::Gc, "true_overflow", self.model.heap_io),
+                Event::TrueOverflow => (Track::Gc, "true_overflow", self.clock.model.heap_io),
                 _ => continue,
             };
             let cursor = match track {
@@ -368,7 +331,7 @@ impl<const ACTIVE: bool> EventSink for SpanSink<ACTIVE> {
             self.buf.push(event);
         } else {
             self.outside.add_event(&event);
-            self.place_episode_spans(&[event], self.now, None);
+            self.place_episode_spans(&[event], self.clock.now(), None);
         }
     }
 
@@ -404,11 +367,8 @@ pub struct Profile {
     pub model: TimingModel,
     /// EP cycles between operations fed to the clock.
     pub ep_gap: u64,
-    /// Aggregate accounting — by construction identical to
-    /// [`TimingModel::run_stream`] over [`Profile::classes`].
+    /// Aggregate accounting: the [`CycleClock`] totals of the run.
     pub timing: StreamTiming,
-    /// The operation-class stream, in execution order.
-    pub classes: Vec<OpClass>,
     /// The recorded timeline (empty in summary-only mode).
     pub spans: Vec<Span>,
     /// Per-primitive attribution, indexed by [`PrimKind::index`].
@@ -427,17 +387,6 @@ impl Profile {
     /// win the thesis claims.
     pub fn overlap_cycles(&self) -> u64 {
         self.attribution.iter().map(|a| a.lp_tail).sum()
-    }
-
-    /// Re-run the batch accounting over the recorded class stream.
-    /// Equal to [`Profile::timing`] — the incremental clock and the
-    /// batch algorithm are the same arithmetic (tested, and asserted by
-    /// `profile_timeline`).
-    pub fn replay_stream_timing(&self) -> StreamTiming {
-        self.model.run_stream(
-            self.classes.iter().map(|&c| TimedOp::from_class(c)),
-            self.ep_gap,
-        )
     }
 
     /// Chrome Trace Format JSON (the array-of-events form inside an
@@ -607,74 +556,6 @@ impl Profile {
 }
 
 // ---------------------------------------------------------------------
-// CycleClock — the bare virtual clock, for callers that need elapsed
-// cycles without spans or attribution (the serve layer's per-request
-// latency telemetry).
-// ---------------------------------------------------------------------
-
-/// The incremental virtual clock of [`SpanSink::close_op`] /
-/// [`TimingModel::run_stream`], stripped of span and attribution
-/// storage: advance it one operation class at a time, read the total
-/// elapsed cycles, reset.
-///
-/// Because the arithmetic is identical to `run_stream`, the elapsed
-/// total over a class stream is a pure function of that stream — the
-/// property the serving layer's deterministic latency histograms gate
-/// on.
-#[derive(Debug, Clone)]
-pub struct CycleClock {
-    model: TimingModel,
-    ep_gap: u64,
-    now: u64,
-    lp_free_at: u64,
-}
-
-impl Default for CycleClock {
-    fn default() -> Self {
-        CycleClock::new(TimingModel::default(), DEFAULT_EP_GAP)
-    }
-}
-
-impl CycleClock {
-    /// A clock under an explicit cost model and inter-operation EP gap.
-    pub fn new(model: TimingModel, ep_gap: u64) -> CycleClock {
-        CycleClock {
-            model,
-            ep_gap,
-            now: 0,
-            lp_free_at: 0,
-        }
-    }
-
-    /// Advance over one completed operation — the `run_stream` loop
-    /// body, including the §4.3.2.5 chaining stall against the previous
-    /// operation's LP tail.
-    pub fn advance(&mut self, class: OpClass) {
-        let t = self.model.op(TimedOp::from_class(class));
-        let pre_end = self.now + t.ep_pre;
-        let stall = self.lp_free_at.saturating_sub(pre_end);
-        let service_end = pre_end + stall + t.latency;
-        self.lp_free_at = service_end + t.lp_tail;
-        self.now = service_end + self.ep_gap;
-    }
-
-    /// Total elapsed cycles so far: EP time or outstanding LP tail,
-    /// whichever runs later (the `run_stream` total).
-    pub fn elapsed(&self) -> u64 {
-        self.now.max(self.lp_free_at)
-    }
-
-    /// Read the elapsed total and reset to zero — one call per request
-    /// gives per-request cycle costs on a shared clock.
-    pub fn take(&mut self) -> u64 {
-        let elapsed = self.elapsed();
-        self.now = 0;
-        self.lp_free_at = 0;
-        elapsed
-    }
-}
-
-// ---------------------------------------------------------------------
 // chrome — the Chrome Trace Format emitter, reusable by layers that
 // trace wall-clock spans (the serve layer's shard event loops) rather
 // than virtual cycles.
@@ -735,7 +616,6 @@ mod tests {
     use super::*;
     use small_core::{ListProcessor, LpConfig};
     use small_heap::controller::TwoPointerController;
-    use small_metrics::NoopSink;
     use small_sexpr::{parse, Interner};
 
     /// Run a small scripted workload through an LP instrumented with the
@@ -766,18 +646,13 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_equals_run_stream_exactly() {
-        let profile = scripted(SpanSink::new("scripted")).finish();
-        assert!(profile.timing.ops >= 8);
-        assert_eq!(profile.timing, profile.replay_stream_timing());
-        // The attribution decomposes the same totals.
-        let blocked: u64 = profile.attribution.iter().map(|a| a.blocked).sum();
-        assert_eq!(profile.timing.ep_idle, profile.stall_cycles() + blocked);
-    }
-
-    #[test]
     fn summary_only_keeps_accounting_drops_spans() {
         let full = scripted(SpanSink::new("w")).finish();
+        assert!(full.timing.ops >= 8);
+        // The attribution decomposes the clock's totals: EP idle is
+        // chaining stalls plus blocked waits.
+        let blocked: u64 = full.attribution.iter().map(|a| a.blocked).sum();
+        assert_eq!(full.timing.ep_idle, full.stall_cycles() + blocked);
         let summary = scripted(SpanSink::new("w").summary_only()).finish();
         assert_eq!(summary.timing, full.timing);
         assert_eq!(summary.attribution, full.attribution);
@@ -791,6 +666,15 @@ mod tests {
         assert_eq!(profile.timing.ops, 0);
         assert_eq!(profile.timing.total, 0);
         assert!(profile.spans.is_empty());
+    }
+
+    #[test]
+    fn noop_and_disabled_spansink_agree() {
+        // Behavioral check that the disabled profiler changes nothing
+        // about the run (the perf claim is pinned by the bench).
+        let _ = scripted(small_metrics::NoopSink);
+        let profile = scripted(SpanSink::<false>::disabled()).finish();
+        assert_eq!(profile.timing.ops, 0);
     }
 
     /// Satellite: Chrome-trace invariants — every `B` has a matching
@@ -927,16 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn noop_and_disabled_spansink_agree() {
-        // Behavioral check that the disabled profiler changes nothing
-        // about the run (the perf claim is pinned by the bench).
-        let a = scripted(NoopSink);
-        let _ = a;
-        let profile = scripted(SpanSink::<false>::disabled()).finish();
-        assert_eq!(profile.timing.ops, 0);
-    }
-
-    #[test]
     fn profiles_a_full_vm_run_through_small_backend() {
         // The machine.rs wiring: a compiled Lisp program on the LP
         // backend with a SpanSink attached, recovered via into_sink.
@@ -960,7 +834,6 @@ mod tests {
         vm.shutdown();
         let profile = vm.backend.into_sink().finish();
         assert!(profile.timing.ops > 0, "VM primitives must be profiled");
-        assert_eq!(profile.timing, profile.replay_stream_timing());
         let per_prim: u64 = profile.attribution.iter().map(|a| a.ops).sum();
         assert_eq!(per_prim, profile.timing.ops);
     }

@@ -1,13 +1,13 @@
 //! WAL-shipping replication: primary → warm standby.
 //!
 //! The primary appends one record per *mutating* request (`open`,
-//! `eval`, `close`) to an in-memory write-ahead log. Each record is
-//! encoded as a `[u32 len][u32 crc32][payload]` frame — the same frame
-//! discipline `small-persist` uses for journal batches — and carries
-//! the request itself plus the FNV-1a digest of the encoded reply the
-//! primary produced. Appending happens **before** the reply is posted
-//! to the client, so an acknowledged request is always shipped: the
-//! standby can never be missing state a client has seen confirmed.
+//! `eval`, `close`) to an in-memory write-ahead log. Each record is a
+//! [`small_persist::frame`] (the journal's `[u32 len][u32 crc32][payload]`
+//! codec) carrying the request itself plus the FNV-1a digest of the
+//! encoded reply the primary produced. Appending happens **before** the
+//! reply is posted to the client, so an acknowledged request is always
+//! shipped: the standby can never be missing state a client has seen
+//! confirmed.
 //!
 //! A standby connects with a `(hello <version> replica)` handshake and
 //! pulls frames with `(pull <lsn>)`, receiving `(ok frames <next>
@@ -48,7 +48,8 @@ use crate::manager::SessionStore;
 use crate::protocol::{err, write_frame, FrameBuf, NodeRole, Reply, Request, Role, PROTO_VERSION};
 use crate::session::ServeConfig;
 use crate::telemetry::VolatileMetrics;
-use small_persist::{crc32, digest_bytes, ByteReader, ByteWriter, DIGEST_SEED};
+use small_persist::frame::{self, FrameError};
+use small_persist::{digest_bytes, ByteReader, DIGEST_SEED};
 use std::fmt;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -104,38 +105,55 @@ pub struct WalRecord {
     pub reply_digest: u64,
 }
 
+/// Record tags: 0 `open`, 1 `eval`, 2 `close`; plus 3 when the
+/// optional token or seq follows the tag.
 fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(rec.lsn);
-    w.put_u64(rec.session);
-    match &rec.op {
-        WalOp::Open { token: None } => w.put_u8(0),
-        WalOp::Eval { seq: None, src } => {
-            w.put_u8(1);
-            w.put_str(src);
+    let (tag, opt, src) = match &rec.op {
+        WalOp::Open { token } => (0, *token, None),
+        WalOp::Eval { seq, src } => (1, *seq, Some(src)),
+        WalOp::Close { seq } => (2, *seq, None),
+    };
+    // The exact payload size: the log retains every frame as built.
+    let len = 8 + 8 + 1 + opt.map_or(0, |_| 8) + src.map_or(0, |s| 8 + s.len()) + 8;
+    frame::encode(len, |w| {
+        w.put_u64(rec.lsn);
+        w.put_u64(rec.session);
+        w.put_u8(tag + if opt.is_some() { 3 } else { 0 });
+        if let Some(v) = opt {
+            w.put_u64(v);
         }
-        WalOp::Close { seq: None } => w.put_u8(2),
-        WalOp::Open { token: Some(t) } => {
-            w.put_u8(3);
-            w.put_u64(*t);
+        if let Some(s) = src {
+            w.put_str(s);
         }
-        WalOp::Eval { seq: Some(s), src } => {
-            w.put_u8(4);
-            w.put_u64(*s);
-            w.put_str(src);
-        }
-        WalOp::Close { seq: Some(s) } => {
-            w.put_u8(5);
-            w.put_u64(*s);
-        }
+        w.put_u64(rec.reply_digest);
+    })
+}
+
+fn decode_record(payload: &[u8]) -> Result<WalRecord, &'static str> {
+    let short = |_| "short payload";
+    let mut r = ByteReader::new(payload);
+    let (lsn, session) = (r.u64().map_err(short)?, r.u64().map_err(short)?);
+    let tag = r.u8().map_err(short)?;
+    if tag > 5 {
+        return Err("bad op tag");
     }
-    w.put_u64(rec.reply_digest);
-    let payload = w.finish();
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    let opt = (tag >= 3).then(|| r.u64()).transpose().map_err(short)?;
+    let op = match tag % 3 {
+        0 => WalOp::Open { token: opt },
+        1 => WalOp::Eval {
+            seq: opt,
+            src: r.str().map_err(short)?.to_string(),
+        },
+        _ => WalOp::Close { seq: opt },
+    };
+    let reply_digest = r.u64().map_err(short)?;
+    r.expect_end()?;
+    Ok(WalRecord {
+        lsn,
+        session,
+        op,
+        reply_digest,
+    })
 }
 
 /// Replication failures. Transport is TCP (reliable), so unlike the
@@ -195,56 +213,8 @@ impl std::error::Error for ReplError {}
 /// Decode a batch of concatenated WAL frames. Strict: a torn tail,
 /// bad CRC, or malformed payload is an error, never a truncation.
 pub fn decode_frames(bytes: &[u8]) -> Result<Vec<WalRecord>, ReplError> {
-    let mut out = Vec::new();
-    let mut at = 0;
-    while at < bytes.len() {
-        let bad = |reason| ReplError::BadFrame { offset: at, reason };
-        if bytes.len() - at < 8 {
-            return Err(bad("torn header"));
-        }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        if bytes.len() - at - 8 < len {
-            return Err(bad("torn payload"));
-        }
-        let payload = &bytes[at + 8..at + 8 + len];
-        if crc32(payload) != crc {
-            return Err(bad("crc mismatch"));
-        }
-        let mut r = ByteReader::new(payload);
-        let field = |r: &mut ByteReader| r.u64().map_err(|_| bad("short payload"));
-        let lsn = field(&mut r)?;
-        let session = field(&mut r)?;
-        let op = match r.u8().map_err(|_| bad("short payload"))? {
-            0 => WalOp::Open { token: None },
-            1 => WalOp::Eval {
-                seq: None,
-                src: r.str().map_err(|_| bad("short payload"))?.to_string(),
-            },
-            2 => WalOp::Close { seq: None },
-            3 => WalOp::Open {
-                token: Some(r.u64().map_err(|_| bad("short payload"))?),
-            },
-            4 => WalOp::Eval {
-                seq: Some(r.u64().map_err(|_| bad("short payload"))?),
-                src: r.str().map_err(|_| bad("short payload"))?.to_string(),
-            },
-            5 => WalOp::Close {
-                seq: Some(r.u64().map_err(|_| bad("short payload"))?),
-            },
-            _ => return Err(bad("bad op tag")),
-        };
-        let reply_digest = field(&mut r)?;
-        r.expect_end().map_err(|_| bad("trailing bytes"))?;
-        out.push(WalRecord {
-            lsn,
-            session,
-            op,
-            reply_digest,
-        });
-        at += 8 + len;
-    }
-    Ok(out)
+    frame::scan_whole(bytes, decode_record)
+        .map_err(|FrameError { offset, reason }| ReplError::BadFrame { offset, reason })
 }
 
 /// The primary's in-memory write-ahead log: encoded frames indexed by
@@ -868,14 +838,8 @@ mod tests {
     fn corrupt_batch_fails_closed() {
         let mut wal = Wal::new();
         wal.append(0, WalOp::Open { token: None }, 7);
-        wal.append(
-            0,
-            WalOp::Eval {
-                seq: None,
-                src: "(add 1 2)".to_string(),
-            },
-            9,
-        );
+        let src = "(add 1 2)".to_string();
+        wal.append(0, WalOp::Eval { seq: None, src }, 9);
         let (mut batch, _) = wal.frames_from(0, usize::MAX);
         // Flip a payload byte: CRC must catch it.
         let last = batch.len() - 1;

@@ -6,10 +6,9 @@
 //! # The two clocks
 //!
 //! Every request is priced on the **virtual clock** — the machine's
-//! [`TimingModel`](small_core::timing::TimingModel), advanced one
-//! operation at a time by [`ServeSink`] exactly as
-//! `TimingModel::run_stream` would (via
-//! [`CycleClock`](small_profile::CycleClock)). The clock resets at
+//! [`CycleClock`], the one §4.3.2.5 recurrence that
+//! `TimingModel::run_stream` and the profiler also advance, stepped one
+//! operation at a time by [`ServeSink`]. The clock resets at
 //! every request boundary, so a request's cycle cost is a pure function
 //! of its own operation stream: independent of shard scheduling,
 //! eviction churn, and wall time. Virtual-cycle histograms are
@@ -24,10 +23,11 @@
 //! and never byte-compared.
 
 use crate::protocol::Request;
+use small_core::timing::CycleClock;
 use small_metrics::{
     histogram_json, Counter, Event, EventCounts, EventSink, Histogram, JsonObject, OpClass,
 };
-use small_profile::{chrome::TraceBuilder, CycleClock};
+use small_profile::chrome::TraceBuilder;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -580,35 +580,6 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use small_core::timing::{TimedOp, TimingModel};
-    use small_profile::DEFAULT_EP_GAP;
-
-    #[test]
-    fn serve_sink_clock_matches_run_stream() {
-        let classes = [
-            OpClass::Cons,
-            OpClass::AccessHit,
-            OpClass::AccessMiss,
-            OpClass::Modify,
-            OpClass::ReadList,
-            OpClass::Cons,
-        ];
-        let mut sink = ServeSink::default();
-        for &c in &classes {
-            sink.op_end(c);
-        }
-        let batch = TimingModel::default().run_stream(
-            classes.iter().map(|&c| TimedOp::from_class(c)),
-            DEFAULT_EP_GAP,
-        );
-        assert_eq!(sink.take_cycles(), batch.total);
-        // The take reset the clock: a second identical stream reports
-        // the same cost (per-request isolation).
-        for &c in &classes {
-            sink.op_end(c);
-        }
-        assert_eq!(sink.take_cycles(), batch.total);
-    }
 
     #[test]
     fn shard_metrics_merge_is_order_independent() {

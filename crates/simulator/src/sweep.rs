@@ -610,16 +610,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_cell_timing_is_run_stream_exact() {
+    fn sweep_cells_carry_summary_timing() {
         let trace = t(600);
         let mut grid = SweepGrid::standard("timing");
         grid.table_sizes = vec![512];
         let report = run_sweep(&trace, &grid, 2);
         for c in &report.cells {
             assert!(c.profile.timing.ops > 0);
-            // The incremental virtual clock must equal the batch
-            // aggregation over the same class stream.
-            assert_eq!(c.profile.timing, c.profile.replay_stream_timing());
             assert!(c.profile.spans.is_empty(), "sweep cells are summary-only");
             let json = c.to_json();
             assert!(json.contains("\"total_cycles\""));
