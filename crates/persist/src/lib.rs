@@ -145,8 +145,11 @@ impl From<small_heap::ImageError> for PersistError {
 // CRC-32 (IEEE 802.3, reflected)
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so eight input bytes fold in with eight lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -159,19 +162,42 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (the IEEE 802.3 polynomial) of `bytes`.
+/// CRC-32 (the IEEE 802.3 polynomial) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -300,6 +326,17 @@ impl<'a> ByteReader<'a> {
         let v = self.u64()?;
         if v > (self.b.len() - self.at.min(self.b.len())) as u64 {
             return Err("length past end of input");
+        }
+        Ok(v as usize)
+    }
+
+    /// Read a `u64` count of 8-byte words that the rest of the input
+    /// can hold, so a corrupt count cannot size an allocation beyond
+    /// the input itself.
+    fn words(&mut self) -> Result<usize, &'static str> {
+        let v = self.u64()?;
+        if v > (self.b.len() - self.at) as u64 / 8 {
+            return Err("section past end of input");
         }
         Ok(v as usize)
     }
@@ -572,11 +609,8 @@ fn get_controller_image(r: &mut ByteReader) -> Result<ControllerImage, &'static 
     let mut sections = Vec::with_capacity(n);
     for _ in 0..n {
         let name = intern(r.str()?)?;
-        let len = r.u64()?;
-        if len > (u32::MAX as u64) {
-            return Err("section too large");
-        }
-        let mut words = Vec::with_capacity(len as usize);
+        let len = r.words()?;
+        let mut words = Vec::with_capacity(len);
         for _ in 0..len {
             words.push(r.u64()?);
         }
@@ -585,31 +619,66 @@ fn get_controller_image(r: &mut ByteReader) -> Result<ControllerImage, &'static 
     Ok(ControllerImage { kind, sections })
 }
 
-/// Serialize a [`Checkpoint`]: magic, version, payload CRC, payload.
-/// Deterministic — equal checkpoints encode to identical bytes.
-pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    payload.put_u64(ckpt.event_index);
-    payload.put_u64(ckpt.journal_seq);
-    put_lp_image(&mut payload, &ckpt.lp);
-    put_controller_image(&mut payload, &ckpt.controller);
-    payload.put_bytes(&ckpt.driver);
-    let payload = payload.finish();
+/// Checkpoint header bytes: magic, `u32` version, `u32` payload CRC,
+/// `u64` payload length.
+const CHECKPOINT_HEADER: usize = CHECKPOINT_MAGIC.len() + 16;
 
-    let mut w = ByteWriter::new();
+/// The exact encoded payload size of `ckpt`, so the encoder allocates
+/// once and the blob carries no spare capacity.
+fn checkpoint_payload_len(ckpt: &Checkpoint) -> usize {
+    // Two fields, `rc`, `addr`, `free_next` and the flag byte.
+    const ENTRY: usize = 2 * 9 + 3 * 4 + 1;
+    let lp = &ckpt.lp;
+    // Table size and entry count, the entries, free head and tail plus
+    // `live` and `degraded`, two counted vectors, and the 20 stats.
+    let lp_len = 16
+        + ENTRY * lp.entries.len()
+        + 17
+        + (8 + 8 * lp.ep_counts.len())
+        + (8 + 8 * lp.recent_overflows.len())
+        + 8 * 20;
+    let ctrl = &ckpt.controller;
+    let sections: usize = ctrl
+        .sections
+        .iter()
+        .map(|(name, words)| 16 + name.len() + 8 * words.len())
+        .sum();
+    let controller_len = 16 + ctrl.kind.len() + sections;
+    16 + lp_len + controller_len + 8 + ckpt.driver.len()
+}
+
+/// Serialize a [`Checkpoint`]: magic, version, payload CRC, payload
+/// length, payload. The payload is written straight behind a reserved
+/// header, which is then sealed in place. Deterministic — equal
+/// checkpoints encode to identical bytes.
+pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
+    let payload_len = checkpoint_payload_len(ckpt);
+    let mut w = ByteWriter {
+        buf: Vec::with_capacity(CHECKPOINT_HEADER + payload_len),
+    };
     w.buf.extend_from_slice(&CHECKPOINT_MAGIC);
     w.put_u32(CHECKPOINT_VERSION);
-    w.put_u32(crc32(&payload));
-    w.put_u64(payload.len() as u64);
-    w.buf.extend_from_slice(&payload);
-    w.finish()
+    w.put_u32(0); // CRC and length, sealed below
+    w.put_u64(0);
+    w.put_u64(ckpt.event_index);
+    w.put_u64(ckpt.journal_seq);
+    put_lp_image(&mut w, &ckpt.lp);
+    put_controller_image(&mut w, &ckpt.controller);
+    w.put_bytes(&ckpt.driver);
+    let mut bytes = w.finish();
+    let len = bytes.len() - CHECKPOINT_HEADER;
+    debug_assert_eq!(len, payload_len, "checkpoint_payload_len is stale");
+    let crc = crc32(&bytes[CHECKPOINT_HEADER..]);
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    bytes[16..CHECKPOINT_HEADER].copy_from_slice(&(len as u64).to_le_bytes());
+    bytes
 }
 
 /// Parse and validate a checkpoint. Fails closed on bad magic, unknown
 /// version, wrong length, CRC mismatch, or any malformed section.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     let corrupt = PersistError::CorruptCheckpoint;
-    if bytes.len() < CHECKPOINT_MAGIC.len() + 16 {
+    if bytes.len() < CHECKPOINT_HEADER {
         return Err(corrupt("truncated header"));
     }
     if bytes[..8] != CHECKPOINT_MAGIC {
@@ -1059,6 +1128,7 @@ impl CrashStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use small_metrics::NoopSink;
 
     fn sample_lp_image() -> LpImage {
@@ -1140,6 +1210,32 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC-32 the slice-by-8 loop must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every length from 0 to 4096 at every start offset modulo 8, so
+        /// each split between eight-byte steps and the byte tail occurs
+        /// on misaligned slices.
+        #[test]
+        fn crc32_slice_by_8_matches_bytewise(
+            buf in prop::collection::vec(any::<u8>(), 4096 + 8),
+            len in 0usize..=4096,
+            start in 0usize..8,
+        ) {
+            let s = &buf[start..start + len];
+            prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! **suspended** (serialized to a `small-persist` checkpoint blob by
 //! LRU eviction). Eviction runs after every touch: while more than
 //! [`ServeConfig::max_resident`] sessions are resident, the
-//! least-recently-used is suspended to bytes. Suspension is
+//! least-recently-used is suspended to bytes. The slot keeps the event
+//! counts serialized in the blob beside it, so `(stats)` and
+//! `(metrics)` publication never reads a blob: a suspended session
+//! costs nothing until it is touched. Suspension is
 //! stats-neutral (see [`Session::suspend`]), so eviction policy cannot
 //! influence any session's replies or ledger; the soak and failover
 //! harnesses gate on exactly that.
@@ -56,7 +59,9 @@ pub const CLOSED_RETENTION: usize = 64;
 
 enum Slot {
     Resident(Box<Session>),
-    Suspended(Vec<u8>),
+    /// A [`Session::suspend`] blob and the event counts serialized in
+    /// it, carried alongside so `(stats)` never decodes the blob.
+    Suspended(Vec<u8>, EventCounts),
 }
 
 /// Owns every session pinned to one shard (or, in the serial-twin and
@@ -244,8 +249,8 @@ impl SessionStore {
             // for a drain to race.
             let trace = self.trace.clone();
             let _span = trace.as_ref().map(|(log, tid)| log.span(*tid, "suspend"));
-            self.slots
-                .insert(victim, Slot::Suspended(session.suspend()));
+            let (blob, counts) = session.suspend_with_counts();
+            self.slots.insert(victim, Slot::Suspended(blob, counts));
             self.evictions += 1;
         }
     }
@@ -272,8 +277,8 @@ impl SessionStore {
                 self.enforce_lru();
                 reply
             }
-            Some(Slot::Suspended(_)) => {
-                let Some(Slot::Suspended(bytes)) = self.slots.remove(&id) else {
+            Some(Slot::Suspended(..)) => {
+                let Some(Slot::Suspended(bytes, _)) = self.slots.remove(&id) else {
                     unreachable!("matched suspended above");
                 };
                 let trace = self.trace.clone();
@@ -375,7 +380,7 @@ impl SessionStore {
                     occupancy: occupancy as u64,
                 }
             }
-            Some(Slot::Suspended(bytes)) => {
+            Some(Slot::Suspended(bytes, _)) => {
                 self.touch.remove(&id);
                 match Session::resume(id, &self.cfg, &bytes) {
                     Ok(session) => {
@@ -499,19 +504,15 @@ impl SessionStore {
         }
     }
 
-    /// Aggregate event counts across every session — suspended blobs
-    /// are peeked without resurrecting them, retired sessions stay
-    /// included.
+    /// Aggregate event counts across every session — suspended
+    /// sessions contribute the counts carried beside their blobs, so no
+    /// blob is read; retired sessions stay included.
     pub fn aggregate_counts(&self) -> EventCounts {
         let mut total = self.retired;
         for slot in self.slots.values() {
             match slot {
                 Slot::Resident(s) => total.merge(&s.counts()),
-                Slot::Suspended(bytes) => {
-                    if let Ok(c) = Session::peek_counts(bytes) {
-                        total.merge(&c);
-                    }
-                }
+                Slot::Suspended(_, counts) => total.merge(counts),
             }
         }
         total
@@ -553,9 +554,9 @@ impl SessionStore {
     pub fn verify_suspended(&self) -> Result<usize, PersistError> {
         let mut checked = 0;
         for (id, slot) in &self.slots {
-            if let Slot::Suspended(bytes) = slot {
-                // A full resume (not just a peek) exercises CRC,
-                // version, image decode, and the table audit.
+            if let Slot::Suspended(bytes, _) = slot {
+                // A full resume exercises CRC, version, image decode,
+                // and the table audit.
                 let s = Session::resume(*id, &self.cfg, bytes)?;
                 let _ = s.close();
                 checked += 1;
@@ -571,7 +572,7 @@ impl SessionStore {
             .slots
             .iter()
             .filter_map(|(&id, s)| match s {
-                Slot::Suspended(bytes) => Some((id, bytes.clone())),
+                Slot::Suspended(bytes, _) => Some((id, bytes.clone())),
                 Slot::Resident(_) => None,
             })
             .collect();
@@ -626,6 +627,36 @@ mod tests {
         let (ev, res) = thrash.eviction_counters();
         assert!(ev > 0 && res > 0, "cap 1 must thrash: {ev}/{res}");
         assert_eq!(roomy.eviction_counters(), (0, 0));
+    }
+
+    #[test]
+    fn suspended_slots_carry_their_blobs_counts() {
+        let c = cfg(1);
+        let mut thrash = SessionStore::new(c);
+        let mut roomy = SessionStore::new(cfg(usize::MAX));
+        let ids: Vec<u64> = (0..3).map(|_| thrash.open()).collect();
+        for &id in &ids {
+            assert_eq!(roomy.open(), id);
+        }
+        let script = [
+            "(setq acc (cons 1 (cons 2 nil)))",
+            "(setq acc (cons 0 acc))",
+            "(prog (x) (setq x (cons 9 acc)) (rplaca x 8) (return (car x)))",
+            "(car 5)",
+            "(setq acc nil)",
+        ];
+        for (k, src) in script.iter().cycle().take(4 * script.len()).enumerate() {
+            let id = ids[k % ids.len()];
+            assert_eq!(thrash.eval(id, src), roomy.eval(id, src));
+            assert_eq!(thrash.stats_body().counts, roomy.stats_body().counts);
+            for (&id, slot) in &thrash.slots {
+                if let Slot::Suspended(blob, carried) = slot {
+                    let resumed = Session::resume(id, &c, blob).expect("resume");
+                    assert_eq!(*carried, resumed.counts(), "session {id}");
+                }
+            }
+        }
+        assert!(thrash.eviction_counters().0 > 0);
     }
 
     #[test]

@@ -272,12 +272,19 @@ impl Session {
     /// needs. No release traffic is issued: the outstanding binding
     /// handles' counts ride inside the LPT image and are re-wrapped on
     /// resume, keeping suspension invisible to the ledger.
-    pub fn suspend(mut self) -> Vec<u8> {
+    pub fn suspend(self) -> Vec<u8> {
+        self.suspend_with_counts().0
+    }
+
+    /// [`Session::suspend`], also returning the event counts the blob
+    /// carries, so a store can report them without decoding the blob.
+    pub(crate) fn suspend_with_counts(mut self) -> (Vec<u8>, EventCounts) {
         self.vm.backend.lp.drain_unroots();
+        let counts = self.counts();
         let mut w = ByteWriter::new();
         w.put_u64(self.requests);
         w.put_u64(self.digest);
-        for word in self.vm.backend.lp.sink().counts.to_words() {
+        for word in counts.to_words() {
             w.put_u64(word);
         }
         w.put_u64(self.interner.len() as u64);
@@ -304,21 +311,20 @@ impl Session {
                 }
             }
         }
-        // Dedup state rides behind the globals so `peek_counts`'s
-        // fixed prefix stays valid.
         w.put_u64(self.next_seq);
         w.put_u64(self.replay.len() as u64);
         for (seq, reply) in &self.replay {
             w.put_u64(*seq);
             w.put_str(&reply.encode());
         }
-        encode_checkpoint(&Checkpoint {
+        let blob = encode_checkpoint(&Checkpoint {
             event_index: self.requests,
             journal_seq: 0,
             lp: self.vm.backend.lp.export_image(),
             controller: self.vm.backend.lp.controller.export_image(),
             driver: w.finish(),
-        })
+        });
+        (blob, counts)
         // Dropping `self` here drops the outstanding `Rooted` handles
         // without draining their unroots — the counts they represent
         // were exported live, as resume expects.
@@ -395,21 +401,6 @@ impl Session {
             next_seq,
             replay,
         })
-    }
-
-    /// Decode only the event counts from a suspended blob (for `/stats`
-    /// aggregation without resurrecting the machine).
-    pub fn peek_counts(bytes: &[u8]) -> Result<EventCounts, PersistError> {
-        let corrupt = PersistError::CorruptCheckpoint;
-        let ckpt = decode_checkpoint(bytes)?;
-        let mut r = ByteReader::new(&ckpt.driver);
-        r.u64().map_err(corrupt)?;
-        r.u64().map_err(corrupt)?;
-        let mut words = [0u64; 22];
-        for word in &mut words {
-            *word = r.u64().map_err(corrupt)?;
-        }
-        Ok(EventCounts::from_words(&words))
     }
 
     /// A typed error reply for a persist failure on this path (exposed

@@ -5,12 +5,15 @@
 //! batches are truncated at every offset, hit by a bit flip, or spliced
 //! together; each scan must return exactly the original frames before
 //! the damage, then a torn tail (journal only) or a typed error at the
-//! damage. No length field read from the input may size an allocation.
+//! damage. No length field read from the input may size an allocation,
+//! and neither may a word count inside a CRC-valid session checkpoint.
 
 use proptest::prelude::*;
-use small_persist::{encode_frame, scan_journal, JournalBatch, JournalRecord, PersistError};
+use small_persist::{
+    crc32, decode_checkpoint, encode_frame, scan_journal, JournalBatch, JournalRecord, PersistError,
+};
 use small_serve::repl::{decode_frames, ReplError, WalOp, WalRecord};
-use small_serve::Wal;
+use small_serve::{ServeConfig, Session, Wal};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -170,4 +173,30 @@ proptest! {
             Err(e) => panic!("WAL decode failed outside its taxonomy: {e}"),
         });
     }
+}
+
+/// A real suspend blob whose `arena` section claims `u32::MAX` words,
+/// its CRC re-sealed so only the count is wrong: both decode paths must
+/// fail closed instead of sizing a 32 GiB vector from that count.
+#[test]
+fn inflated_checkpoint_section_fails_closed() {
+    let cfg = ServeConfig::default();
+    let mut s = Session::new(0, &cfg);
+    s.eval("(setq acc (cons 1 (cons 2 nil)))");
+    let mut blob = s.suspend();
+    let name = [&5u64.to_le_bytes()[..], b"arena"].concat();
+    let at = blob.windows(name.len()).position(|w| w == name).unwrap() + name.len();
+    blob[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    // The header is magic, version, CRC, length; the payload follows.
+    let crc = crc32(&blob[24..]);
+    blob[12..16].copy_from_slice(&crc.to_le_bytes());
+    let want = Err(PersistError::CorruptCheckpoint("section past end of input"));
+    PEAK.set(0);
+    assert_eq!(decode_checkpoint(&blob).map(drop), want);
+    assert_eq!(Session::resume(0, &cfg, &blob).map(drop), want);
+    let (peak, len) = (PEAK.get(), blob.len());
+    assert!(
+        peak <= 8 * len,
+        "{len} bytes drove a {peak}-byte allocation"
+    );
 }
