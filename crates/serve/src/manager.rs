@@ -28,14 +28,18 @@
 //! makes that checkable: the drain path decodes every suspended blob
 //! and fails loudly if any is torn.
 //!
-//! The store also implements the serial **twin** used by the soak and
-//! failover harnesses: [`SessionStore::apply`] maps any typed
-//! [`Request`] to the exact [`Reply`] the server would produce, so an
-//! uninterrupted in-process run is byte-comparable with wire traffic.
+//! Every session request reaches the store through one executor,
+//! [`SessionStore::execute`]: the shard runs routed jobs through it, a
+//! standby replays WAL records through it, and [`SessionStore::apply`]
+//! (the serial **twin** the soak and campaign harnesses compare wire
+//! transcripts against) maps a typed [`Request`] onto it. What a
+//! request does to the store, and what a primary journals for it, is
+//! therefore decided in exactly one place.
 
 use crate::protocol::{
-    err, seq_gap_reply, seq_too_old_reply, NodeRole, Reply, Request, StatsBody, PROTO_VERSION,
+    err, hello_reply, seq_gap_reply, seq_too_old_reply, NodeRole, Reply, Request, StatsBody,
 };
+use crate::repl::WalOp;
 use crate::session::{ServeConfig, Session};
 use crate::telemetry::{ReqKind, ShardMetrics, TraceLog, VolatileMetrics};
 use small_metrics::EventCounts;
@@ -56,6 +60,110 @@ pub const TOKEN_RETENTION: usize = 64;
 /// `(close <id> <seq>)` that raced a reset, bounded so the cache cannot
 /// grow with session churn.
 pub const CLOSED_RETENTION: usize = 64;
+
+/// A session-scoped operation: what [`SessionStore::execute`] runs
+/// against one session id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionOp {
+    /// `open`, `eval` or `close`. The op is its own journal record:
+    /// when it takes effect, a primary appends exactly this.
+    Write(WalOp),
+    /// `(ledger <id>)`.
+    Ledger,
+    /// `(digest <id>)`.
+    Digest,
+}
+
+impl From<WalOp> for SessionOp {
+    fn from(op: WalOp) -> SessionOp {
+        SessionOp::Write(op)
+    }
+}
+
+impl SessionOp {
+    /// The mutation this op would journal, if it is one.
+    pub fn write(&self) -> Option<&WalOp> {
+        match self {
+            SessionOp::Write(op) => Some(op),
+            SessionOp::Ledger | SessionOp::Digest => None,
+        }
+    }
+}
+
+/// Idempotency-token → session-id routes with bounded retention.
+///
+/// Routes for **live** sessions are pinned; once the session closes its
+/// route moves to a [`TOKEN_RETENTION`]-deep FIFO that keeps recently
+/// closed opens answerable for duplicate retries while bounding the map
+/// for any workload length. The store holds one to dedup `(open
+/// <token>)`; the server holds one to resolve a token to its id at
+/// decode time, so a retried open reaches the same home shard.
+#[derive(Default)]
+pub struct TokenRoutes {
+    by_token: HashMap<u64, u64>,
+    /// Reverse map for live sessions only (id → token).
+    by_id: HashMap<u64, u64>,
+    /// Closed sessions' tokens, oldest first.
+    retired: VecDeque<u64>,
+}
+
+impl TokenRoutes {
+    /// An empty routing table.
+    pub fn new() -> TokenRoutes {
+        TokenRoutes::default()
+    }
+
+    /// The session `token` opened, while its route is held.
+    pub fn get(&self, token: u64) -> Option<u64> {
+        self.by_token.get(&token).copied()
+    }
+
+    /// Resolve `token` to its stable session id, allocating through
+    /// `alloc` on first sight.
+    pub fn resolve_or_insert(&mut self, token: u64, alloc: impl FnOnce() -> u64) -> u64 {
+        if let Some(id) = self.get(token) {
+            return id;
+        }
+        let id = alloc();
+        self.bind(token, id);
+        id
+    }
+
+    /// Bind `token` to live session `id`.
+    pub fn bind(&mut self, token: u64, id: u64) {
+        self.by_token.insert(token, id);
+        self.by_id.insert(id, token);
+    }
+
+    /// The session closed: move its token (if any) into the retired
+    /// ring, evicting the oldest route once over the retention cap.
+    pub fn note_close(&mut self, id: u64) {
+        let Some(token) = self.by_id.remove(&id) else {
+            return;
+        };
+        self.retired.push_back(token);
+        while self.retired.len() > TOKEN_RETENTION {
+            if let Some(old) = self.retired.pop_front() {
+                self.by_token.remove(&old);
+            }
+        }
+    }
+
+    /// Every held route (live and retired) as `(token, id)` pairs.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.by_token.iter().map(|(&t, &id)| (t, id))
+    }
+
+    /// Total routes currently held (live + retired).
+    pub fn len(&self) -> usize {
+        self.by_token.len()
+    }
+
+    /// Whether no routes are held.
+    pub fn is_empty(&self) -> bool {
+        self.by_token.is_empty()
+    }
+}
 
 enum Slot {
     Resident(Box<Session>),
@@ -78,18 +186,10 @@ pub struct SessionStore {
     /// Counts carried by sessions that have been closed (so `(stats)`
     /// keeps covering them).
     retired: EventCounts,
-    /// Idempotency-token → session-id map for `(open <token>)`: a
-    /// retried tokenized open returns the original `(ok opened <id>)`
-    /// instead of creating a second session. Live sessions' tokens are
-    /// pinned; closed sessions' tokens survive only while they sit in
-    /// the [`TOKEN_RETENTION`]-deep `retired_tokens` ring.
-    open_tokens: HashMap<u64, u64>,
-    /// id → token reverse map for live tokenized sessions, so a close
-    /// can retire its token without scanning.
-    token_of: HashMap<u64, u64>,
-    /// FIFO of closed sessions' tokens still answerable; overflow
-    /// evicts the oldest from `open_tokens`.
-    retired_tokens: VecDeque<u64>,
+    /// The `(open <token>)` dedup routes: a retried tokenized open
+    /// returns the original `(ok opened <id>)` instead of creating a
+    /// second session.
+    tokens: TokenRoutes,
     /// Per-id cached reply of the last *sequenced* close, so a retried
     /// `(close <id> <seq>)` that raced a reset is answered from cache
     /// instead of `no-such-session`. Bounded by [`CLOSED_RETENTION`]
@@ -120,9 +220,7 @@ impl SessionStore {
             evictions: 0,
             resumes: 0,
             retired: EventCounts::default(),
-            open_tokens: HashMap::new(),
-            token_of: HashMap::new(),
-            retired_tokens: VecDeque::new(),
+            tokens: TokenRoutes::new(),
             closed: HashMap::new(),
             closed_order: VecDeque::new(),
             telemetry: ShardMetrics::default(),
@@ -165,21 +263,36 @@ impl SessionStore {
         self.telemetry.record(kind, cycles, wall_us);
     }
 
-    /// Create a session with a store-allocated id (serial twin and
-    /// tests; the sharded server allocates ids globally and uses
-    /// [`SessionStore::open_with_id`]).
-    pub fn open(&mut self) -> u64 {
-        let id = self.next_id;
-        self.open_with_id(id);
-        id
+    /// Run one session op on session `id` (for an open: the id to
+    /// create). Returns the reply and the journal: the [`WalOp`] a
+    /// primary appends for it, or `None` for a read or a no-effect
+    /// answer — a deduplicated retry, a seq gap or a stale seq, none of
+    /// which may re-enter the WAL. Seq-less mutations are journaled even
+    /// when they fail (`no-such-session`), so a standby replays the
+    /// exact request stream and the digest check keeps both sides
+    /// honest.
+    pub fn execute<'a>(&mut self, id: u64, op: &'a SessionOp) -> (Reply, Option<&'a WalOp>) {
+        let (reply, took_effect) = match op {
+            SessionOp::Write(WalOp::Open { token }) => self.open(id, *token),
+            SessionOp::Write(WalOp::Eval { seq, src }) => self.eval(id, *seq, src),
+            SessionOp::Write(WalOp::Close { seq }) => self.close(id, *seq),
+            SessionOp::Ledger => (self.read(id, ReqKind::Ledger, Session::ledger_reply), false),
+            SessionOp::Digest => (self.read(id, ReqKind::Digest, Session::digest_reply), false),
+        };
+        (reply, op.write().filter(|_| took_effect))
     }
 
-    /// Create a session under a caller-assigned id. Advances the
-    /// store's own id cursor past `id`, so store-allocated ids never
-    /// collide with server-assigned ones (promotion relies on this).
-    pub fn open_with_id(&mut self, id: u64) -> Reply {
+    /// Create session `id`, idempotently under `token`: a held token
+    /// answers the original `(ok opened <id>)` and creates nothing.
+    /// Advances the store's own id cursor past `id`, so store-allocated
+    /// ids never collide with server-assigned ones (promotion relies on
+    /// this).
+    fn open(&mut self, id: u64, token: Option<u64>) -> (Reply, bool) {
+        if let Some(existing) = token.and_then(|t| self.tokens.get(t)) {
+            return (Reply::Opened { id: existing }, false);
+        }
         if self.slots.contains_key(&id) {
-            return err("session", "duplicate-session");
+            return (err("session", "duplicate-session"), token.is_none());
         }
         let t0 = self.wall_start();
         self.next_id = self.next_id.max(id + 1);
@@ -188,41 +301,10 @@ impl SessionStore {
         self.touch(id);
         self.enforce_lru();
         self.record_req(ReqKind::Open, 0, t0);
-        Reply::Opened { id }
-    }
-
-    /// Create a session under a caller-assigned id, idempotently: if
-    /// `token` has already opened a session, the original
-    /// `(ok opened <id>)` is returned and nothing is created.
-    ///
-    /// The `applied` flag is `true` only when a session was actually
-    /// created (the journal-this signal).
-    pub fn open_with_token(&mut self, id: u64, token: u64) -> (Reply, bool) {
-        if let Some(&existing) = self.open_tokens.get(&token) {
-            return (Reply::Opened { id: existing }, false);
+        if let Some(t) = token {
+            self.tokens.bind(t, id);
         }
-        let reply = self.open_with_id(id);
-        if let Reply::Opened { id } = reply {
-            self.open_tokens.insert(token, id);
-            self.token_of.insert(id, token);
-            (Reply::Opened { id }, true)
-        } else {
-            (reply, false)
-        }
-    }
-
-    /// Move a closing session's idempotency token (if any) from the
-    /// pinned live set into the bounded retention ring; the overflow
-    /// victim stops being answerable.
-    fn retire_token(&mut self, id: u64) {
-        if let Some(token) = self.token_of.remove(&id) {
-            self.retired_tokens.push_back(token);
-            while self.retired_tokens.len() > TOKEN_RETENTION {
-                if let Some(old) = self.retired_tokens.pop_front() {
-                    self.open_tokens.remove(&old);
-                }
-            }
-        }
+        (Reply::Opened { id }, true)
     }
 
     fn touch(&mut self, id: u64) {
@@ -308,81 +390,83 @@ impl SessionStore {
         }
     }
 
-    /// Compile and run a request program on session `id`. The request's
-    /// virtual-cycle cost (priced by the session's [`crate::telemetry::ServeSink`])
-    /// lands in this store's telemetry.
-    pub fn eval(&mut self, id: u64, src: &str) -> Reply {
+    /// Compile and run a request program on session `id`; under `seq`,
+    /// exactly once (see [`Session::eval_seq`]). The request's
+    /// virtual-cycle cost (priced by the session's
+    /// [`crate::telemetry::ServeSink`]) lands in this store's telemetry.
+    fn eval(&mut self, id: u64, seq: Option<u64>, src: &str) -> (Reply, bool) {
         let t0 = self.wall_start();
         let mut cycles = 0;
+        let mut took_effect = seq.is_none();
         let reply = self.with_session(id, |s| {
-            let r = s.eval(src);
+            let r = match seq {
+                None => s.eval(src),
+                Some(seq) => {
+                    let (r, applied) = s.eval_seq(seq, src);
+                    took_effect = applied;
+                    r
+                }
+            };
             cycles = s.take_cycles();
             r
         });
         self.record_req(ReqKind::Eval, cycles, t0);
-        reply
+        (reply, took_effect)
     }
 
-    /// Run one sequenced request on session `id` (see
-    /// [`Session::eval_seq`]): executes exactly once; retries are
-    /// answered from the session's replay window. `applied` is `true`
-    /// only when the request actually executed.
-    pub fn eval_seq(&mut self, id: u64, seq: u64, src: &str) -> (Reply, bool) {
+    /// A read-only reply about session `id`. Reads run no machine
+    /// operations, so their virtual-cycle cost is 0 by definition; the
+    /// histogram still counts them.
+    fn read(&mut self, id: u64, kind: ReqKind, f: fn(&Session) -> Reply) -> Reply {
         let t0 = self.wall_start();
-        let mut cycles = 0;
-        let mut applied = false;
-        let reply = self.with_session(id, |s| {
-            let (r, a) = s.eval_seq(seq, src);
-            applied = a;
-            cycles = s.take_cycles();
-            r
-        });
-        self.record_req(ReqKind::Eval, cycles, t0);
-        (reply, applied)
-    }
-
-    /// The session's `LptStats` ledger reply. Ledger reads run no
-    /// machine operations, so their virtual-cycle cost is 0 by
-    /// definition; the histogram still counts them.
-    pub fn ledger(&mut self, id: u64) -> Reply {
-        let t0 = self.wall_start();
-        let reply = self.with_session(id, |s| s.ledger_reply());
-        self.record_req(ReqKind::Ledger, 0, t0);
-        reply
-    }
-
-    /// The session's transcript digest reply.
-    pub fn digest(&mut self, id: u64) -> Reply {
-        let t0 = self.wall_start();
-        let reply = self.with_session(id, |s| s.digest_reply());
-        self.record_req(ReqKind::Digest, 0, t0);
+        let reply = self.with_session(id, |s| f(s));
+        self.record_req(kind, 0, t0);
         reply
     }
 
     /// Close a session: shut its machine down and remove it. The reply
     /// carries the residual LPT occupancy (0 unless the session leaked
-    /// cyclic garbage).
-    pub fn close(&mut self, id: u64) -> Reply {
-        let t0 = self.wall_start();
-        if self.slots.contains_key(&id) {
-            // The slot is removed on every path below (even a failed
-            // resume drops it), so the token retires with the session.
-            self.retire_token(id);
+    /// cyclic garbage). Under `seq` the close happens exactly once: a
+    /// retry after the session is gone returns the cached
+    /// `(ok closed …)` instead of `no-such-session`, and a seq other
+    /// than the session's cursor is rejected without effect.
+    fn close(&mut self, id: u64, seq: Option<u64>) -> (Reply, bool) {
+        if let Some(seq) = seq {
+            if !self.slots.contains_key(&id) {
+                return match self.closed.get(&id) {
+                    Some((s, reply)) if *s == seq => (reply.clone(), false),
+                    _ => (err("session", "no-such-session"), false),
+                };
+            }
+            // Materialize the session (resuming if evicted) to consult
+            // its seq cursor; a failed resume is the typed persist error.
+            let mut cursor = None;
+            let probe = self.with_session(id, |s| {
+                cursor = Some(s.next_seq());
+                Reply::Draining
+            });
+            let Some(cursor) = cursor else {
+                return (probe, false);
+            };
+            if seq > cursor {
+                return (seq_gap_reply(cursor, seq), false);
+            } else if seq < cursor {
+                return (seq_too_old_reply(seq), false);
+            }
         }
+        let t0 = self.wall_start();
         let reply = match self.slots.remove(&id) {
             None => err("session", "no-such-session"),
-            Some(Slot::Resident(session)) => {
+            Some(slot) => {
+                // The slot is gone on every path below (even a failed
+                // resume drops it), so the token retires with it.
+                self.tokens.note_close(id);
                 self.touch.remove(&id);
-                let counts = session.counts();
-                let (occupancy, _) = session.close();
-                self.retired.merge(&counts);
-                Reply::Closed {
-                    occupancy: occupancy as u64,
-                }
-            }
-            Some(Slot::Suspended(bytes, _)) => {
-                self.touch.remove(&id);
-                match Session::resume(id, &self.cfg, &bytes) {
+                let session = match slot {
+                    Slot::Resident(session) => Ok(*session),
+                    Slot::Suspended(bytes, _) => Session::resume(id, &self.cfg, &bytes),
+                };
+                match session {
                     Ok(session) => {
                         let counts = session.counts();
                         let (occupancy, _) = session.close();
@@ -396,36 +480,7 @@ impl SessionStore {
             }
         };
         self.record_req(ReqKind::Close, 0, t0);
-        reply
-    }
-
-    /// Close session `id` under sequence number `seq`, exactly once: a
-    /// retry after the session is gone returns the cached
-    /// `(ok closed …)` instead of `no-such-session`. `applied` is
-    /// `true` only when the machine was actually shut down.
-    pub fn close_seq(&mut self, id: u64, seq: u64) -> (Reply, bool) {
-        if !self.slots.contains_key(&id) {
-            return match self.closed.get(&id) {
-                Some((s, reply)) if *s == seq => (reply.clone(), false),
-                _ => (err("session", "no-such-session"), false),
-            };
-        }
-        // Materialize the session (resuming if evicted) to consult its
-        // seq cursor; a failed resume is the typed persist error.
-        let mut cursor = None;
-        let probe = self.with_session(id, |s| {
-            cursor = Some(s.next_seq());
-            Reply::Draining
-        });
-        let Some(cursor) = cursor else {
-            return (probe, false);
-        };
-        if seq > cursor {
-            (seq_gap_reply(cursor, seq), false)
-        } else if seq < cursor {
-            (seq_too_old_reply(seq), false)
-        } else {
-            let reply = self.close(id);
+        if let Some(seq) = seq {
             if self.closed.insert(id, (seq, reply.clone())).is_none() {
                 self.closed_order.push_back(id);
             }
@@ -434,8 +489,8 @@ impl SessionStore {
                     self.closed.remove(&old);
                 }
             }
-            (reply, true)
         }
+        (reply, true)
     }
 
     /// The store's next session id (promotion seeds the successor's
@@ -450,58 +505,45 @@ impl SessionStore {
     /// `(token, id)` pairs. Promotion primes the successor server's
     /// shared token routes from this.
     pub fn token_routes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.open_tokens.iter().map(|(&t, &id)| (t, id))
+        self.tokens.iter()
     }
 
     /// Map any typed request to its reply, exactly as the server does —
-    /// this is the serial twin the soak and failover harnesses compare
-    /// wire transcripts against. `Pull` is a replication-transport
-    /// request and has no twin semantics.
+    /// this is the serial twin the soak and campaign harnesses compare
+    /// wire transcripts against. An open takes the store's next id.
+    /// `Pull` is a replication-transport request and has no twin
+    /// semantics.
     pub fn apply(&mut self, req: &Request) -> Reply {
-        match req {
-            Request::Hello { version, .. } => {
-                if *version == PROTO_VERSION {
-                    Reply::Hello {
-                        version: PROTO_VERSION,
-                        node: NodeRole::Primary,
-                    }
-                } else {
-                    crate::protocol::unsupported_version_reply(*version)
+        let (id, op) = match req {
+            Request::Open { token } => (self.next_id, WalOp::Open { token: *token }.into()),
+            Request::Eval { id, seq, src } => {
+                let src = src.clone();
+                (*id, WalOp::Eval { seq: *seq, src }.into())
+            }
+            Request::Close { id, seq } => (*id, WalOp::Close { seq: *seq }.into()),
+            Request::Ledger { id } => (*id, SessionOp::Ledger),
+            Request::Digest { id } => (*id, SessionOp::Digest),
+            Request::Hello { version, .. } => return hello_reply(*version, NodeRole::Primary),
+            Request::Stats => return Reply::Stats(Box::new(self.stats_body())),
+            Request::Metrics => {
+                return Reply::Metrics {
+                    deterministic: self.telemetry.deterministic_json(),
+                    // A serial twin has no queues, sheds, or WAL — its
+                    // volatile section is structurally present but empty.
+                    volatile: VolatileMetrics::default().json(&self.telemetry),
+                };
+            }
+            // The twin has no WAL; a real server answers its next LSN.
+            Request::Ping => {
+                return Reply::Pong {
+                    lsn: 0,
+                    node: NodeRole::Primary,
                 }
             }
-            Request::Open { token: None } => {
-                let id = self.next_id;
-                self.open_with_id(id)
-            }
-            Request::Open { token: Some(t) } => {
-                let id = self.next_id;
-                self.open_with_token(id, *t).0
-            }
-            Request::Eval { id, seq: None, src } => self.eval(*id, src),
-            Request::Eval {
-                id,
-                seq: Some(s),
-                src,
-            } => self.eval_seq(*id, *s, src).0,
-            Request::Ledger { id } => self.ledger(*id),
-            Request::Digest { id } => self.digest(*id),
-            Request::Stats => Reply::Stats(Box::new(self.stats_body())),
-            Request::Metrics => Reply::Metrics {
-                deterministic: self.telemetry.deterministic_json(),
-                // A serial twin has no queues, sheds, or WAL — its
-                // volatile section is structurally present but empty.
-                volatile: VolatileMetrics::default().json(&self.telemetry),
-            },
-            Request::Close { id, seq: None } => self.close(*id),
-            Request::Close { id, seq: Some(s) } => self.close_seq(*id, *s).0,
-            // The twin has no WAL; a real server answers its next LSN.
-            Request::Ping => Reply::Pong {
-                lsn: 0,
-                node: NodeRole::Primary,
-            },
-            Request::Shutdown => Reply::Draining,
-            Request::Pull { .. } => err("proto", "not-a-replica"),
-        }
+            Request::Shutdown => return Reply::Draining,
+            Request::Pull { .. } => return err("proto", "not-a-replica"),
+        };
+        self.execute(id, &op).0
     }
 
     /// Aggregate event counts across every session — suspended
@@ -584,6 +626,7 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Role, PROTO_VERSION};
 
     fn cfg(max_resident: usize) -> ServeConfig {
         ServeConfig {
@@ -594,24 +637,81 @@ mod tests {
         }
     }
 
+    fn open(store: &mut SessionStore) -> u64 {
+        match store.apply(&Request::Open { token: None }) {
+            Reply::Opened { id } => id,
+            other => panic!("open failed: {}", other.encode()),
+        }
+    }
+
+    fn eval(store: &mut SessionStore, id: u64, src: &str) -> Reply {
+        let src = src.to_string();
+        store.apply(&Request::Eval { id, seq: None, src })
+    }
+
+    /// Execute `op` on `id`; the flag says whether it was journaled.
+    fn run(store: &mut SessionStore, id: u64, op: impl Into<SessionOp>) -> (Reply, bool) {
+        let op = op.into();
+        let (reply, journal) = store.execute(id, &op);
+        (reply, journal.is_some())
+    }
+
+    fn seval(store: &mut SessionStore, id: u64, seq: u64, src: &str) -> (Reply, bool) {
+        let src = src.to_string();
+        run(
+            store,
+            id,
+            WalOp::Eval {
+                seq: Some(seq),
+                src,
+            },
+        )
+    }
+
     #[test]
     fn open_eval_close_round_trip() {
         let mut store = SessionStore::new(cfg(4));
-        let id = store.open();
-        assert_eq!(store.eval(id, "(add 1 2)").encode(), "(ok value 3)");
-        assert_eq!(store.close(id).encode(), "(ok closed 0)");
+        let id = open(&mut store);
+        assert_eq!(eval(&mut store, id, "(add 1 2)").encode(), "(ok value 3)");
+        let close = Request::Close { id, seq: None };
+        assert_eq!(store.apply(&close).encode(), "(ok closed 0)");
         assert_eq!(
-            store.eval(id, "(add 1 2)").encode(),
+            eval(&mut store, id, "(add 1 2)").encode(),
             "(err session no-such-session)"
         );
+    }
+
+    #[test]
+    fn execute_journals_only_what_took_effect() {
+        let mut store = SessionStore::new(cfg(4));
+        let open = WalOp::Open { token: Some(5) };
+        assert_eq!(
+            run(&mut store, 0, open.clone()),
+            (Reply::Opened { id: 0 }, true)
+        );
+        // A retried tokenized open and both reads journal nothing.
+        assert_eq!(run(&mut store, 1, open), (Reply::Opened { id: 0 }, false));
+        assert!(!run(&mut store, 0, SessionOp::Ledger).1);
+        assert!(!run(&mut store, 0, SessionOp::Digest).1);
+        // Sequenced: the cursor journals; a retry, a gap and a stale
+        // seq do not.
+        assert!(seval(&mut store, 0, 0, "(setq n 1)").1);
+        assert!(!seval(&mut store, 0, 0, "(setq n 1)").1);
+        assert!(!seval(&mut store, 0, 5, "(setq n 1)").1);
+        assert!(!run(&mut store, 0, WalOp::Close { seq: Some(0) }).1);
+        // Seq-less mutations journal even when they fail.
+        let (reply, journaled) = run(&mut store, 9, WalOp::Close { seq: None });
+        assert_eq!(reply.encode(), "(err session no-such-session)");
+        assert!(journaled);
+        assert!(run(&mut store, 0, WalOp::Close { seq: Some(1) }).1);
     }
 
     #[test]
     fn lru_eviction_is_invisible_to_sessions() {
         let mut thrash = SessionStore::new(cfg(1));
         let mut roomy = SessionStore::new(cfg(usize::MAX));
-        let a = [thrash.open(), roomy.open()];
-        let b = [thrash.open(), roomy.open()];
+        let a = [open(&mut thrash), open(&mut roomy)];
+        let b = [open(&mut thrash), open(&mut roomy)];
         let script = [
             "(setq acc nil)",
             "(setq acc (cons 1 acc))",
@@ -619,11 +719,17 @@ mod tests {
             "(car acc)",
         ];
         for r in script {
-            assert_eq!(thrash.eval(a[0], r), roomy.eval(a[1], r));
-            assert_eq!(thrash.eval(b[0], r), roomy.eval(b[1], r));
+            assert_eq!(eval(&mut thrash, a[0], r), eval(&mut roomy, a[1], r));
+            assert_eq!(eval(&mut thrash, b[0], r), eval(&mut roomy, b[1], r));
         }
-        assert_eq!(thrash.ledger(a[0]), roomy.ledger(a[1]));
-        assert_eq!(thrash.digest(b[0]), roomy.digest(b[1]));
+        assert_eq!(
+            run(&mut thrash, a[0], SessionOp::Ledger),
+            run(&mut roomy, a[1], SessionOp::Ledger)
+        );
+        assert_eq!(
+            run(&mut thrash, b[0], SessionOp::Digest),
+            run(&mut roomy, b[1], SessionOp::Digest)
+        );
         let (ev, res) = thrash.eviction_counters();
         assert!(ev > 0 && res > 0, "cap 1 must thrash: {ev}/{res}");
         assert_eq!(roomy.eviction_counters(), (0, 0));
@@ -634,9 +740,9 @@ mod tests {
         let c = cfg(1);
         let mut thrash = SessionStore::new(c);
         let mut roomy = SessionStore::new(cfg(usize::MAX));
-        let ids: Vec<u64> = (0..3).map(|_| thrash.open()).collect();
+        let ids: Vec<u64> = (0..3).map(|_| open(&mut thrash)).collect();
         for &id in &ids {
-            assert_eq!(roomy.open(), id);
+            assert_eq!(open(&mut roomy), id);
         }
         let script = [
             "(setq acc (cons 1 (cons 2 nil)))",
@@ -647,7 +753,7 @@ mod tests {
         ];
         for (k, src) in script.iter().cycle().take(4 * script.len()).enumerate() {
             let id = ids[k % ids.len()];
-            assert_eq!(thrash.eval(id, src), roomy.eval(id, src));
+            assert_eq!(eval(&mut thrash, id, src), eval(&mut roomy, id, src));
             assert_eq!(thrash.stats_body().counts, roomy.stats_body().counts);
             for (&id, slot) in &thrash.slots {
                 if let Slot::Suspended(blob, carried) = slot {
@@ -660,99 +766,115 @@ mod tests {
     }
 
     #[test]
-    fn open_with_id_advances_the_cursor() {
+    fn open_advances_the_cursor() {
         let mut store = SessionStore::new(cfg(4));
-        assert_eq!(store.open_with_id(7), Reply::Opened { id: 7 });
+        let open_op = WalOp::Open { token: None };
         assert_eq!(
-            store.open_with_id(7).encode(),
+            run(&mut store, 7, open_op.clone()),
+            (Reply::Opened { id: 7 }, true)
+        );
+        assert_eq!(
+            run(&mut store, 7, open_op).0.encode(),
             "(err session duplicate-session)"
         );
         // A store-allocated id never collides with a caller-assigned one.
-        assert_eq!(store.open(), 8);
+        assert_eq!(open(&mut store), 8);
     }
 
     #[test]
     fn token_and_close_caches_stay_bounded() {
         let mut store = SessionStore::new(cfg(2));
+        let topen = |token| WalOp::Open { token: Some(token) };
+        let close = WalOp::Close { seq: Some(0) };
         // Churn far more tokenized sessions than the retention rings
         // hold; every one is opened, sequenced-closed, and gone.
         let churn = TOKEN_RETENTION + CLOSED_RETENTION;
         for k in 0..churn as u64 {
-            let (reply, applied) = store.open_with_token(k, 10_000 + k);
-            assert!(applied);
-            assert_eq!(reply, Reply::Opened { id: k });
-            let (reply, applied) = store.close_seq(k, 0);
-            assert!(applied);
-            assert_eq!(reply, Reply::Closed { occupancy: 0 });
+            let opened = run(&mut store, k, topen(10_000 + k));
+            assert_eq!(opened, (Reply::Opened { id: k }, true));
+            let closed = run(&mut store, k, close.clone());
+            assert_eq!(closed, (Reply::Closed { occupancy: 0 }, true));
         }
         // Closed sessions' tokens are retained only TOKEN_RETENTION
         // deep; the close cache is bounded the same way.
-        assert_eq!(store.open_tokens.len(), TOKEN_RETENTION);
+        assert_eq!(store.tokens.len(), TOKEN_RETENTION);
         assert_eq!(store.closed.len(), CLOSED_RETENTION);
         // A duplicate retry of a *recently* closed token is still
         // answered with the original id, not a fresh session …
         let last = churn as u64 - 1;
-        let (reply, applied) = store.open_with_token(9999, 10_000 + last);
-        assert!(!applied);
-        assert_eq!(reply, Reply::Opened { id: last });
+        let retried = run(&mut store, 9999, topen(10_000 + last));
+        assert_eq!(retried, (Reply::Opened { id: last }, false));
         // … and so is a retried sequenced close.
-        let (reply, applied) = store.close_seq(last, 0);
-        assert!(!applied);
-        assert_eq!(reply, Reply::Closed { occupancy: 0 });
+        let retried = run(&mut store, last, close);
+        assert_eq!(retried, (Reply::Closed { occupancy: 0 }, false));
         // The oldest token fell out of the ring: retrying it now
         // (legitimately) creates a fresh session.
-        let (reply, applied) = store.open_with_token(churn as u64, 10_000);
-        assert!(applied);
-        assert_eq!(reply, Reply::Opened { id: churn as u64 });
+        let fresh = churn as u64;
+        assert_eq!(
+            run(&mut store, fresh, topen(10_000)),
+            (Reply::Opened { id: fresh }, true)
+        );
         // A *live* session's token is pinned regardless of churn.
-        assert!(store.open_tokens.contains_key(&10_000));
+        assert_eq!(store.tokens.get(10_000), Some(fresh));
+    }
+
+    #[test]
+    fn token_routes_stay_bounded_but_pin_live_sessions() {
+        let mut routes = TokenRoutes::new();
+        let next = std::cell::Cell::new(0u64);
+        let alloc = || {
+            let id = next.get();
+            next.set(id + 1);
+            id
+        };
+        // A live session's route is pinned no matter how much churn
+        // follows.
+        let live = routes.resolve_or_insert(9999, alloc);
+        for k in 0..(2 * TOKEN_RETENTION as u64) {
+            let id = routes.resolve_or_insert(k, alloc);
+            routes.note_close(id);
+        }
+        assert_eq!(routes.len(), TOKEN_RETENTION + 1);
+        assert_eq!(routes.resolve_or_insert(9999, alloc), live);
+        // A recently closed token still resolves to its original id…
+        let recent = 2 * TOKEN_RETENTION as u64 - 1;
+        let before = next.get();
+        assert_eq!(routes.resolve_or_insert(recent, alloc), recent + 1);
+        assert_eq!(next.get(), before, "recent retry must not allocate");
+        // …while one evicted from the ring allocates fresh.
+        assert_eq!(routes.resolve_or_insert(0, alloc), before);
+        // Closing an untokenized session is a no-op.
+        routes.note_close(u64::MAX);
     }
 
     #[test]
     fn suspended_blobs_verify_clean() {
         let mut store = SessionStore::new(cfg(1));
-        let a = store.open();
-        let b = store.open(); // evicts a
-        store.eval(b, "(setq acc (cons 1 nil))");
+        let _a = open(&mut store);
+        let b = open(&mut store); // evicts a
+        eval(&mut store, b, "(setq acc (cons 1 nil))");
         assert_eq!(store.suspended_blobs().len(), 1);
         assert_eq!(store.verify_suspended().expect("clean"), 1);
-        let _ = a;
     }
 
     #[test]
     fn apply_mirrors_the_wire_semantics() {
         let mut store = SessionStore::new(cfg(4));
+        assert_eq!(open(&mut store), 0);
+        assert_eq!(eval(&mut store, 0, "(add 2 2)").encode(), "(ok value 4)");
+        let hello = |version| Request::Hello {
+            version,
+            role: Role::Client,
+        };
         assert_eq!(
-            store.apply(&Request::Open { token: None }),
-            Reply::Opened { id: 0 }
-        );
-        assert_eq!(
-            store
-                .apply(&Request::Eval {
-                    id: 0,
-                    seq: None,
-                    src: "(add 2 2)".to_string()
-                })
-                .encode(),
-            "(ok value 4)"
-        );
-        assert_eq!(
-            store.apply(&Request::Hello {
-                version: PROTO_VERSION,
-                role: crate::protocol::Role::Client
-            }),
+            store.apply(&hello(PROTO_VERSION)),
             Reply::Hello {
                 version: PROTO_VERSION,
                 node: NodeRole::Primary
             }
         );
         assert_eq!(
-            store
-                .apply(&Request::Hello {
-                    version: 99,
-                    role: crate::protocol::Role::Client
-                })
-                .encode(),
+            store.apply(&hello(99)).encode(),
             "(err proto unsupported-version 99 4)"
         );
         assert_eq!(
@@ -776,36 +898,39 @@ mod tests {
     #[test]
     fn tokenized_open_is_idempotent() {
         let mut store = SessionStore::new(cfg(4));
-        let (first, applied) = store.open_with_token(0, 77);
-        assert!(applied);
-        assert_eq!(first, Reply::Opened { id: 0 });
+        let topen = |token| WalOp::Open { token: Some(token) };
+        assert_eq!(
+            run(&mut store, 0, topen(77)),
+            (Reply::Opened { id: 0 }, true)
+        );
         // Retrying the token — even with a different candidate id —
         // returns the original reply and creates nothing.
-        let (retry, applied) = store.open_with_token(5, 77);
-        assert!(!applied);
-        assert_eq!(retry, Reply::Opened { id: 0 });
+        assert_eq!(
+            run(&mut store, 5, topen(77)),
+            (Reply::Opened { id: 0 }, false)
+        );
         assert_eq!(store.session_count(), 1);
         // A different token gets a fresh session.
-        let (other, applied) = store.open_with_token(5, 78);
-        assert!(applied);
-        assert_eq!(other, Reply::Opened { id: 5 });
+        assert_eq!(
+            run(&mut store, 5, topen(78)),
+            (Reply::Opened { id: 5 }, true)
+        );
     }
 
     #[test]
     fn sequenced_close_retries_come_from_cache() {
         let mut store = SessionStore::new(cfg(4));
-        let id = store.open();
-        assert!(store.eval_seq(id, 0, "(setq x 1)").1);
-        let (closed, applied) = store.close_seq(id, 1);
+        let id = open(&mut store);
+        assert!(seval(&mut store, id, 0, "(setq x 1)").1);
+        let close = |seq| WalOp::Close { seq: Some(seq) };
+        let (closed, applied) = run(&mut store, id, close(1));
         assert!(applied);
         assert_eq!(closed.encode(), "(ok closed 0)");
         // The retry after the session is gone replays the cached reply.
-        let (retry, applied) = store.close_seq(id, 1);
-        assert!(!applied);
-        assert_eq!(retry, closed);
+        assert_eq!(run(&mut store, id, close(1)), (closed, false));
         // A different seq against the dead session stays typed.
         assert_eq!(
-            store.close_seq(id, 3).0.encode(),
+            run(&mut store, id, close(3)).0.encode(),
             "(err session no-such-session)"
         );
     }
@@ -813,14 +938,14 @@ mod tests {
     #[test]
     fn sequenced_eval_survives_eviction() {
         let mut store = SessionStore::new(cfg(1));
-        let a = store.open();
-        let b = store.open(); // evicts a
-        assert!(store.eval_seq(a, 0, "(setq n 4)").1);
-        assert!(store.eval_seq(b, 0, "(setq n 9)").1); // evicts a again
-        let (reply, applied) = store.eval_seq(a, 0, "(setq n 4)");
+        let a = open(&mut store);
+        let b = open(&mut store); // evicts a
+        assert!(seval(&mut store, a, 0, "(setq n 4)").1);
+        assert!(seval(&mut store, b, 0, "(setq n 9)").1); // evicts a again
+        let (reply, applied) = seval(&mut store, a, 0, "(setq n 4)");
         assert!(!applied, "retry must come from the resumed window");
         assert_eq!(reply.encode(), "(ok value 4)");
-        let (reply, applied) = store.eval_seq(a, 1, "(add n 1)");
+        let (reply, applied) = seval(&mut store, a, 1, "(add n 1)");
         assert!(applied);
         assert_eq!(reply.encode(), "(ok value 5)");
     }

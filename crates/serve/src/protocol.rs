@@ -918,14 +918,19 @@ pub fn seq_too_old_reply(seq: u64) -> Reply {
     err_with("session", "seq-too-old", &[&seq.to_string()])
 }
 
-/// The handshake-rejection reply for a version the server does not
-/// speak.
-pub fn unsupported_version_reply(got: u32) -> Reply {
-    err_with(
-        "proto",
-        "unsupported-version",
-        &[&got.to_string(), &PROTO_VERSION.to_string()],
-    )
+/// A `node`'s answer to `(hello <version> …)`: the one place a peer's
+/// version is checked against [`PROTO_VERSION`]. Any reply but
+/// [`Reply::Hello`] rejects the handshake.
+pub fn hello_reply(version: u32, node: NodeRole) -> Reply {
+    if version == PROTO_VERSION {
+        Reply::Hello { version, node }
+    } else {
+        err_with(
+            "proto",
+            "unsupported-version",
+            &[&version.to_string(), &PROTO_VERSION.to_string()],
+        )
+    }
 }
 
 fn heap_code(e: small_heap::controller::HeapError) -> &'static str {
@@ -1188,7 +1193,7 @@ mod tests {
             compile_error_reply(&CompileError::BadCallHead),
             parse_error_reply(&ParseError::UnexpectedEof),
             busy_reply(3),
-            unsupported_version_reply(9),
+            hello_reply(9, NodeRole::Primary),
             seq_gap_reply(4, 7),
             seq_too_old_reply(1),
         ];

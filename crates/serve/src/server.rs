@@ -15,11 +15,11 @@
 //! call [`DrainOutcome::verify_suspended`] to prove no blob was torn
 //! at exit.
 
-use crate::manager::SessionStore;
+use crate::manager::{SessionStore, TokenRoutes};
 use crate::protocol::StatsBody;
 use crate::repl::Wal;
 use crate::session::ServeConfig;
-use crate::shard::{shard_loop, RunQueue, SharedState, TokenRoutes};
+use crate::shard::{shard_loop, RunQueue, SharedState};
 use crate::telemetry::{prometheus_text, ShardMetrics, TraceLog, VolatileMetrics};
 use small_metrics::EventCounts;
 use small_persist::PersistError;
@@ -209,7 +209,7 @@ fn start_on(
     let mut routes = TokenRoutes::new();
     for store in &stores {
         for (token, id) in store.token_routes() {
-            routes.prime(token, id);
+            routes.bind(token, id);
         }
     }
     let shared = Arc::new(SharedState {

@@ -36,14 +36,14 @@
 //! suspend-to-checkpoint and tear the blob; this one cannot, and
 //! [`crate::server::DrainOutcome::verify_suspended`] checks it.
 
-use crate::manager::{SessionStore, TOKEN_RETENTION};
+use crate::manager::{SessionOp, SessionStore, TokenRoutes};
 use crate::protocol::{
-    busy_reply, err, err_with, NodeRole, Reply, Request, Role, StatsBody, PROTO_VERSION,
+    busy_reply, err, err_with, hello_reply, NodeRole, Reply, Request, Role, StatsBody,
 };
 use crate::reactor::{Conn, Outbox};
-use crate::repl::{reply_digest, Wal, WalOp};
+use crate::repl::{reply_digest, serve_pull, Wal, WalOp};
 use crate::telemetry::{ShardMetrics, TraceLog, VolatileMetrics};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -53,74 +53,23 @@ use std::time::{Duration, Instant};
 /// Idle sleep between event-loop passes that did no work.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-/// Byte budget for one `(pull …)` batch (hex-doubled on the wire, so
-/// comfortably inside `MAX_FRAME`).
-const PULL_BATCH_BYTES: usize = 64 * 1024;
-
 /// How long the final flush may take per shard before giving up on
 /// unresponsive peers.
 const DRAIN_FLUSH_DEADLINE: Duration = Duration::from_secs(2);
 
-/// A session-targeting operation, routed to the session's home shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Create the session under a pre-allocated global id.
-    Open {
-        /// The id the decoding shard reserved (or resolved through the
-        /// token map for a retried tokenized open).
-        id: u64,
-        /// Idempotency token, when the open carried one.
-        token: Option<u64>,
-    },
-    /// Run a program on the session.
-    Eval {
-        /// Target session.
-        id: u64,
-        /// Per-session request sequence number, when present.
-        seq: Option<u64>,
-        /// Canonical program text.
-        src: String,
-    },
-    /// Ledger query.
-    Ledger {
-        /// Target session.
-        id: u64,
-    },
-    /// Digest query.
-    Digest {
-        /// Target session.
-        id: u64,
-    },
-    /// Close the session.
-    Close {
-        /// Target session.
-        id: u64,
-        /// Per-session request sequence number, when present.
-        seq: Option<u64>,
-    },
-}
-
-impl Action {
-    /// The session id this action targets (pins it to a shard).
-    pub fn session(&self) -> u64 {
-        match self {
-            Action::Open { id, .. }
-            | Action::Eval { id, .. }
-            | Action::Ledger { id }
-            | Action::Digest { id }
-            | Action::Close { id, .. } => *id,
-        }
-    }
-}
-
-/// One queued unit of work: an action plus the reply slot it must fill.
+/// One queued unit of work: a session op plus the reply slot it must
+/// fill.
 pub struct Job {
     /// Reply slot in the connection's outbox.
     pub seq: u64,
     /// The connection's outbox (shared with the owning shard).
     pub outbox: Arc<Outbox>,
+    /// The target session (for an open: the id the decoding shard
+    /// reserved, or resolved through the token routes for a retried
+    /// tokenized open). It pins the job to its home shard.
+    pub id: u64,
     /// What to do.
-    pub action: Action,
+    pub op: SessionOp,
 }
 
 /// A bounded MPSC run queue: any shard pushes, the home shard drains.
@@ -162,83 +111,6 @@ impl RunQueue {
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.lock().is_empty()
-    }
-}
-
-/// Decode-time idempotency-token routing with bounded retention.
-///
-/// A retried `(open <token>)` must reach the *same home shard* as the
-/// original, so token → id resolution happens at decode time, before
-/// pinning. Routes for **live** sessions are pinned; once the session
-/// closes its route moves to a fixed-depth FIFO
-/// ([`crate::manager::TOKEN_RETENTION`] deep, mirroring the
-/// store-level policy) that keeps recently closed opens routable for
-/// duplicate retries while bounding the map for any workload length.
-pub struct TokenRoutes {
-    by_token: HashMap<u64, u64>,
-    /// Reverse map for live sessions only (id → token).
-    by_id: HashMap<u64, u64>,
-    /// Closed sessions' tokens, oldest first.
-    retired: VecDeque<u64>,
-}
-
-impl TokenRoutes {
-    /// An empty routing table.
-    pub fn new() -> TokenRoutes {
-        TokenRoutes {
-            by_token: HashMap::new(),
-            by_id: HashMap::new(),
-            retired: VecDeque::new(),
-        }
-    }
-
-    /// Resolve `token` to its stable session id, allocating through
-    /// `alloc` on first sight.
-    pub fn resolve_or_insert(&mut self, token: u64, alloc: impl FnOnce() -> u64) -> u64 {
-        if let Some(&id) = self.by_token.get(&token) {
-            return id;
-        }
-        let id = alloc();
-        self.by_token.insert(token, id);
-        self.by_id.insert(id, token);
-        id
-    }
-
-    /// Seed a live route (promotion: replayed state already holds the
-    /// token → id binding).
-    pub fn prime(&mut self, token: u64, id: u64) {
-        self.by_token.insert(token, id);
-        self.by_id.insert(id, token);
-    }
-
-    /// The session closed: move its token (if any) into the retired
-    /// ring, evicting the oldest route once over the retention cap.
-    pub fn note_close(&mut self, id: u64) {
-        let Some(token) = self.by_id.remove(&id) else {
-            return;
-        };
-        self.retired.push_back(token);
-        while self.retired.len() > TOKEN_RETENTION {
-            if let Some(old) = self.retired.pop_front() {
-                self.by_token.remove(&old);
-            }
-        }
-    }
-
-    /// Total routes currently held (live + retired).
-    pub fn len(&self) -> usize {
-        self.by_token.len()
-    }
-
-    /// Whether no routes are held.
-    pub fn is_empty(&self) -> bool {
-        self.by_token.is_empty()
-    }
-}
-
-impl Default for TokenRoutes {
-    fn default() -> TokenRoutes {
-        TokenRoutes::new()
     }
 }
 
@@ -346,28 +218,6 @@ impl SharedState {
     }
 }
 
-/// Execute one routed action against the shard's store. The second
-/// element is the journal-this flag: `true` when a mutating action
-/// actually executed (sequenced retries answered from the dedup caches
-/// return `false` and must *not* re-enter the WAL — the standby
-/// already replayed the original).
-fn execute(store: &mut SessionStore, action: &Action) -> (Reply, bool) {
-    match action {
-        Action::Open { id, token: None } => (store.open_with_id(*id), true),
-        Action::Open { id, token: Some(t) } => store.open_with_token(*id, *t),
-        Action::Eval { id, seq: None, src } => (store.eval(*id, src), true),
-        Action::Eval {
-            id,
-            seq: Some(s),
-            src,
-        } => store.eval_seq(*id, *s, src),
-        Action::Ledger { id } => (store.ledger(*id), false),
-        Action::Digest { id } => (store.digest(*id), false),
-        Action::Close { id, seq: None } => (store.close(*id), true),
-        Action::Close { id, seq: Some(s) } => store.close_seq(*id, *s),
-    }
-}
-
 /// Run the jobs currently in this shard's queue; returns how many ran.
 ///
 /// WAL appends happen *before* the reply is completed into its outbox:
@@ -392,39 +242,30 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
     let mut completions: Vec<(Arc<Outbox>, u64, Reply)> = Vec::with_capacity(jobs.len());
     for job in jobs {
         let span = shared.trace.as_ref().map(|log| {
-            let name = match &job.action {
-                Action::Open { .. } => "run:open",
-                Action::Eval { .. } => "run:eval",
-                Action::Ledger { .. } => "run:ledger",
-                Action::Digest { .. } => "run:digest",
-                Action::Close { .. } => "run:close",
+            let name = match &job.op {
+                SessionOp::Write(WalOp::Open { .. }) => "run:open",
+                SessionOp::Write(WalOp::Eval { .. }) => "run:eval",
+                SessionOp::Write(WalOp::Close { .. }) => "run:close",
+                SessionOp::Ledger => "run:ledger",
+                SessionOp::Digest => "run:digest",
             };
             log.span(tid, name)
         });
-        let (reply, applied) = catch_unwind(AssertUnwindSafe(|| execute(store, &job.action)))
-            .unwrap_or_else(|_| (err("session", "panicked"), true));
+        // A contained panic journals the mutation it interrupted.
+        let (reply, journal) = catch_unwind(AssertUnwindSafe(|| store.execute(job.id, &job.op)))
+            .unwrap_or_else(|_| (err("session", "panicked"), job.op.write()));
         drop(span);
-        if let Some(wal) = &shared.wal {
-            let op = match &job.action {
-                _ if !applied => None,
-                Action::Open { token, .. } => Some(WalOp::Open { token: *token }),
-                Action::Eval { seq, src, .. } => Some(WalOp::Eval {
-                    seq: *seq,
-                    src: src.clone(),
-                }),
-                Action::Close { seq, .. } => Some(WalOp::Close { seq: *seq }),
-                Action::Ledger { .. } | Action::Digest { .. } => None,
-            };
-            if let Some(op) = op {
-                wal.lock().unwrap_or_else(|e| e.into_inner()).append(
-                    job.action.session(),
-                    op,
-                    reply_digest(&reply),
-                );
-                wal_appends += 1;
-            }
+        if let (Some(wal), Some(op)) = (&shared.wal, journal) {
+            wal.lock().unwrap_or_else(|e| e.into_inner()).append(
+                job.id,
+                op.clone(),
+                reply_digest(&reply),
+            );
+            wal_appends += 1;
         }
-        if matches!(job.action, Action::Close { .. }) && matches!(reply, Reply::Closed { .. }) {
+        if matches!(job.op, SessionOp::Write(WalOp::Close { .. }))
+            && matches!(reply, Reply::Closed { .. })
+        {
             // The session is gone: retire its token route so the
             // decode-time map stays bounded (duplicate retries stay
             // answerable for TOKEN_RETENTION closes).
@@ -432,7 +273,7 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
                 .open_tokens
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .note_close(job.action.session());
+                .note_close(job.id);
         }
         completions.push((job.outbox, job.seq, reply));
     }
@@ -477,12 +318,13 @@ fn handle_request(
             return;
         }
     };
-    let route = |action: Action, conn: &Conn| {
-        let target = shared.home(action.session());
+    let route = |id: u64, op: SessionOp, conn: &Conn| {
+        let target = shared.home(id);
         let job = Job {
             seq,
             outbox: Arc::clone(&conn.outbox),
-            action,
+            id,
+            op,
         };
         if shared.queues[target].try_push(job).is_err() {
             // Shed at decode time: typed, ordered, connection intact.
@@ -497,20 +339,13 @@ fn handle_request(
     };
     match req {
         Request::Hello { version, role } => {
-            if version == PROTO_VERSION {
+            let reply = hello_reply(version, NodeRole::Primary);
+            if matches!(reply, Reply::Hello { .. }) {
                 conn.role = Some(role);
-                conn.outbox.complete(
-                    seq,
-                    &Reply::Hello {
-                        version: PROTO_VERSION,
-                        node: NodeRole::Primary,
-                    },
-                );
             } else {
-                conn.outbox
-                    .complete(seq, &crate::protocol::unsupported_version_reply(version));
                 conn.close_after_flush = true;
             }
+            conn.outbox.complete(seq, &reply);
         }
         Request::Stats => conn.outbox.complete(seq, &shared.stats_reply()),
         Request::Metrics => conn.outbox.complete(seq, &shared.metrics_reply()),
@@ -537,48 +372,40 @@ fn handle_request(
         Request::Pull { from } => {
             let reply = match (&conn.role, &shared.wal) {
                 (Some(Role::Replica), Some(wal)) => {
-                    let span = shared
+                    let _span = shared
                         .trace
                         .as_ref()
                         .map(|log| log.span(me as u32 + 1, "wal_ship"));
                     let wal = wal.lock().unwrap_or_else(|e| e.into_inner());
-                    let (bytes, next) = wal.frames_from(from, PULL_BATCH_BYTES);
-                    drop(span);
                     let mut vol = shared.volatile[me]
                         .lock()
                         .unwrap_or_else(|e| e.into_inner());
-                    vol.wal_pull_batches.inc();
-                    vol.wal_shipped.add(next.saturating_sub(from));
-                    // `(pull <from>)` is the replica's applied-LSN
-                    // confession: everything below `from` has been
-                    // replayed on its side.
-                    vol.note_wal_applied(from);
-                    Reply::Frames { next, bytes }
+                    serve_pull(&wal, from, &mut vol)
                 }
                 (_, None) => err("repl", "disabled"),
                 _ => err("proto", "not-a-replica"),
             };
             conn.outbox.complete(seq, &reply);
         }
-        Request::Open { token: None } => {
-            let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
-            route(Action::Open { id, token: None }, conn);
-        }
-        Request::Open { token: Some(t) } => {
-            // Resolve the token to a stable id *before* pinning, so a
+        Request::Open { token } => {
+            let alloc = || shared.next_id.fetch_add(1, Ordering::SeqCst);
+            // Resolve a token to a stable id *before* pinning, so a
             // retried open routes to the same home shard as the
             // original and the store-level dedup can see it.
-            let id = shared
-                .open_tokens
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .resolve_or_insert(t, || shared.next_id.fetch_add(1, Ordering::SeqCst));
-            route(Action::Open { id, token: Some(t) }, conn);
+            let id = match token {
+                None => alloc(),
+                Some(t) => shared
+                    .open_tokens
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .resolve_or_insert(t, alloc),
+            };
+            route(id, WalOp::Open { token }.into(), conn);
         }
-        Request::Eval { id, seq, src } => route(Action::Eval { id, seq, src }, conn),
-        Request::Ledger { id } => route(Action::Ledger { id }, conn),
-        Request::Digest { id } => route(Action::Digest { id }, conn),
-        Request::Close { id, seq } => route(Action::Close { id, seq }, conn),
+        Request::Eval { id, seq, src } => route(id, WalOp::Eval { seq, src }.into(), conn),
+        Request::Ledger { id } => route(id, SessionOp::Ledger, conn),
+        Request::Digest { id } => route(id, SessionOp::Digest, conn),
+        Request::Close { id, seq } => route(id, WalOp::Close { seq }.into(), conn),
     }
 }
 
@@ -721,10 +548,8 @@ mod tests {
         Job {
             seq,
             outbox: Outbox::new(),
-            action: Action::Open {
-                id: seq,
-                token: None,
-            },
+            id: seq,
+            op: SessionOp::Ledger,
         }
     }
 
@@ -742,45 +567,5 @@ mod tests {
         assert!(q.is_empty());
         // Space freed: pushes succeed again.
         assert!(q.try_push(job(2)).is_ok());
-    }
-
-    #[test]
-    fn token_routes_stay_bounded_but_pin_live_sessions() {
-        let mut routes = TokenRoutes::new();
-        let next = std::cell::Cell::new(0u64);
-        let alloc = || {
-            let id = next.get();
-            next.set(id + 1);
-            id
-        };
-        // A live session's route is pinned no matter how much churn
-        // follows.
-        let live = routes.resolve_or_insert(9999, alloc);
-        for k in 0..(2 * TOKEN_RETENTION as u64) {
-            let id = routes.resolve_or_insert(k, alloc);
-            routes.note_close(id);
-        }
-        assert_eq!(routes.len(), TOKEN_RETENTION + 1);
-        assert_eq!(routes.resolve_or_insert(9999, alloc), live);
-        // A recently closed token still resolves to its original id…
-        let recent = 2 * TOKEN_RETENTION as u64 - 1;
-        let before = next.get();
-        assert_eq!(routes.resolve_or_insert(recent, alloc), recent + 1);
-        assert_eq!(next.get(), before, "recent retry must not allocate");
-        // …while one evicted from the ring allocates fresh.
-        assert_eq!(routes.resolve_or_insert(0, alloc), before);
-        // Closing an untokenized session is a no-op.
-        routes.note_close(u64::MAX);
-    }
-
-    #[test]
-    fn actions_pin_to_their_session() {
-        let a = Action::Eval {
-            id: 7,
-            seq: None,
-            src: "(add 1 2)".to_string(),
-        };
-        assert_eq!(a.session(), 7);
-        assert_eq!(Action::Close { id: 3, seq: None }.session(), 3);
     }
 }

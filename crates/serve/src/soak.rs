@@ -164,7 +164,9 @@ fn twin_worker<R>(
 ) -> Vec<R> {
     let mut t = Vec::new();
     for programs in sessions {
-        let id = twin.open();
+        let Reply::Opened { id } = twin.apply(&Request::Open { token: None }) else {
+            unreachable!("a twin open always succeeds");
+        };
         for req in session_requests(id, programs, audit) {
             t.push(read(twin.apply(&req)));
         }

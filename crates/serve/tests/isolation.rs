@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use small_serve::session::{ServeConfig, Session};
-use small_serve::{Reply, SessionStore};
+use small_serve::{Reply, Request, SessionOp, SessionStore};
 
 const K: usize = 5;
 const TEMPLATES: u8 = 7;
@@ -41,6 +41,26 @@ fn request(k: usize, j: usize, t: u8) -> String {
     }
 }
 
+fn open(store: &mut SessionStore) -> u64 {
+    match store.apply(&Request::Open { token: None }) {
+        Reply::Opened { id } => id,
+        other => panic!("open failed: {}", other.encode()),
+    }
+}
+
+fn eval(store: &mut SessionStore, id: u64, src: &str) -> Reply {
+    let src = src.to_string();
+    store.apply(&Request::Eval { id, seq: None, src })
+}
+
+fn read(store: &mut SessionStore, id: u64, op: SessionOp) -> Reply {
+    store.execute(id, &op).0
+}
+
+fn close(store: &mut SessionStore, id: u64) -> Reply {
+    store.apply(&Request::Close { id, seq: None })
+}
+
 /// Expand an interleaving into per-session scripts (each prefixed with
 /// the accumulator seed request).
 fn scripts(schedule: &[(usize, u8)]) -> Vec<Vec<String>> {
@@ -63,7 +83,7 @@ proptest! {
         // interleaved schedule. Sessions are evicted and resumed as the
         // schedule touches them.
         let mut store = SessionStore::new(cfg(2));
-        let ids: Vec<u64> = (0..K).map(|_| store.open()).collect();
+        let ids: Vec<u64> = (0..K).map(|_| open(&mut store)).collect();
         let per = scripts(&schedule);
         let mut managed: Vec<Vec<Reply>> = (0..K).map(|_| Vec::new()).collect();
         let mut cursor = [0usize; K];
@@ -78,12 +98,12 @@ proptest! {
         for k in order {
             let j = cursor[k];
             if j < per[k].len() {
-                managed[k].push(store.eval(ids[k], &per[k][j]));
+                managed[k].push(eval(&mut store, ids[k], &per[k][j]));
                 cursor[k] = j + 1;
             }
         }
-        let ledgers: Vec<Reply> = ids.iter().map(|id| store.ledger(*id)).collect();
-        let digests: Vec<Reply> = ids.iter().map(|id| store.digest(*id)).collect();
+        let ledgers: Vec<Reply> = ids.iter().map(|&id| read(&mut store, id, SessionOp::Ledger)).collect();
+        let digests: Vec<Reply> = ids.iter().map(|&id| read(&mut store, id, SessionOp::Digest)).collect();
         let (evictions, resumes) = store.eviction_counters();
         prop_assert!(evictions > 0, "residency cap 2 with {} sessions must evict", K);
         prop_assert!(resumes > 0, "touching an evicted session must resume it");
@@ -99,7 +119,7 @@ proptest! {
             prop_assert_eq!(occupancy, 0, "serial session {} leaked", k);
         }
         for id in ids {
-            prop_assert_eq!(store.close(id), Reply::Closed { occupancy: 0 });
+            prop_assert_eq!(close(&mut store, id), Reply::Closed { occupancy: 0 });
         }
     }
 }
@@ -112,8 +132,8 @@ proptest! {
 fn eviction_round_trip_is_invisible() {
     let mut thrash = SessionStore::new(cfg(1));
     let mut roomy = SessionStore::new(cfg(usize::MAX));
-    let a = [thrash.open(), roomy.open()];
-    let b = [thrash.open(), roomy.open()];
+    let a = [open(&mut thrash), open(&mut roomy)];
+    let b = [open(&mut thrash), open(&mut roomy)];
     let script = [
         "(setq acc nil)",
         "(setq acc (cons 1 acc))",
@@ -127,13 +147,17 @@ fn eviction_round_trip_is_invisible() {
     for r in script {
         // Alternate sessions request-by-request: under cap 1 every
         // touch suspends the other session.
-        assert_eq!(thrash.eval(a[0], r), roomy.eval(a[1], r));
-        assert_eq!(thrash.eval(b[0], r), roomy.eval(b[1], r));
+        assert_eq!(eval(&mut thrash, a[0], r), eval(&mut roomy, a[1], r));
+        assert_eq!(eval(&mut thrash, b[0], r), eval(&mut roomy, b[1], r));
     }
-    assert_eq!(thrash.ledger(a[0]), roomy.ledger(a[1]));
-    assert_eq!(thrash.ledger(b[0]), roomy.ledger(b[1]));
-    assert_eq!(thrash.digest(a[0]), roomy.digest(a[1]));
-    assert_eq!(thrash.digest(b[0]), roomy.digest(b[1]));
+    for op in [SessionOp::Ledger, SessionOp::Digest] {
+        for (t, r) in [(a[0], a[1]), (b[0], b[1])] {
+            assert_eq!(
+                read(&mut thrash, t, op.clone()),
+                read(&mut roomy, r, op.clone())
+            );
+        }
+    }
     let (evictions, resumes) = thrash.eviction_counters();
     assert!(
         evictions >= script.len() as u64,
@@ -150,9 +174,9 @@ fn eviction_round_trip_is_invisible() {
         "roomy store must never evict"
     );
     for id in [a[0], b[0]] {
-        assert_eq!(thrash.close(id), Reply::Closed { occupancy: 0 });
+        assert_eq!(close(&mut thrash, id), Reply::Closed { occupancy: 0 });
     }
     for id in [a[1], b[1]] {
-        assert_eq!(roomy.close(id), Reply::Closed { occupancy: 0 });
+        assert_eq!(close(&mut roomy, id), Reply::Closed { occupancy: 0 });
     }
 }
