@@ -119,6 +119,17 @@ fn is_ptr_word(w: Word) -> bool {
     matches!(w.tag(), Tag::Ptr | Tag::Invisible)
 }
 
+/// Whether an atom word read from a checkpoint can be trusted: an
+/// immediate atom, or (overflow mode's heap-direct values) a pointer to
+/// an object `controller` holds.
+fn atom_ok<C: HeapController>(controller: &C, w: Word) -> bool {
+    match w.tag() {
+        Tag::Nil | Tag::Int | Tag::Sym => true,
+        Tag::Ptr => controller.holds(w.addr()),
+        _ => false,
+    }
+}
+
 /// Pseudo-overflow compression policy (§5.2.3, Figure 5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompressPolicy {
@@ -2788,7 +2799,9 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     ///
     /// Validates structural invariants that do not require trusting the
     /// image — table size against `config`, identifier ranges, the live
-    /// count — and fails closed with
+    /// count, and that every heap address an entry holds (its backing
+    /// address, or a pointer word in an atom field) names an object
+    /// `controller` holds — and fails closed with
     /// [`ImageError::Malformed`](small_heap::ImageError) on any
     /// mismatch. Outstanding handles are *not* recreated; callers
     /// re-wrap recovered references via [`Self::resume_root`]. Recovery
@@ -2807,21 +2820,25 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         }
         let in_range = |id: Id| (id as usize) < n;
         let link_ok = |o: Option<Id>| o.is_none_or(in_range);
+        let field_ok = |f: FieldImage| match f {
+            FieldImage::Empty => true,
+            FieldImage::Obj(c) => in_range(c),
+            FieldImage::Atom(bits) => atom_ok(&controller, Word::from_bits(bits)),
+        };
         if !link_ok(image.free_head) || !link_ok(image.free_tail) {
             return Err(ImageError::Malformed);
         }
         let mut live = 0usize;
         let mut entries = Vec::with_capacity(n);
         for img in &image.entries {
-            if !link_ok(img.free_next) {
+            if !link_ok(img.free_next)
+                || !field_ok(img.car)
+                || !field_ok(img.cdr)
+                || !img
+                    .addr
+                    .is_none_or(|a| controller.holds(small_heap::HeapAddr(a)))
+            {
                 return Err(ImageError::Malformed);
-            }
-            for f in [img.car, img.cdr] {
-                if let FieldImage::Obj(c) = f {
-                    if !in_range(c) {
-                        return Err(ImageError::Malformed);
-                    }
-                }
             }
             live += img.live as usize;
             entries.push(Entry {
@@ -2866,6 +2883,51 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             cache: vec![CacheLine::EMPTY; FIELD_CACHE_LINES].into_boxed_slice(),
             cache_stats: LptCacheStats::default(),
         })
+    }
+
+    /// Check the references a caller is about to re-wrap with
+    /// [`Self::resume_root`] after [`Self::from_image`] against the
+    /// restored counts: every object root names a live entry whose
+    /// count covers its roots on top of the table's own references to
+    /// it (in split mode, the EP-side count covers the roots), and
+    /// every atom root is a word the controller accepts. Fails closed
+    /// with [`ImageError::Malformed`](small_heap::ImageError), so a
+    /// damaged image cannot later release a reference it never held.
+    pub fn check_roots(
+        &self,
+        roots: impl IntoIterator<Item = LpValue>,
+    ) -> Result<(), small_heap::ImageError> {
+        let n = self.entries.len();
+        let mut held = vec![0u64; n];
+        for v in roots {
+            match v {
+                LpValue::Obj(id) if (id as usize) < n && self.entries[id as usize].live => {
+                    held[id as usize] += 1;
+                }
+                LpValue::Atom(w) if atom_ok(&self.controller, w) => {}
+                _ => return Err(small_heap::ImageError::Malformed),
+            }
+        }
+        if self.config.refcounts == RefcountMode::Unified {
+            for e in self.entries.iter().filter(|e| e.live || e.lazy) {
+                for f in [e.car, e.cdr] {
+                    if let Field::Obj(c) = f {
+                        held[c as usize] += 1;
+                    }
+                }
+            }
+        }
+        let covered = |(id, &k): (usize, &u64)| match self.config.refcounts {
+            RefcountMode::Unified => k <= u64::from(self.entries[id].rc),
+            RefcountMode::Split => {
+                k <= u64::from(self.ep_counts.get(&(id as Id)).copied().unwrap_or(0))
+            }
+        };
+        if held.iter().enumerate().all(covered) {
+            Ok(())
+        } else {
+            Err(small_heap::ImageError::Malformed)
+        }
     }
 }
 
@@ -3792,14 +3854,17 @@ mod tests {
 
     #[test]
     fn image_round_trip_restores_identical_state() {
+        use small_heap::PersistableController;
         let mut i = Interner::new();
         let mut lp = lp();
         let v = read(&mut lp, &mut i, "(a (b c) d)");
         let held = lp.cdr(v.obj().unwrap()).unwrap();
         let handle = lp.root_binding(held);
         let image = lp.export_image();
+        // The entries' backing addresses must name cells of the heap
+        // restored beside them.
         let restored: Lp = ListProcessor::from_image(
-            TwoPointerController::new(65536, 64),
+            TwoPointerController::import_image(&lp.controller.export_image()).unwrap(),
             LpConfig {
                 table_size: 512,
                 ..LpConfig::default()

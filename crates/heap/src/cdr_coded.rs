@@ -36,39 +36,44 @@ pub enum CdrCode {
 /// A cdr-coded heap: parallel arrays of car words and cdr codes with a
 /// bump allocator (compacting reclamation is left to a copying collector;
 /// the SMALL machine itself reclaims via the LPT instead, §5.3.2).
+///
+/// The arrays hold only the cells bumped so far, so their length is the
+/// bump pointer; cells past it do not exist yet and address as
+/// [`HeapError::BadAddress`].
 pub struct CdrCodedHeap {
     cars: Vec<Word>,
     codes: Vec<CdrCode>,
-    /// Next free slot (bump pointer).
-    top: usize,
+    /// Total capacity in cells.
+    capacity: usize,
 }
 
 impl CdrCodedHeap {
     /// Create a heap with room for `cells` cdr-coded cells.
     pub fn with_capacity(cells: usize) -> Self {
         CdrCodedHeap {
-            cars: vec![Word::UNUSED; cells],
-            codes: vec![CdrCode::Nil; cells],
-            top: 0,
+            cars: Vec::new(),
+            codes: Vec::new(),
+            capacity: cells,
         }
     }
 
     /// Cells allocated so far.
     pub fn used(&self) -> usize {
-        self.top
+        self.cars.len()
     }
 
     /// Total capacity in cells.
     pub fn capacity(&self) -> usize {
-        self.cars.len()
+        self.capacity
     }
 
     fn bump(&mut self, n: usize) -> Option<usize> {
-        if self.top + n > self.cars.len() {
+        let at = self.cars.len();
+        if at + n > self.capacity {
             return None;
         }
-        let at = self.top;
-        self.top += n;
+        self.cars.resize(at + n, Word::UNUSED);
+        self.codes.resize(at + n, CdrCode::Nil);
         Some(at)
     }
 
@@ -252,7 +257,7 @@ impl CdrCodedHeap {
     /// word (codes pack 16-to-a-32-bit-word in hardware). Used by the
     /// representation-comparison bench.
     pub fn words_used(&self) -> f64 {
-        self.top as f64 * (1.0 + 2.0 / 64.0)
+        self.used() as f64 * (1.0 + 2.0 / 64.0)
     }
 }
 
@@ -346,7 +351,10 @@ impl crate::persist::PersistableController for CdrCodedController {
             sections: vec![
                 ("cars", self.heap.cars.iter().map(|w| w.bits()).collect()),
                 ("codes", self.heap.codes.iter().map(|c| *c as u64).collect()),
-                ("misc", vec![self.heap.top as u64]),
+                (
+                    "misc",
+                    vec![self.heap.used() as u64, self.heap.capacity as u64],
+                ),
                 ("ctrl", crate::persist::stats_to_words(&self.stats)),
             ],
         }
@@ -359,12 +367,12 @@ impl crate::persist::PersistableController for CdrCodedController {
         if image.kind != Self::KIND {
             return Err(ImageError::WrongKind);
         }
-        let cars: Vec<Word> = image
+        let mut cars: Vec<Word> = image
             .section("cars")?
             .iter()
             .map(|&b| Word::from_bits(b))
             .collect();
-        let codes = image
+        let mut codes = image
             .section("codes")?
             .iter()
             .map(|&b| match b {
@@ -375,16 +383,26 @@ impl crate::persist::PersistableController for CdrCodedController {
                 _ => Err(ImageError::Malformed),
             })
             .collect::<Result<Vec<CdrCode>, _>>()?;
-        let misc = image.section("misc")?;
-        if codes.len() != cars.len() || misc.len() != 1 {
+        // `misc` is `[top, capacity]`. A version-1 image wrote `[top]`
+        // and every cell up to capacity; the controller never writes
+        // past `top`, so cutting those cells loses nothing.
+        let word = |w: u64| usize::try_from(w).map_err(|_| ImageError::Malformed);
+        let (top, capacity) = match *image.section("misc")? {
+            [top] => (word(top)?, cars.len()),
+            [top, capacity] => (word(top)?, word(capacity)?),
+            _ => return Err(ImageError::Malformed),
+        };
+        if codes.len() != cars.len() || top > cars.len() || cars.len() > capacity {
             return Err(ImageError::Malformed);
         }
-        let top = usize::try_from(misc[0]).map_err(|_| ImageError::Malformed)?;
-        if top > cars.len() {
-            return Err(ImageError::Malformed);
-        }
+        cars.truncate(top);
+        codes.truncate(top);
         Ok(CdrCodedController {
-            heap: CdrCodedHeap { cars, codes, top },
+            heap: CdrCodedHeap {
+                cars,
+                codes,
+                capacity,
+            },
             stats: crate::persist::stats_from_words(image.section("ctrl")?)?,
         })
     }

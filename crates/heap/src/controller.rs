@@ -94,6 +94,13 @@ pub trait HeapController {
         Err(HeapError::NotAnObject)
     }
 
+    /// Whether `addr` names an object this controller holds. A
+    /// restored List Processor checks every heap address in its image
+    /// with this before trusting it.
+    fn holds(&self, addr: HeapAddr) -> bool {
+        self.peek(addr).is_ok()
+    }
+
     /// Merge two pieces into a new object; inverse of split.
     fn merge(&mut self, car: Word, cdr: Word) -> Result<HeapAddr, HeapError>;
 
@@ -270,13 +277,13 @@ impl crate::persist::PersistableController for TwoPointerController {
             return Err(ImageError::WrongKind);
         }
         let heap = TwoPointerHeap::import_state(image.section("arena")?, image.section("heap")?)?;
+        // A queued root was allocated, so it lies below the frontier.
         let queue = image
             .section("queue")?
             .iter()
-            .map(|&w| {
-                u32::try_from(w)
-                    .map(HeapAddr)
-                    .map_err(|_| ImageError::Malformed)
+            .map(|&w| match crate::persist::word_to_opt_addr(w)? {
+                Some(a) if a.index() < heap.frontier() => Ok(a),
+                _ => Err(ImageError::Malformed),
             })
             .collect::<Result<VecDeque<HeapAddr>, _>>()?;
         let ctrl = image.section("ctrl")?;

@@ -295,6 +295,10 @@ impl<C: HeapController> HeapController for FaultyController<C> {
         self.inner.peek(addr)
     }
 
+    fn holds(&self, addr: HeapAddr) -> bool {
+        self.inner.holds(addr)
+    }
+
     fn free_object(&mut self, addr: HeapAddr) {
         if self.should_fault(FaultKind::DelayedFree) {
             // Withhold: the free happens, just later than requested.

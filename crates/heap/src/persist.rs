@@ -75,7 +75,26 @@ pub trait PersistableController: HeapController + Sized {
 
     /// Rebuild a controller from an exported image. Fails closed with a
     /// typed [`ImageError`] on any mismatch.
+    ///
+    /// The heap's capacity comes from the image. A caller that sizes
+    /// its heap from a configuration must compare the two, or a damaged
+    /// image could let the heap grow past the configured bound.
     fn import_image(image: &ControllerImage) -> Result<Self, ImageError>;
+}
+
+/// Exclusive upper bound on any event counter an image restores. A
+/// run cannot count to 2^62, and a restored counter below it cannot
+/// overflow however long the restored machine runs on, so a damaged
+/// count fails closed instead.
+const COUNTER_LIMIT: u64 = 1 << 62;
+
+/// Check one restored event counter against `COUNTER_LIMIT`.
+pub fn counter(w: u64) -> Result<u64, ImageError> {
+    if w < COUNTER_LIMIT {
+        Ok(w)
+    } else {
+        Err(ImageError::Malformed)
+    }
 }
 
 /// Flatten [`ControllerStats`] into its canonical five-word form.
@@ -95,11 +114,11 @@ pub(crate) fn stats_from_words(w: &[u64]) -> Result<ControllerStats, ImageError>
         return Err(ImageError::Malformed);
     }
     Ok(ControllerStats {
-        splits: w[0],
-        merges: w[1],
-        read_ins: w[2],
-        frees_queued: w[3],
-        cells_freed: w[4],
+        splits: counter(w[0])?,
+        merges: counter(w[1])?,
+        read_ins: counter(w[2])?,
+        frees_queued: counter(w[3])?,
+        cells_freed: counter(w[4])?,
     })
 }
 

@@ -443,6 +443,13 @@ impl crate::controller::HeapController for StructureCodedController {
         Ok(crate::controller::SplitResult { car, cdr })
     }
 
+    fn holds(&self, addr: HeapAddr) -> bool {
+        self.heap
+            .tables
+            .get(addr.index())
+            .is_some_and(Option::is_some)
+    }
+
     fn merge(&mut self, car: Word, cdr: Word) -> Result<HeapAddr, crate::controller::HeapError> {
         self.stats.merges += 1;
         Ok(self.heap.merge(car, cdr))

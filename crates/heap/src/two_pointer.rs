@@ -34,9 +34,9 @@ pub struct HeapStats {
 /// or above it are *virgin* — never written, conceptually still on the
 /// tail of the initial ascending free list. Eagerly threading a link
 /// word through every cell of a multi-megabyte arena dominated heap
-/// construction time; the lazy scheme allocates, frees, and exports in
-/// exactly the same order and with byte-identical images (virgin links
-/// are synthesized on export).
+/// construction time; the lazy scheme allocates and frees in exactly
+/// the same order. Images hold only the cells below the frontier, so a
+/// suspended heap costs what it used, not its capacity.
 pub struct TwoPointerHeap {
     arena: Arena,
     /// Head of the explicit free list, threaded through car words.
@@ -70,7 +70,7 @@ impl TwoPointerHeap {
             // never read (every access is gated on `is_free`/the
             // frontier), and `alloc` grows the backing before the
             // frontier crosses it.
-            arena: Arena::new_zeroed((cells * 2).min(Self::INITIAL_ARENA_WORDS)),
+            arena: Arena::new_zeroed(Self::backing_words(0, cells)),
             free_head: None,
             frontier: 0,
             live: 0,
@@ -87,6 +87,12 @@ impl TwoPointerHeap {
     /// Currently-allocated cell count.
     pub fn live(&self) -> usize {
         self.live
+    }
+
+    /// First never-allocated cell: every cell below it has been
+    /// allocated at least once.
+    pub(crate) fn frontier(&self) -> usize {
+        self.frontier
     }
 
     /// Free cells remaining.
@@ -123,12 +129,8 @@ impl TwoPointerHeap {
                 let a = HeapAddr(self.frontier as u32);
                 self.frontier += 1;
                 if self.arena.len() < self.frontier * 2 {
-                    // Double (at least) up to the true footprint so
-                    // growth cost amortizes to O(peak usage).
-                    let target = (self.arena.len().max(1) * 2)
-                        .max(self.frontier * 2)
-                        .min(self.capacity * 2);
-                    self.arena.grow_to(target);
+                    self.arena
+                        .grow_to(Self::backing_words(self.frontier, self.capacity));
                 }
                 a
             }
@@ -148,13 +150,10 @@ impl TwoPointerHeap {
     /// Debug-panics if the cell is already free.
     pub fn free_cell(&mut self, addr: HeapAddr) {
         debug_assert!(!self.is_free(addr), "double free of {addr}");
-        // Link to the effective head: the explicit list, or — when it
-        // is empty — the virgin suffix, exactly the word the eagerly
+        // Link to the effective head, exactly the word the eagerly
         // threaded heap would have had in `free_head` here.
-        let head = self
-            .free_head
-            .or_else(|| (self.frontier < self.capacity).then_some(HeapAddr(self.frontier as u32)));
-        self.arena.write(addr.index() * 2, Word::free_link(head));
+        self.arena
+            .write(addr.index() * 2, Word::free_link(self.effective_head()));
         self.arena.write(addr.index() * 2 + 1, Word::UNUSED);
         self.free_head = Some(addr);
         self.live -= 1;
@@ -258,75 +257,179 @@ impl TwoPointerHeap {
         }
     }
 
-    /// Flatten the full heap state (arena words + scalars) for an image
-    /// export. The scalar layout is fixed: `[free_head, live, capacity,
-    /// allocs, frees, high_water]` with `u64::MAX` encoding a `None`
-    /// free-list head.
-    pub(crate) fn export_state(&self) -> (Vec<u64>, Vec<u64>) {
-        // Materialize the image of the equivalent eagerly-threaded
-        // heap: virgin cells carry their untouched initial links (cell
-        // i → i+1, last cell → none), and the exported head covers the
-        // virgin suffix when the explicit list is empty. Images are
-        // byte-identical to those of a heap threaded at construction.
-        let mut arena = self.arena.raw_words().to_vec();
-        // The backing may be shorter than the full footprint; the loop
-        // below overwrites every extended word.
-        arena.resize(self.capacity * 2, 0);
-        for i in self.frontier..self.capacity {
-            let next = (i + 1 < self.capacity).then(|| HeapAddr((i + 1) as u32));
-            arena[2 * i] = Word::free_link(next).bits();
-            arena[2 * i + 1] = Word::UNUSED.bits();
+    /// The free-list head as the eagerly threaded heap would hold it:
+    /// the explicit list, or — when it is empty — the virgin suffix.
+    fn effective_head(&self) -> Option<HeapAddr> {
+        self.free_head
+            .or_else(|| (self.frontier < self.capacity).then_some(HeapAddr(self.frontier as u32)))
+    }
+
+    /// Backing length, in words, for a heap whose frontier is at
+    /// `frontier`: the initial backing, doubled until it covers the
+    /// frontier, so growth cost amortizes to O(peak usage).
+    fn backing_words(frontier: usize, capacity: usize) -> usize {
+        let mut len = (capacity * 2).min(Self::INITIAL_ARENA_WORDS);
+        while len < frontier * 2 {
+            len = (len.max(1) * 2).min(capacity * 2);
         }
-        let head = self
-            .free_head
-            .or_else(|| (self.frontier < self.capacity).then_some(HeapAddr(self.frontier as u32)));
+        len
+    }
+
+    /// Flatten the heap state for an image export: the arena words of
+    /// the cells below the frontier (the virgin suffix holds no state)
+    /// and the scalars `[free_head, live, capacity, allocs, frees,
+    /// high_water, frontier]`. `free_head` is the effective head (see
+    /// [`TwoPointerHeap::free_cell`]), with `u64::MAX` encoding `None`.
+    pub(crate) fn export_state(&self) -> (Vec<u64>, Vec<u64>) {
+        let arena = self.arena.raw_words()[..self.frontier * 2].to_vec();
         let scalars = vec![
-            crate::persist::opt_addr_to_word(head),
+            crate::persist::opt_addr_to_word(self.effective_head()),
             self.live as u64,
             self.capacity as u64,
             self.stats.allocs,
             self.stats.frees,
             self.stats.high_water as u64,
+            self.frontier as u64,
         ];
         (arena, scalars)
     }
 
-    /// Inverse of [`TwoPointerHeap::export_state`].
+    /// Inverse of [`TwoPointerHeap::export_state`], straight into the
+    /// lazy-frontier arena. An image with six scalars (checkpoint
+    /// version 1, threaded eagerly to the last cell) is the case
+    /// `frontier == capacity`.
+    ///
+    /// Fails closed on any image whose addresses could later reach an
+    /// unchecked arena access or a panic; see
+    /// [`TwoPointerHeap::check_image`].
     pub(crate) fn import_state(
         arena: &[u64],
         scalars: &[u64],
     ) -> Result<Self, crate::persist::ImageError> {
-        use crate::persist::ImageError;
-        if scalars.len() != 6 {
+        use crate::persist::{counter, ImageError};
+        let word = |w: u64| usize::try_from(w).map_err(|_| ImageError::Malformed);
+        let Some((&[head, live, capacity, allocs, frees, high_water], rest)) =
+            scalars.split_first_chunk()
+        else {
+            return Err(ImageError::Malformed);
+        };
+        let capacity = word(capacity)?;
+        let frontier = match rest {
+            [] => capacity,
+            &[frontier] => word(frontier)?,
+            _ => return Err(ImageError::Malformed),
+        };
+        let live = word(live)?;
+        // Cell indices stay below `u32::MAX`, the `None` link.
+        if capacity > u32::MAX as usize || frontier > capacity || arena.len() != frontier * 2 {
             return Err(ImageError::Malformed);
         }
-        let capacity = usize::try_from(scalars[2]).map_err(|_| ImageError::Malformed)?;
-        if arena.len() != capacity * 2 {
-            return Err(ImageError::Malformed);
-        }
-        let live = usize::try_from(scalars[1]).map_err(|_| ImageError::Malformed)?;
-        if live > capacity {
-            return Err(ImageError::Malformed);
-        }
-        Ok(TwoPointerHeap {
-            arena: Arena::from_raw_words(arena.to_vec()),
-            free_head: crate::persist::word_to_opt_addr(scalars[0])?,
-            // Imported arenas are fully threaded (see `export_state`);
-            // no virgin suffix remains.
-            frontier: capacity,
+        // Zero-backed past the frontier, as in `with_capacity`.
+        let mut words = vec![0; Self::backing_words(frontier, capacity)];
+        words[..arena.len()].copy_from_slice(arena);
+        let mut heap = TwoPointerHeap {
+            arena: Arena::from_raw_words(words),
+            free_head: None,
+            frontier,
             live,
             capacity,
             stats: HeapStats {
-                allocs: scalars[3],
-                frees: scalars[4],
-                high_water: usize::try_from(scalars[5]).map_err(|_| ImageError::Malformed)?,
+                allocs: counter(allocs)?,
+                frees: counter(frees)?,
+                high_water: word(high_water)?,
             },
-        })
+        };
+        let head = crate::persist::word_to_opt_addr(head)?;
+        heap.check_image(head)?;
+        heap.free_head = head.filter(|a| a.index() < frontier);
+        Ok(heap)
+    }
+
+    /// Validate an imported heap whose effective free-list head is
+    /// `head`, reading only words below the frontier:
+    ///
+    /// * the free list threads distinct free cells below the frontier
+    ///   and ends where [`TwoPointerHeap::alloc`] expects: on the
+    ///   frontier, or on `None` once no virgin cell remains;
+    /// * every free cell is on it, and the others number `live`;
+    /// * a live cell holds value words only, and its pointers name
+    ///   live cells. The controller never rewrites a cell after
+    ///   allocating it, so a pointer always names an older cell and
+    ///   the cells form a DAG; a cycle is rejected too, since
+    ///   [`TwoPointerHeap::extract`] would not return from one.
+    fn check_image(&self, head: Option<HeapAddr>) -> Result<(), crate::persist::ImageError> {
+        use crate::persist::ImageError;
+        let f = self.frontier;
+        let ends = |link: Option<HeapAddr>| match link {
+            None => f == self.capacity,
+            Some(a) => a.index() == f && f < self.capacity,
+        };
+        let mut free = vec![false; f];
+        let mut cursor = head;
+        while !ends(cursor) {
+            let i = cursor
+                .map(HeapAddr::index)
+                .filter(|&i| i < f && !free[i])
+                .ok_or(ImageError::Malformed)?;
+            let w = self.arena.read(i * 2);
+            if w.tag() != Tag::FreeLink {
+                return Err(ImageError::Malformed);
+            }
+            free[i] = true;
+            cursor = w.free_next();
+        }
+        // Depth-first over the pointer graph: 1 = on the current path,
+        // 2 = finished.
+        let mut mark = vec![0u8; f];
+        let mut live = 0;
+        let mut path = Vec::new();
+        for root in 0..f {
+            if self.arena.read(root * 2).tag() == Tag::FreeLink {
+                if !free[root] {
+                    return Err(ImageError::Malformed);
+                }
+                continue;
+            }
+            live += 1;
+            if mark[root] != 0 {
+                continue;
+            }
+            mark[root] = 1;
+            path.push((root, 0));
+            while let Some((cell, half)) = path.last_mut() {
+                if *half == 2 {
+                    mark[*cell] = 2;
+                    path.pop();
+                    continue;
+                }
+                let w = self.arena.read(*cell * 2 + *half);
+                *half += 1;
+                match w.tag() {
+                    Tag::Nil | Tag::Int | Tag::Sym => {}
+                    Tag::Ptr => {
+                        let to = w.addr().index();
+                        if to >= f || free[to] || mark[to] == 1 {
+                            return Err(ImageError::Malformed);
+                        }
+                        if mark[to] == 0 {
+                            mark[to] = 1;
+                            path.push((to, 0));
+                        }
+                    }
+                    _ => return Err(ImageError::Malformed),
+                }
+            }
+        }
+        if live != self.live {
+            return Err(ImageError::Malformed);
+        }
+        Ok(())
     }
 
     /// Iterate the addresses of all live (non-free) cells.
     pub fn live_cells(&self) -> impl Iterator<Item = HeapAddr> + '_ {
-        (0..self.capacity).filter_map(|i| {
+        // Every cell at or above the frontier is free.
+        (0..self.frontier).filter_map(|i| {
             let a = HeapAddr(i as u32);
             (!self.is_free(a)).then_some(a)
         })

@@ -47,12 +47,21 @@
 //! # Snapshot format versioning
 //!
 //! [`CHECKPOINT_VERSION`] is bumped on **any** change to the encoded
-//! layout, with no in-place migration: a version mismatch fails closed
-//! with [`PersistError::UnsupportedVersion`], and the run restarts from
-//! the trace instead (checkpoints are derived state — the trace and
+//! layout. An unknown version fails closed with
+//! [`PersistError::UnsupportedVersion`], and the run restarts from the
+//! trace instead (checkpoints are derived state — the trace and
 //! parameters remain the source of truth). This mirrors the
 //! `BENCH_small.json` schema policy: formats evolve by explicit version
 //! bump plus regeneration, never by silent reinterpretation.
+//!
+//! Version 2 writes only what a heap allocated: the two-pointer arena
+//! up to its frontier (carried as a seventh `heap` scalar) and the
+//! cdr-coded arrays up to their bump pointer (with the capacity as a
+//! second `misc` word). Version 1 images decode on the same single
+//! path, with no second decoder: a version-1 two-pointer heap is the
+//! case `frontier == capacity` (six scalars, an arena threaded to its
+//! last cell), and a version-1 cdr-coded heap gives its capacity by its
+//! array length. Encoding always writes the current version.
 
 pub mod frame;
 
@@ -303,6 +312,23 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read a `u64` event counter, checked by
+    /// [`small_heap::persist::counter`] so that counting on from it
+    /// cannot overflow.
+    pub fn counter(&mut self) -> Result<u64, &'static str> {
+        small_heap::persist::counter(self.u64()?).map_err(|_| "counter out of range")
+    }
+
+    /// Read a `u32` reference count, at most half the type's range so
+    /// that counting on from it cannot overflow.
+    fn refcount(&mut self) -> Result<u32, &'static str> {
+        let v = self.u32()?;
+        if v > u32::MAX / 2 {
+            return Err("refcount out of range");
+        }
+        Ok(v)
+    }
+
     /// Read a `bool` (strictly 0 or 1).
     pub fn bool(&mut self) -> Result<bool, &'static str> {
         match self.u8()? {
@@ -318,25 +344,22 @@ impl<'a> ByteReader<'a> {
         Ok(if v == u32::MAX { None } else { Some(v) })
     }
 
-    /// Read a `u64` length small enough to allocate for (guards
-    /// against corrupt lengths requesting terabytes). Not a container
-    /// length, so there is no matching `is_empty`.
+    /// Read a `u64` byte length: [`ByteReader::count`] of one-byte
+    /// items. Not a container length, so there is no matching
+    /// `is_empty`.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&mut self) -> Result<usize, &'static str> {
-        let v = self.u64()?;
-        if v > (self.b.len() - self.at.min(self.b.len())) as u64 {
-            return Err("length past end of input");
-        }
-        Ok(v as usize)
+        self.count(1)
     }
 
-    /// Read a `u64` count of 8-byte words that the rest of the input
-    /// can hold, so a corrupt count cannot size an allocation beyond
-    /// the input itself.
-    fn words(&mut self) -> Result<usize, &'static str> {
+    /// Read a `u64` count of items that encode to at least `item_bytes`
+    /// bytes each and that the rest of the input can hold, so a corrupt
+    /// count cannot size an allocation beyond a small multiple of the
+    /// input itself.
+    pub fn count(&mut self, item_bytes: usize) -> Result<usize, &'static str> {
         let v = self.u64()?;
-        if v > (self.b.len() - self.at) as u64 / 8 {
-            return Err("section past end of input");
+        if v > ((self.b.len() - self.at) / item_bytes) as u64 {
+            return Err("length past end of input");
         }
         Ok(v as usize)
     }
@@ -402,9 +425,10 @@ fn intern(name: &str) -> Result<&'static str, &'static str> {
 /// Magic bytes opening every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"SMALLCKP";
 
-/// Current checkpoint format version. Bumped on any layout change; old
-/// versions fail closed (see the crate docs for the policy).
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Bumped on any layout change (see
+/// the crate docs for the policy). Version 2 writes only the allocated
+/// part of each heap; version 1 images still decode.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A complete machine snapshot: everything needed to resume a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -483,7 +507,7 @@ fn put_stats(w: &mut ByteWriter, s: &LptStats) {
 fn get_stats(r: &mut ByteReader) -> Result<LptStats, &'static str> {
     let mut v = [0u64; 20];
     for slot in &mut v {
-        *slot = r.u64()?;
+        *slot = r.counter()?;
     }
     Ok(LptStats {
         refops: v[0],
@@ -508,6 +532,10 @@ fn get_stats(r: &mut ByteReader) -> Result<LptStats, &'static str> {
         heap_direct_ops: v[19],
     })
 }
+
+/// Encoded bytes of one LPT entry: two fields, `rc`, `addr`,
+/// `free_next` and the flag byte.
+const ENTRY_BYTES: usize = 2 * 9 + 3 * 4 + 1;
 
 fn put_lp_image(w: &mut ByteWriter, lp: &LpImage) {
     w.put_u64(lp.table_size as u64);
@@ -538,12 +566,12 @@ fn put_lp_image(w: &mut ByteWriter, lp: &LpImage) {
 
 fn get_lp_image(r: &mut ByteReader) -> Result<LpImage, &'static str> {
     let table_size = r.u64()? as usize;
-    let n = r.len()?;
+    let n = r.count(ENTRY_BYTES)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let car = get_field(r)?;
         let cdr = get_field(r)?;
-        let rc = r.u32()?;
+        let rc = r.refcount()?;
         let addr = r.opt_u32()?;
         let free_next = r.opt_u32()?;
         let flags = r.u8()?;
@@ -565,14 +593,14 @@ fn get_lp_image(r: &mut ByteReader) -> Result<LpImage, &'static str> {
     let free_tail = r.opt_u32()?;
     let live = r.u64()? as usize;
     let degraded = r.bool()?;
-    let n = r.len()?;
+    let n = r.count(8)?;
     let mut ep_counts = Vec::with_capacity(n);
     for _ in 0..n {
         let id = r.u32()?;
-        let c = r.u32()?;
+        let c = r.refcount()?;
         ep_counts.push((id, c));
     }
-    let n = r.len()?;
+    let n = r.count(8)?;
     let mut recent_overflows = Vec::with_capacity(n);
     for _ in 0..n {
         recent_overflows.push(r.u64()?);
@@ -609,7 +637,7 @@ fn get_controller_image(r: &mut ByteReader) -> Result<ControllerImage, &'static 
     let mut sections = Vec::with_capacity(n);
     for _ in 0..n {
         let name = intern(r.str()?)?;
-        let len = r.words()?;
+        let len = r.count(8)?;
         let mut words = Vec::with_capacity(len);
         for _ in 0..len {
             words.push(r.u64()?);
@@ -626,13 +654,11 @@ const CHECKPOINT_HEADER: usize = CHECKPOINT_MAGIC.len() + 16;
 /// The exact encoded payload size of `ckpt`, so the encoder allocates
 /// once and the blob carries no spare capacity.
 fn checkpoint_payload_len(ckpt: &Checkpoint) -> usize {
-    // Two fields, `rc`, `addr`, `free_next` and the flag byte.
-    const ENTRY: usize = 2 * 9 + 3 * 4 + 1;
     let lp = &ckpt.lp;
     // Table size and entry count, the entries, free head and tail plus
     // `live` and `degraded`, two counted vectors, and the 20 stats.
     let lp_len = 16
-        + ENTRY * lp.entries.len()
+        + ENTRY_BYTES * lp.entries.len()
         + 17
         + (8 + 8 * lp.ep_counts.len())
         + (8 + 8 * lp.recent_overflows.len())
@@ -674,8 +700,9 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     bytes
 }
 
-/// Parse and validate a checkpoint. Fails closed on bad magic, unknown
-/// version, wrong length, CRC mismatch, or any malformed section.
+/// Parse and validate a checkpoint of any supported version. Fails
+/// closed on bad magic, unknown version, wrong length, CRC mismatch, or
+/// any malformed section.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     let corrupt = PersistError::CorruptCheckpoint;
     if bytes.len() < CHECKPOINT_HEADER {
@@ -686,7 +713,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     }
     let mut r = ByteReader::new(&bytes[8..]);
     let version = r.u32().map_err(corrupt)?;
-    if version != CHECKPOINT_VERSION {
+    if !(1..=CHECKPOINT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let want_crc = r.u32().map_err(corrupt)?;
@@ -698,8 +725,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     }
 
     let mut p = ByteReader::new(payload);
-    let event_index = p.u64().map_err(corrupt)?;
-    let journal_seq = p.u64().map_err(corrupt)?;
+    let event_index = p.counter().map_err(corrupt)?;
+    let journal_seq = p.counter().map_err(corrupt)?;
     let lp = get_lp_image(&mut p).map_err(corrupt)?;
     let controller = get_controller_image(&mut p).map_err(corrupt)?;
     let driver = p.bytes().map_err(corrupt)?.to_vec();

@@ -25,9 +25,9 @@ use crate::protocol::{
 };
 use crate::telemetry::ServeSink;
 use small_core::machine::SmallBackend;
-use small_core::{Id, ListProcessor, LpConfig, LptStats};
+use small_core::{FieldImage, Id, ListProcessor, LpConfig, LpImage, LpValue, LptStats};
 use small_heap::controller::TwoPointerController;
-use small_heap::PersistableController;
+use small_heap::{PersistableController, Tag, Word};
 use small_lisp::compiler::FrontEnd;
 use small_lisp::vm::{ListBackend, Vm, VmValue};
 use small_metrics::EventCounts;
@@ -330,13 +330,17 @@ impl Session {
         // were exported live, as resume expects.
     }
 
-    /// Resume a session from a [`Session::suspend`] blob. Fails closed
-    /// on any damage (CRC, version, malformed image, short driver).
+    /// Resume a session from a [`Session::suspend`] blob (of any
+    /// checkpoint version [`decode_checkpoint`] reads). Fails closed on
+    /// any damage: CRC, version, malformed image, a heap capacity other
+    /// than `cfg.heap_cells`, short driver, a symbol the interner does
+    /// not hold, or a global whose reference the restored table does
+    /// not count.
     pub fn resume(id: u64, cfg: &ServeConfig, bytes: &[u8]) -> Result<Session, PersistError> {
         let corrupt = PersistError::CorruptCheckpoint;
         let ckpt = decode_checkpoint(bytes)?;
         let mut r = ByteReader::new(&ckpt.driver);
-        let requests = r.u64().map_err(corrupt)?;
+        let requests = r.counter().map_err(corrupt)?;
         let digest = r.u64().map_err(corrupt)?;
         let mut words = [0u64; 22];
         for word in &mut words {
@@ -348,7 +352,8 @@ impl Session {
             let name = r.str().map_err(corrupt)?;
             interner.intern(name);
         }
-        let nglobals = r.len().map_err(corrupt)?;
+        // A global is at least a symbol and a value tag.
+        let nglobals = r.count(5).map_err(corrupt)?;
         let mut globals: Vec<(Symbol, VmValue<Id>)> = Vec::with_capacity(nglobals);
         for _ in 0..nglobals {
             let sym = Symbol(r.u32().map_err(corrupt)?);
@@ -361,7 +366,7 @@ impl Session {
             };
             globals.push((sym, v));
         }
-        let next_seq = r.u64().map_err(corrupt)?;
+        let next_seq = r.counter().map_err(corrupt)?;
         let nreplay = r.len().map_err(corrupt)?;
         let mut replay = Vec::with_capacity(nreplay.min(DEDUP_WINDOW));
         for _ in 0..nreplay {
@@ -374,11 +379,21 @@ impl Session {
         r.expect_end().map_err(corrupt)?;
 
         let controller = TwoPointerController::import_image(&ckpt.controller)?;
+        if controller.heap().capacity() != cfg.heap_cells {
+            return Err(corrupt("heap capacity differs from the configured heap"));
+        }
+        if !symbols_known(&controller, &ckpt.lp, &globals, interner.len()) {
+            return Err(corrupt("unknown symbol"));
+        }
         let sink = ServeSink::with_counts(EventCounts::from_words(&words));
         let lp = ListProcessor::from_image(controller, cfg.lp_config(), &ckpt.lp, sink)?;
         if !lp.audit().is_clean() {
             return Err(corrupt("restored session table fails audit"));
         }
+        lp.check_roots(globals.iter().filter_map(|(_, v)| match v {
+            VmValue::List(id) => Some(LpValue::Obj(*id)),
+            _ => None,
+        }))?;
         let mut backend = SmallBackend::from_lp(lp);
         for (_, v) in &globals {
             if let VmValue::List(obj) = v {
@@ -408,6 +423,35 @@ impl Session {
     pub fn persist_reply(e: &PersistError) -> Reply {
         persist_error_reply(e)
     }
+}
+
+/// Whether every symbol a suspended session holds — global names and
+/// values, atom fields of the table, and words of live heap cells — is
+/// one of the `nsyms` its restored interner knows, so printing a reply
+/// can never look up a symbol that does not exist.
+fn symbols_known(
+    controller: &TwoPointerController,
+    lp: &LpImage,
+    globals: &[(Symbol, VmValue<Id>)],
+    nsyms: usize,
+) -> bool {
+    let known = |s: Symbol| s.index() < nsyms;
+    let word_known = |w: Word| w.tag() != Tag::Sym || known(Symbol(w.as_sym()));
+    let globals_known = globals.iter().all(|(name, v)| match v {
+        VmValue::Sym(s) => known(*name) && known(*s),
+        _ => known(*name),
+    });
+    let fields_known = lp.entries.iter().all(|e| {
+        [e.car, e.cdr].into_iter().all(|f| match f {
+            FieldImage::Atom(bits) => word_known(Word::from_bits(bits)),
+            _ => true,
+        })
+    });
+    let heap = controller.heap();
+    let cells_known = heap
+        .live_cells()
+        .all(|a| word_known(heap.raw_car(a)) && word_known(heap.raw_cdr(a)));
+    globals_known && fields_known && cells_known
 }
 
 #[cfg(test)]

@@ -6,39 +6,20 @@
 //! together; each scan must return exactly the original frames before
 //! the damage, then a torn tail (journal only) or a typed error at the
 //! damage. No length field read from the input may size an allocation,
-//! and neither may a word count inside a CRC-valid session checkpoint.
+//! and neither may a word count inside a CRC-valid session checkpoint,
+//! nor may a heap address inside one reach the arena unchecked.
 
 use proptest::prelude::*;
+use small_heap::ImageError;
 use small_persist::{
-    crc32, decode_checkpoint, encode_frame, scan_journal, JournalBatch, JournalRecord, PersistError,
+    crc32, decode_checkpoint, encode_checkpoint, encode_frame, scan_journal, JournalBatch,
+    JournalRecord, PersistError,
 };
 use small_serve::repl::{decode_frames, ReplError, WalOp, WalRecord};
 use small_serve::{ServeConfig, Session, Wal};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// The largest single allocation on this thread since last reset.
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-struct PeakAlloc;
-
-// SAFETY: both calls go unchanged to the system allocator; the
-// bookkeeping touches only a const-initialised thread-local.
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = PEAK.try_with(|p| p.set(p.get().max(layout.size())));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
+mod peak_alloc;
+use peak_alloc::PEAK;
 
 /// Truncate `ours` at every offset, flip one of its bits, and splice it
 /// with `theirs` (`ours[..i] ++ theirs[k..]`). Each scan must return the
@@ -190,7 +171,7 @@ fn inflated_checkpoint_section_fails_closed() {
     // The header is magic, version, CRC, length; the payload follows.
     let crc = crc32(&blob[24..]);
     blob[12..16].copy_from_slice(&crc.to_le_bytes());
-    let want = Err(PersistError::CorruptCheckpoint("section past end of input"));
+    let want = Err(PersistError::CorruptCheckpoint("length past end of input"));
     PEAK.set(0);
     assert_eq!(decode_checkpoint(&blob).map(drop), want);
     assert_eq!(Session::resume(0, &cfg, &blob).map(drop), want);
@@ -198,5 +179,57 @@ fn inflated_checkpoint_section_fails_closed() {
     assert!(
         peak <= 8 * len,
         "{len} bytes drove a {peak}-byte allocation"
+    );
+}
+
+/// A CRC-valid suspend blob whose free-list head lies a million cells
+/// past the heap's capacity. Resuming it used to succeed, and the next
+/// allocation then read far outside the arena: a debug panic, and a
+/// segfault in release, where arena reads are unchecked.
+#[test]
+fn out_of_range_free_head_fails_closed() {
+    let cfg = ServeConfig::default();
+    let mut s = Session::new(0, &cfg);
+    s.eval("(setq acc (cons 1 (cons 2 nil)))");
+    let mut ckpt = decode_checkpoint(&s.suspend()).unwrap();
+    let (_, heap) = ckpt
+        .controller
+        .sections
+        .iter_mut()
+        .find(|(name, _)| *name == "heap")
+        .unwrap();
+    heap[0] = cfg.heap_cells as u64 + 1_000_000;
+    let blob = encode_checkpoint(&ckpt);
+    assert_eq!(
+        Session::resume(0, &cfg, &blob).map(drop),
+        Err(PersistError::MalformedImage(ImageError::Malformed))
+    );
+}
+
+/// A CRC-valid suspend blob whose heap claims 2^30 more cells than the
+/// configured heap. A version-2 image holds only the cells below the
+/// frontier, so nothing else in it ties the capacity to the bytes;
+/// resuming it must not hand back a session whose heap may grow past
+/// `heap_cells`.
+#[test]
+fn inflated_heap_capacity_fails_closed() {
+    let cfg = ServeConfig::default();
+    let mut s = Session::new(0, &cfg);
+    s.eval("(setq acc (cons 1 (cons 2 nil)))");
+    let mut ckpt = decode_checkpoint(&s.suspend()).unwrap();
+    let (_, heap) = ckpt
+        .controller
+        .sections
+        .iter_mut()
+        .find(|(name, _)| *name == "heap")
+        .unwrap();
+    assert_eq!(heap[2], cfg.heap_cells as u64);
+    heap[2] |= 1 << 30;
+    let blob = encode_checkpoint(&ckpt);
+    assert_eq!(
+        Session::resume(0, &cfg, &blob).map(drop),
+        Err(PersistError::CorruptCheckpoint(
+            "heap capacity differs from the configured heap"
+        ))
     );
 }

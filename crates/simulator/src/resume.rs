@@ -141,35 +141,26 @@ fn decode_driver<'t>(
     for word in &mut rng_state {
         *word = r.u64().map_err(corrupt)?;
     }
-    let resume = |lp: &ListProcessor<TwoPointerController, DurableSink>,
-                  r: &mut ByteReader|
-     -> Result<Rooted, &'static str> {
-        Ok(lp.resume_root(get_value(r)?, RootKind::Binding))
-    };
     let tos = if r.bool().map_err(corrupt)? {
-        Some(resume(&lp, &mut r).map_err(corrupt)?)
+        Some(get_value(&mut r).map_err(corrupt)?)
     } else {
         None
     };
-    let take_handles = |lp: &ListProcessor<TwoPointerController, DurableSink>,
-                        r: &mut ByteReader|
-     -> Result<Vec<Rooted>, &'static str> {
-        let n = r.len()?;
-        let mut hs = Vec::with_capacity(n);
-        for _ in 0..n {
-            hs.push(resume(lp, r)?);
-        }
-        Ok(hs)
+    let values = |r: &mut ByteReader| -> Result<Vec<LpValue>, &'static str> {
+        // A value is a tag byte and a word.
+        let n = r.count(9)?;
+        (0..n).map(|_| get_value(r)).collect()
     };
-    let globals = take_handles(&lp, &mut r).map_err(corrupt)?;
-    let nframes = r.len().map_err(corrupt)?;
+    let globals = values(&mut r).map_err(corrupt)?;
+    // A frame is at least its two slot counts.
+    let nframes = r.count(16).map_err(corrupt)?;
     let mut frames = Vec::with_capacity(nframes);
     for _ in 0..nframes {
-        let args = take_handles(&lp, &mut r).map_err(corrupt)?;
-        let locals = take_handles(&lp, &mut r).map_err(corrupt)?;
-        frames.push(FrameSim { args, locals });
+        let args = values(&mut r).map_err(corrupt)?;
+        let locals = values(&mut r).map_err(corrupt)?;
+        frames.push((args, locals));
     }
-    let naddrs = r.len().map_err(corrupt)?;
+    let naddrs = r.count(12).map_err(corrupt)?;
     let mut addrs = FxHashMap::with_capacity_and_hasher(naddrs, Default::default());
     for _ in 0..naddrs {
         let id = r.u32().map_err(corrupt)?;
@@ -178,11 +169,27 @@ fn decode_driver<'t>(
             return Err(corrupt("duplicate driver address"));
         }
     }
-    let next_addr = r.u64().map_err(corrupt)?;
-    let access_hits = r.u64().map_err(corrupt)?;
-    let access_misses = r.u64().map_err(corrupt)?;
-    let prims = r.u64().map_err(corrupt)?;
+    let next_addr = r.counter().map_err(corrupt)?;
+    let access_hits = r.counter().map_err(corrupt)?;
+    let access_misses = r.counter().map_err(corrupt)?;
+    let prims = r.counter().map_err(corrupt)?;
     r.expect_end().map_err(corrupt)?;
+    let slots = frames.iter().flat_map(|(a, l)| a.iter().chain(l));
+    lp.check_roots(tos.iter().chain(&globals).chain(slots).copied())?;
+    let wrap = |vs: Vec<LpValue>| -> Vec<Rooted> {
+        vs.into_iter()
+            .map(|v| lp.resume_root(v, RootKind::Binding))
+            .collect()
+    };
+    let tos = tos.map(|v| lp.resume_root(v, RootKind::Binding));
+    let globals = wrap(globals);
+    let frames = frames
+        .into_iter()
+        .map(|(args, locals)| FrameSim {
+            args: wrap(args),
+            locals: wrap(locals),
+        })
+        .collect();
     Ok((
         Driver {
             trace,
@@ -338,6 +345,11 @@ pub fn run_sim_resumable(
             let (batches, valid) = scan_journal(store.journal())?;
             store.truncate_journal(valid);
             let controller = TwoPointerController::import_image(&ckpt.controller)?;
+            if controller.heap().capacity() != params.heap_cells {
+                return Err(PersistError::CorruptCheckpoint(
+                    "heap capacity differs from the run's parameters",
+                ));
+            }
             let lp = ListProcessor::from_image(
                 controller,
                 lp_config(&params),
