@@ -384,6 +384,34 @@ struct Entry {
     lazy: bool,
 }
 
+/// One entry's flushability within a compression pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Unknown,
+    /// Its fields are being walked: meeting it again closes a cycle.
+    OnStack,
+    Flushable,
+    Stuck,
+}
+
+/// Per-pass memo of [`Verdict`]s, indexed by entry id.
+struct FlushMemo {
+    verdicts: Vec<Verdict>,
+    /// Entries whose fields were walked this pass (the work bound).
+    #[cfg(test)]
+    evaluations: usize,
+}
+
+impl FlushMemo {
+    fn new(n: usize) -> Self {
+        FlushMemo {
+            verdicts: vec![Verdict::Unknown; n],
+            #[cfg(test)]
+            evaluations: 0,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Invariant auditing, perturbation, and reconciliation
 // ---------------------------------------------------------------------
@@ -795,6 +823,9 @@ pub struct ListProcessor<C: HeapController, S: EventSink = NoopSink> {
     cache: Box<[CacheLine]>,
     /// Wall-clock-only cache probe counters (see [`LptCacheStats`]).
     cache_stats: LptCacheStats,
+    /// Entries walked by each compression pass so far.
+    #[cfg(test)]
+    pass_evaluations: Vec<usize>,
 }
 
 impl<C: HeapController> ListProcessor<C> {
@@ -827,6 +858,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             pin: None,
             cache: vec![CacheLine::EMPTY; FIELD_CACHE_LINES].into_boxed_slice(),
             cache_stats: LptCacheStats::default(),
+            #[cfg(test)]
+            pass_evaluations: Vec::new(),
         };
         // Thread the initial free list, low ids first.
         for id in (0..config.table_size as u32).rev() {
@@ -1431,18 +1464,68 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     /// sub-structure is flushable or already heap-backed. The rc==1
     /// condition excludes shared structure; reference *cycles* of
     /// rc==1 entries (unreachable circular garbage, §4.3.2.1) are
-    /// excluded by the path check — they are reclaimed by
+    /// excluded by the on-stack mark — they are reclaimed by
     /// [`ListProcessor::break_cycles`] instead.
-    fn flushable(&self, f: Field, path: &mut Vec<Id>) -> bool {
+    ///
+    /// Each entry's verdict is decided at most once per pass and kept
+    /// in `memo`. Every entry below a candidate has exactly one
+    /// reference, so the only on-stack entry a walk can meet again is
+    /// the candidate itself, and then the entries in between lie on a
+    /// cycle and are unflushable from any candidate: a verdict does not
+    /// depend on which walk decided it.
+    fn flushable(&self, f: Field, memo: &mut FlushMemo) -> bool {
+        match f {
+            Field::Atom(_) => true,
+            Field::Empty => false,
+            Field::Obj(c) => match memo.verdicts[c as usize] {
+                Verdict::OnStack | Verdict::Stuck => false,
+                Verdict::Flushable => true,
+                Verdict::Unknown => {
+                    let e = &self.entries[c as usize];
+                    // A pinned entry is mid-materialization: its fields
+                    // are in flux.
+                    let ok = self.pin != Some(c)
+                        && e.live
+                        && e.rc == 1
+                        && !e.stack_bit
+                        && (e.addr.is_some() || self.fields_flushable(c, memo));
+                    memo.verdicts[c as usize] = if ok {
+                        Verdict::Flushable
+                    } else {
+                        Verdict::Stuck
+                    };
+                    ok
+                }
+            },
+        }
+    }
+
+    /// Whether both of `id`'s fields are flushable, with `id` marked
+    /// on-stack while they are walked (a field that leads back to it is
+    /// circular, not a tree). Leaves `id`'s own verdict for the caller.
+    fn fields_flushable(&self, id: Id, memo: &mut FlushMemo) -> bool {
+        #[cfg(test)]
+        {
+            memo.evaluations += 1;
+        }
+        let e = &self.entries[id as usize];
+        let prev = std::mem::replace(&mut memo.verdicts[id as usize], Verdict::OnStack);
+        let ok = self.flushable(e.car, memo) && self.flushable(e.cdr, memo);
+        memo.verdicts[id as usize] = prev;
+        ok
+    }
+
+    /// The path-based predicate [`Self::flushable`] replaced: it
+    /// re-walks every subtree with a linear cycle check. Kept as the
+    /// oracle the memoized walk must agree with at every candidate.
+    #[cfg(test)]
+    fn flushable_reference(&self, f: Field, path: &mut Vec<Id>) -> bool {
         match f {
             Field::Atom(_) => true,
             Field::Empty => false,
             Field::Obj(c) => {
-                if path.contains(&c) {
-                    return false; // circular structure: not a tree
-                }
-                if self.pin == Some(c) {
-                    return false; // mid-materialization: fields in flux
+                if path.contains(&c) || self.pin == Some(c) {
+                    return false;
                 }
                 let e = &self.entries[c as usize];
                 if !(e.live && e.rc == 1 && !e.stack_bit) {
@@ -1452,7 +1535,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                     return true;
                 }
                 path.push(c);
-                let ok = self.flushable(e.car, path) && self.flushable(e.cdr, path);
+                let ok =
+                    self.flushable_reference(e.car, path) && self.flushable_reference(e.cdr, path);
                 path.pop();
                 ok
             }
@@ -1516,6 +1600,13 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         let mut total = 0usize;
         loop {
             let mut freed_this_pass = 0usize;
+            // A flush frees only rc==1 subtrees no later candidate can
+            // reach, and turns its candidate into a heap-backed entry
+            // whose verdict as a child is unchanged, so one memo serves
+            // the whole pass.
+            let mut memo = FlushMemo::new(self.entries.len());
+            #[cfg(test)]
+            self.pass_evaluations.push(0);
             for id in 0..self.entries.len() as Id {
                 let e = &self.entries[id as usize];
                 if !e.live || e.addr.is_some() || self.pin == Some(id) {
@@ -1528,8 +1619,16 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 if !matches!(fcar, Field::Obj(_)) && !matches!(fcdr, Field::Obj(_)) {
                     continue;
                 }
-                let mut path = vec![id];
-                if !self.flushable(fcar, &mut path) || !self.flushable(fcdr, &mut path) {
+                let ok = self.fields_flushable(id, &mut memo);
+                #[cfg(test)]
+                {
+                    let mut path = vec![id];
+                    let reference = self.flushable_reference(fcar, &mut path)
+                        && self.flushable_reference(fcdr, &mut path);
+                    assert_eq!(ok, reference, "flushability of candidate {id} diverged");
+                    *self.pass_evaluations.last_mut().unwrap() = memo.evaluations;
+                }
+                if !ok {
                     continue;
                 }
                 let frees_before = self.stats.frees;
@@ -2882,6 +2981,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             // a restored processor starts cold and re-warms.
             cache: vec![CacheLine::EMPTY; FIELD_CACHE_LINES].into_boxed_slice(),
             cache_stats: LptCacheStats::default(),
+            #[cfg(test)]
+            pass_evaluations: Vec::new(),
         })
     }
 
@@ -4122,6 +4223,195 @@ mod tests {
             assert!(v.is_heap_direct());
             assert_eq!(print(&lp.writelist(v).unwrap(), &i), "((0))");
             assert_eq!(lp.car_of(held[0]).unwrap(), LpValue::Atom(Word::int(0)));
+        }
+    }
+
+    /// One step of the compression proptest. Operand indices pick a
+    /// held value, or an atom when they land one past the end.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Cons(usize, usize),
+        Car(usize),
+        Cdr(usize),
+        Rplaca(usize, usize),
+        Rplacd(usize, usize),
+        Read(usize),
+        Root(usize),
+        Unroot(usize),
+    }
+
+    fn arb_step() -> impl proptest::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        // Conses weigh quadruple, so the table fills.
+        (0u8..11, 0usize..64, 0usize..64).prop_map(|(k, a, b)| match k {
+            0..=3 => Step::Cons(a, b),
+            4 => Step::Car(a),
+            5 => Step::Cdr(a),
+            6 => Step::Rplaca(a, b),
+            7 => Step::Rplacd(a, b),
+            8 => Step::Read(a),
+            9 => Step::Root(a),
+            _ => Step::Unroot(a),
+        })
+    }
+
+    /// Run `steps` on a fresh LP, auditing after every step. Operation
+    /// errors (true overflow under a tiny table, `car` of an atom) are
+    /// legal outcomes; a dirty audit or a diverging flushability
+    /// verdict (asserted inside `compress`) is not.
+    fn run_steps(config: LpConfig, cache: bool, steps: &[Step]) -> LptStats {
+        const SOURCES: [&str; 4] = ["(1 2 3)", "((1) 2)", "(4 (5 6) 7)", "((8 9) (10))"];
+        let mut interner = Interner::new();
+        let mut lp: Lp = ListProcessor::new(TwoPointerController::new(65536, 64), config);
+        lp.set_cache_enabled(cache);
+        let mut held: Vec<Rooted> = Vec::new();
+        let pick = |held: &[Rooted], i: usize| {
+            held.get(i % (held.len() + 1))
+                .map_or(LpValue::Atom(Word::int(i as i64)), Rooted::value)
+        };
+        for (n, &step) in steps.iter().enumerate() {
+            let made = match step {
+                // Half the conses extend the newest value: long chains.
+                Step::Cons(a, b) => {
+                    let cdr = match held.last() {
+                        Some(r) if b % 2 == 0 => r.value(),
+                        _ => pick(&held, b),
+                    };
+                    Some(lp.cons(pick(&held, a), cdr))
+                }
+                Step::Car(a) => Some(lp.car_of(pick(&held, a))),
+                Step::Cdr(a) => Some(lp.cdr_of(pick(&held, a))),
+                // A value may be stored into its own structure: cycles
+                // and shared tails are both reachable.
+                Step::Rplaca(a, b) => {
+                    let _ = lp.rplaca_of(pick(&held, a), pick(&held, b));
+                    None
+                }
+                Step::Rplacd(a, b) => {
+                    let _ = lp.rplacd_of(pick(&held, a), pick(&held, b));
+                    None
+                }
+                Step::Read(a) => {
+                    let e = parse(SOURCES[a % SOURCES.len()], &mut interner).unwrap();
+                    Some(lp.readlist(None, &e))
+                }
+                Step::Root(a) => {
+                    let v = pick(&held, a);
+                    let r = if a % 2 == 0 {
+                        lp.root(v)
+                    } else {
+                        lp.root_binding(v)
+                    };
+                    held.push(r);
+                    None
+                }
+                Step::Unroot(a) => {
+                    if !held.is_empty() {
+                        let i = a % held.len();
+                        drop(held.swap_remove(i));
+                        lp.drain_unroots();
+                    }
+                    None
+                }
+            };
+            if let Some(Ok(v)) = made {
+                held.push(lp.adopt_binding(v));
+            }
+            // The EP forgets its oldest values, so the table holds
+            // structure reachable only through fields: what compression
+            // and cycle breaking reclaim.
+            if held.len() > config.table_size / 2 {
+                drop(held.remove(0));
+                lp.drain_unroots();
+            }
+            let report = lp.audit();
+            assert!(
+                report.is_clean(),
+                "step {n} {step:?}: {:?}",
+                report.violations
+            );
+        }
+        drop(held);
+        lp.drain_unroots();
+        let report = lp.audit();
+        assert!(report.is_clean(), "after release: {:?}", report.violations);
+        lp.stats()
+    }
+
+    mod compression_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Random programs over every policy combination keep the
+            /// table audit-clean, the memoized flushability equal to the
+            /// path-based reference at every candidate, and the inline
+            /// cache invisible to every counter.
+            #[test]
+            fn compression_stays_audit_clean_under_random_programs(
+                table_size in 8usize..65,
+                steps in prop::collection::vec(arb_step(), 40..160),
+            ) {
+                let policies = [
+                    CompressPolicy::CompressOne,
+                    CompressPolicy::CompressAll,
+                    CompressPolicy::Hybrid { threshold: 2, window: 64 },
+                ];
+                for compression in policies {
+                    for refcounts in [RefcountMode::Unified, RefcountMode::Split] {
+                        for free_discipline in [FreeDiscipline::Stack, FreeDiscipline::Queue] {
+                            for decrement in [DecrementPolicy::Lazy, DecrementPolicy::Recursive] {
+                                let config = LpConfig {
+                                    table_size,
+                                    compression,
+                                    decrement,
+                                    refcounts,
+                                    free_discipline,
+                                    ..LpConfig::default()
+                                };
+                                let cached = run_steps(config, true, &steps);
+                                let uncached = run_steps(config, false, &steps);
+                                prop_assert_eq!(cached, uncached, "{:?}", config);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compression_pass_is_linear_in_the_table() {
+        // One rooted chain whose tail is shared: every chain entry is a
+        // candidate and every one fails at the tail. The path-based
+        // walk re-walked each candidate's whole suffix (~L²/2 entries);
+        // the memo decides each entry at most once as a candidate and
+        // once as a child.
+        let n = 64;
+        let mut lp = lp_with(n);
+        let tail = lp
+            .cons(LpValue::Atom(Word::int(0)), LpValue::Atom(Word::NIL))
+            .unwrap();
+        let mut head = tail;
+        for k in 1..n as i64 {
+            let next = lp.cons(LpValue::Atom(Word::int(k)), head).unwrap();
+            if head != tail {
+                release(&mut lp, head);
+            }
+            head = next;
+        }
+        assert_eq!(lp.occupancy(), n);
+        let r = lp.cons(LpValue::Atom(Word::NIL), LpValue::Atom(Word::NIL));
+        assert!(matches!(r, Err(LpError::TrueOverflow)), "{r:?}");
+        assert_eq!(lp.stats().compressed, 0);
+        assert!(!lp.pass_evaluations.is_empty());
+        for &walked in &lp.pass_evaluations {
+            assert!(
+                walked <= 2 * n,
+                "a pass walked {walked} entries in a table of {n}"
+            );
         }
     }
 }

@@ -41,4 +41,4 @@ pub use faulty::{FaultKind, FaultPlan, FaultStats, FaultyController};
 pub use persist::{ControllerImage, ImageError, PersistableController};
 pub use structure_coded::StructureCodedController;
 pub use two_pointer::TwoPointerHeap;
-pub use word::{HeapAddr, Tag, Word};
+pub use word::{HeapAddr, Tag, Word, FIXNUM};

@@ -60,10 +60,13 @@ impl Tag {
     }
 }
 
+/// The integers a [`Word`] can hold: the fixnum range `[-2^60, 2^60)`.
+pub const FIXNUM: std::ops::Range<i64> = -(1 << 60)..(1 << 60);
+
 /// A tagged 64-bit word: 3-bit tag in the low bits, payload above.
 ///
 /// Integers occupy the high 61 bits with sign, so the fixnum range is
-/// `[-2^60, 2^60)`.
+/// [`FIXNUM`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Word(u64);
 
@@ -79,10 +82,7 @@ impl Word {
     /// Panics (in debug builds) if `i` exceeds the 61-bit fixnum range.
     #[inline]
     pub fn int(i: i64) -> Word {
-        debug_assert!(
-            (-(1i64 << 60)..(1i64 << 60)).contains(&i),
-            "fixnum overflow: {i}"
-        );
+        debug_assert!(FIXNUM.contains(&i), "fixnum overflow: {i}");
         Word(((i as u64) << 3) | Tag::Int as u64)
     }
 

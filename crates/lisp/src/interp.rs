@@ -15,6 +15,8 @@
 
 use crate::env::Environment;
 use crate::value::{CellAllocator, Value};
+use crate::vm::fixnums_fit;
+use small_heap::FIXNUM;
 use small_sexpr::{Atom, Interner, SExpr, Symbol};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -65,6 +67,9 @@ pub enum LispError {
     },
     /// Integer division by zero.
     DivideByZero,
+    /// An integer literal or arithmetic result outside the fixnum range
+    /// [`FIXNUM`].
+    FixnumOverflow,
     /// `(go tag)` with no such label in the enclosing prog.
     NoSuchLabel(String),
     /// `go`/`return` outside a prog.
@@ -108,6 +113,7 @@ impl fmt::Display for LispError {
             }
             LispError::TypeError { prim, detail } => write!(f, "{prim}: {detail}"),
             LispError::DivideByZero => write!(f, "division by zero"),
+            LispError::FixnumOverflow => write!(f, "fixnum overflow"),
             LispError::NoSuchLabel(l) => write!(f, "no label {l} in prog"),
             LispError::NotInProg => write!(f, "go/return outside prog"),
             LispError::ReadEof => write!(f, "read: input exhausted"),
@@ -327,6 +333,7 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
         self.stats.steps += 1;
         match expr {
             SExpr::Nil => Ok(Value::Nil),
+            SExpr::Atom(Atom::Int(i)) if !FIXNUM.contains(i) => Err(LispError::FixnumOverflow),
             SExpr::Atom(Atom::Int(i)) => Ok(Value::Int(*i)),
             SExpr::Atom(Atom::Sym(s)) => {
                 if *s == self.syms.t {
@@ -348,6 +355,16 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
         }
     }
 
+    /// The next `read` datum, refused if it holds a non-fixnum integer.
+    fn read_input(&mut self) -> Result<SExpr, LispError> {
+        let e = self.input.pop_front().ok_or(LispError::ReadEof)?;
+        if fixnums_fit(&e) {
+            Ok(e)
+        } else {
+            Err(LispError::FixnumOverflow)
+        }
+    }
+
     fn eval_form(&mut self, head: Symbol, args: &SExpr) -> Result<Value, LispError> {
         let s = &self.syms;
         // Special forms first.
@@ -355,6 +372,9 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
             let q = args
                 .car()
                 .ok_or_else(|| LispError::BadForm("quote".into()))?;
+            if !fixnums_fit(&q) {
+                return Err(LispError::FixnumOverflow);
+            }
             return Ok(self.alloc.from_sexpr(&q));
         }
         if head == s.cond {
@@ -410,7 +430,7 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
             // `(read)` or `(read var)` — the variable is a target, not an
             // evaluated argument (matches the compiler and Figure 4.15).
             let read_sym = s.read;
-            let e = self.input.pop_front().ok_or(LispError::ReadEof)?;
+            let e = self.read_input()?;
             let v = self.alloc.from_sexpr(&e);
             if let Some(var) = args.car().and_then(|a| a.as_sym()) {
                 self.env.set(var, v.clone());
@@ -673,16 +693,16 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
         } else if name == s.add {
             let mut acc = 0i64;
             for v in argv {
-                acc = acc.wrapping_add(int(v, "add")?);
+                acc = fixnum(acc.checked_add(int(v, "add")?))?;
             }
             Value::Int(acc)
         } else if name == s.sub {
             match argv {
-                [a] => Value::Int(-int(a, "sub")?),
+                [a] => Value::Int(fixnum(int(a, "sub")?.checked_neg())?),
                 [a, rest @ ..] => {
                     let mut acc = int(a, "sub")?;
                     for v in rest {
-                        acc = acc.wrapping_sub(int(v, "sub")?);
+                        acc = fixnum(acc.checked_sub(int(v, "sub")?))?;
                     }
                     Value::Int(acc)
                 }
@@ -691,7 +711,7 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
         } else if name == s.mul {
             let mut acc = 1i64;
             for v in argv {
-                acc = acc.wrapping_mul(int(v, "times")?);
+                acc = fixnum(acc.checked_mul(int(v, "times")?))?;
             }
             Value::Int(acc)
         } else if name == s.div {
@@ -700,7 +720,7 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
             if y == 0 {
                 return Err(LispError::DivideByZero);
             }
-            Value::Int(x / y)
+            Value::Int(fixnum(x.checked_div(y))?)
         } else if name == s.rem {
             let [a, b] = two(argv, "rem")?;
             let (x, y) = ints(a, b, "rem")?;
@@ -749,7 +769,7 @@ impl<E: Environment, H: EvalHook> Interp<E, H> {
                 }
             }
         } else if name == s.read {
-            let e = self.input.pop_front().ok_or(LispError::ReadEof)?;
+            let e = self.read_input()?;
             self.alloc.from_sexpr(&e)
         } else if name == s.write {
             let [a] = one(argv, "write")?;
@@ -816,6 +836,12 @@ fn two<'a>(argv: &'a [Value], prim: &'static str) -> Result<[&'a Value; 2], Lisp
             detail: format!("expects 2 arguments, got {}", argv.len()),
         }),
     }
+}
+
+/// An arithmetic result, if it exists and is a fixnum.
+fn fixnum(r: Option<i64>) -> Result<i64, LispError> {
+    r.filter(|i| FIXNUM.contains(i))
+        .ok_or(LispError::FixnumOverflow)
 }
 
 fn int(v: &Value, prim: &'static str) -> Result<i64, LispError> {
@@ -1008,6 +1034,28 @@ mod tests {
             Err(LispError::DivideByZero)
         ));
         assert!(matches!(it.run_program("(read)"), Err(LispError::ReadEof)));
+    }
+
+    #[test]
+    fn integers_outside_the_fixnum_range_are_errors() {
+        let mut it = interp();
+        for src in [
+            "(times 1099511627776 1048576)",
+            "(add 1152921504606846975 1)",
+            "(sub -1152921504606846976)",
+            "(quotient -1152921504606846976 -1)",
+            "1152921504606846976",
+            "(quote (1 -1152921504606846977))",
+        ] {
+            assert!(
+                matches!(it.run_program(src), Err(LispError::FixnumOverflow)),
+                "{src}"
+            );
+        }
+        assert_eq!(
+            eval_str(&mut it, "(add 1152921504606846975 0)"),
+            "1152921504606846975"
+        );
     }
 
     #[test]

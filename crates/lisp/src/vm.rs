@@ -17,8 +17,8 @@
 
 use crate::isa::{CodeAddr, Inst, Program};
 use small_heap::controller::HeapError;
-use small_heap::Tag;
-use small_sexpr::{SExpr, Symbol};
+use small_heap::{Tag, FIXNUM};
+use small_sexpr::{Atom, SExpr, Symbol};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -59,6 +59,9 @@ pub enum VmError {
     TypeError(&'static str),
     /// Integer division by zero.
     DivideByZero,
+    /// An integer literal or arithmetic result outside the fixnum range
+    /// [`FIXNUM`].
+    FixnumOverflow,
     /// Operand stack underflow (compiler bug if it happens).
     StackUnderflow,
     /// `read` on an empty input queue.
@@ -138,6 +141,7 @@ impl fmt::Display for VmError {
             VmError::NoSuchFunction(n) => write!(f, "undefined function {n}"),
             VmError::TypeError(p) => write!(f, "type error in {p}"),
             VmError::DivideByZero => write!(f, "division by zero"),
+            VmError::FixnumOverflow => write!(f, "fixnum overflow"),
             VmError::StackUnderflow => write!(f, "operand stack underflow"),
             VmError::ReadEof => write!(f, "read: input exhausted"),
             VmError::StepBudget => write!(f, "instruction budget exhausted"),
@@ -418,9 +422,13 @@ impl<B: ListBackend> Vm<B> {
                 Inst::BindNil(sym) => self.do_bindnil(sym),
                 Inst::PushStk(k) => self.do_pushstk(k)?,
                 Inst::PushName(sym) => self.do_pushname(sym)?,
+                Inst::PushInt(i) if !FIXNUM.contains(&i) => return Err(VmError::FixnumOverflow),
                 Inst::PushInt(i) => self.stack.push(VmValue::Int(i)),
                 Inst::PushSym(s) => self.stack.push(VmValue::Sym(s)),
                 Inst::PushNil => self.stack.push(VmValue::Nil),
+                Inst::PushConst(k) if !fixnums_fit(&self.program.constants[k as usize]) => {
+                    return Err(VmError::FixnumOverflow)
+                }
                 Inst::PushConst(k) => self.do_pushconst(k)?,
                 Inst::Pop => self.do_pop_discard()?,
                 Inst::Dup => self.do_dup()?,
@@ -525,9 +533,16 @@ impl<B: ListBackend> Vm<B> {
             Inst::BindNil(s) => (op.handler, op.sym) = (Self::th_bindnil, s),
             Inst::PushStk(k) => (op.handler, op.n) = (Self::th_pushstk, k),
             Inst::PushName(s) => (op.handler, op.sym) = (Self::th_pushname, s),
+            // An out-of-range literal must fail when it is evaluated
+            // (it may be dead code), so it decodes to an erroring
+            // handler, as a call to an undefined function does.
+            Inst::PushInt(i) if !FIXNUM.contains(&i) => op.handler = Self::th_fixnum_overflow,
             Inst::PushInt(i) => (op.handler, op.num) = (Self::th_pushint, i),
             Inst::PushSym(s) => (op.handler, op.sym) = (Self::th_pushsym, s),
             Inst::PushNil => op.handler = Self::th_pushnil,
+            Inst::PushConst(k) if !fixnums_fit(&program.constants[k as usize]) => {
+                op.handler = Self::th_fixnum_overflow
+            }
             Inst::PushConst(k) => (op.handler, op.n) = (Self::th_pushconst, k),
             Inst::Pop => op.handler = Self::th_pop,
             Inst::Dup => op.handler = Self::th_dup,
@@ -621,6 +636,14 @@ impl<B: ListBackend> Vm<B> {
     ) -> Result<Step<B::Ref>, VmError> {
         vm.stack.push(VmValue::Int(op.num));
         Ok(Step::Next)
+    }
+
+    fn th_fixnum_overflow(
+        _vm: &mut Self,
+        _op: &DecodedOp<B>,
+        _pc: &mut usize,
+    ) -> Result<Step<B::Ref>, VmError> {
+        Err(VmError::FixnumOverflow)
     }
 
     fn th_pushsym(
@@ -999,17 +1022,17 @@ impl<B: ListBackend> Vm<B> {
 
     #[inline(always)]
     fn do_add(&mut self) -> Result<(), VmError> {
-        self.arith(|x, y| Ok(x.wrapping_add(y)))
+        self.arith(|x, y| fixnum(x.checked_add(y)))
     }
 
     #[inline(always)]
     fn do_sub(&mut self) -> Result<(), VmError> {
-        self.arith(|x, y| Ok(x.wrapping_sub(y)))
+        self.arith(|x, y| fixnum(x.checked_sub(y)))
     }
 
     #[inline(always)]
     fn do_mul(&mut self) -> Result<(), VmError> {
-        self.arith(|x, y| Ok(x.wrapping_mul(y)))
+        self.arith(|x, y| fixnum(x.checked_mul(y)))
     }
 
     #[inline(always)]
@@ -1018,7 +1041,8 @@ impl<B: ListBackend> Vm<B> {
             if y == 0 {
                 Err(VmError::DivideByZero)
             } else {
-                Ok(x / y)
+                // -2^60 / -1 leaves the range.
+                fixnum(x.checked_div(y))
             }
         })
     }
@@ -1157,6 +1181,9 @@ impl<B: ListBackend> Vm<B> {
     #[inline(always)]
     fn do_rdlist(&mut self) -> Result<(), VmError> {
         let e = self.input.pop_front().ok_or(VmError::ReadEof)?;
+        if !fixnums_fit(&e) {
+            return Err(VmError::FixnumOverflow);
+        }
         let v = self.backend.read_in(&e)?;
         self.stack.push(v);
         Ok(())
@@ -1246,6 +1273,29 @@ impl<B: ListBackend> Vm<B> {
         let (x, y) = self.two_ints()?;
         self.stack.push(VmValue::Int(f(x, y)?));
         Ok(())
+    }
+}
+
+/// An arithmetic result, if it exists and is a fixnum.
+fn fixnum(r: Option<i64>) -> Result<i64, VmError> {
+    r.filter(|i| FIXNUM.contains(i))
+        .ok_or(VmError::FixnumOverflow)
+}
+
+/// Whether every integer in `e` is a fixnum: literal data a backend
+/// can store in a [`Word`].
+pub(crate) fn fixnums_fit(mut e: &SExpr) -> bool {
+    loop {
+        match e {
+            SExpr::Nil | SExpr::Atom(Atom::Sym(_)) => return true,
+            SExpr::Atom(Atom::Int(i)) => return FIXNUM.contains(i),
+            SExpr::Cons(c) => {
+                if !fixnums_fit(&c.0) {
+                    return false;
+                }
+                e = &c.1;
+            }
+        }
     }
 }
 

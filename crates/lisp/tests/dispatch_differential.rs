@@ -285,6 +285,37 @@ fn soak_templates_agree_across_dispatch_backends() {
     }
 }
 
+/// Integers outside the fixnum range — literals, quoted data and
+/// arithmetic results — fail with the same typed error at the same
+/// instruction on both dispatch paths, and the session runs on.
+#[test]
+fn fixnum_overflow_agrees_across_dispatch_backends() {
+    let programs: Vec<String> = [
+        "(setq n (times 1099511627776 1048576))",
+        "(cons n nil)",
+        "(add 1152921504606846975 1)",
+        "(sub -1152921504606846976 1)",
+        "(quotient -1152921504606846976 -1)",
+        "(cond (nil 1152921504606846976) (t 5))",
+        "(cons 1152921504606846976 nil)",
+        "(quote (1 (2 -1152921504606846977)))",
+        "(setq m (cons (add 1152921504606846975 0) nil))",
+        "(setq m nil)",
+    ]
+    .map(String::from)
+    .to_vec();
+    let reference = drive(&programs, false);
+    let threaded = drive(&programs, true);
+    assert_eq!(reference, threaded);
+    assert_eq!(reference.occupancy, 0);
+    let overflows = reference
+        .replies
+        .iter()
+        .filter(|r| *r == "vm:FixnumOverflow")
+        .count();
+    assert_eq!(overflows, 6, "{:?}", reference.replies);
+}
+
 /// A mixed session whose programs alternate between the two dispatch
 /// backends *on the same machine* must still agree with a pure run of
 /// either: the decoded-program cache and the reference loop share all

@@ -986,6 +986,7 @@ pub fn vm_error_reply(e: &VmError) -> Reply {
         VmError::NoSuchFunction(_) => err("vm", "no-such-function"),
         VmError::TypeError(op) => err_with("vm", "type-error", &[op]),
         VmError::DivideByZero => err("vm", "divide-by-zero"),
+        VmError::FixnumOverflow => err("vm", "fixnum-overflow"),
         VmError::StackUnderflow => err("vm", "stack-underflow"),
         VmError::ReadEof => err("vm", "read-eof"),
         VmError::StepBudget => err("vm", "step-budget"),

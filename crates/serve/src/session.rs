@@ -500,6 +500,39 @@ mod tests {
     }
 
     #[test]
+    fn fixnum_overflow_is_a_typed_reply_not_a_panic() {
+        let mut s = Session::new(0, &cfg());
+        // 2^40 * 2^20 = 2^60, one past the largest fixnum: the product
+        // used to wrap into the binding and panic the later cons.
+        assert_eq!(
+            s.eval("(setq n (times 1099511627776 1048576))").encode(),
+            "(err vm fixnum-overflow)"
+        );
+        assert_eq!(s.eval("(cons n nil)").encode(), "(err vm unbound)");
+        for src in [
+            "(cons 1152921504606846976 nil)",
+            "(quote (1 -1152921504606846977))",
+            "(sub -1152921504606846976 1)",
+            "(quotient -1152921504606846976 -1)",
+        ] {
+            assert_eq!(s.eval(src).encode(), "(err vm fixnum-overflow)", "{src}");
+        }
+        // The range's ends are still fixnums.
+        assert_eq!(
+            s.eval("(setq n (add 1152921504606846975 0))").encode(),
+            "(ok value 1152921504606846975)"
+        );
+        assert_eq!(
+            s.eval("(cons (sub -1152921504606846975 1) (cons n nil))")
+                .encode(),
+            "(ok value (-1152921504606846976 1152921504606846975))"
+        );
+        assert_eq!(s.eval("(setq n nil)").encode(), "(ok value nil)");
+        let (occ, _) = s.close();
+        assert_eq!(occ, 0);
+    }
+
+    #[test]
     fn cyclic_result_is_a_typed_reply_not_a_panic() {
         let mut s = Session::new(0, &cfg());
         let cyc = "(prog (x) (setq x (cons 1 (cons 2 nil))) (rplacd (cdr x) x) (return x))";
