@@ -304,6 +304,62 @@ impl LptStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Flatten into the canonical fixed-order word vector (declaration
+    /// order). The inverse is [`LptStats::from_words`]; the wire ledger
+    /// and the checkpoint codec both carry the stats in this layout.
+    pub fn to_words(&self) -> [u64; 20] {
+        [
+            self.refops,
+            self.ep_refops,
+            self.gets,
+            self.frees,
+            self.hits,
+            self.misses,
+            self.pseudo_overflows,
+            self.compressed,
+            self.cycle_collections,
+            self.cycles_reclaimed,
+            self.max_occupancy as u64,
+            self.occupancy_sum,
+            self.occupancy_samples,
+            u64::from(self.max_refcount),
+            u64::from(self.max_ep_refcount),
+            self.faults_detected,
+            self.faults_recovered,
+            self.overflow_entries,
+            self.overflow_exits,
+            self.heap_direct_ops,
+        ]
+    }
+
+    /// Rebuild from a word vector in the [`LptStats::to_words`] layout.
+    /// `None` when a narrow field (`max_occupancy`, the two refcount
+    /// peaks) does not fit its type.
+    pub fn from_words(w: &[u64; 20]) -> Option<LptStats> {
+        Some(LptStats {
+            refops: w[0],
+            ep_refops: w[1],
+            gets: w[2],
+            frees: w[3],
+            hits: w[4],
+            misses: w[5],
+            pseudo_overflows: w[6],
+            compressed: w[7],
+            cycle_collections: w[8],
+            cycles_reclaimed: w[9],
+            max_occupancy: usize::try_from(w[10]).ok()?,
+            occupancy_sum: w[11],
+            occupancy_samples: w[12],
+            max_refcount: u32::try_from(w[13]).ok()?,
+            max_ep_refcount: u32::try_from(w[14]).ok()?,
+            faults_detected: w[15],
+            faults_recovered: w[16],
+            overflow_entries: w[17],
+            overflow_exits: w[18],
+            heap_direct_ops: w[19],
+        })
+    }
 }
 
 /// LP errors.

@@ -252,13 +252,6 @@ impl CdrCodedHeap {
             t => panic!("extract of tag {t:?}"),
         }
     }
-
-    /// Space used, in memory *words*, counting each cdr code as 1/32 of a
-    /// word (codes pack 16-to-a-32-bit-word in hardware). Used by the
-    /// representation-comparison bench.
-    pub fn words_used(&self) -> f64 {
-        self.used() as f64 * (1.0 + 2.0 / 64.0)
-    }
 }
 
 /// A [`crate::controller::HeapController`] over the cdr-coded store —

@@ -285,15 +285,6 @@ impl StructureCodedHeap {
         }
     }
 
-    /// `car` of the object at `a`: a leaf word, or a freshly split-out
-    /// object pointer. In this store sub-objects are addressed as
-    /// (table, node) pairs; [`StructureCodedHeap::split`] materializes the
-    /// two halves as independent tables as the SMALL controller requires.
-    pub fn car_word(&self, a: HeapAddr) -> Option<Word> {
-        // None when internal: the caller must split.
-        self.lookup(a, 2)?.ok()
-    }
-
     /// Split the object at `a` into its car and cdr parts (§4.3.3.2):
     /// every tuple is copied into one of two new tables, renumbered one
     /// level up; `a` is freed. Returns the value words for both halves.

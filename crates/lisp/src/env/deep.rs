@@ -25,11 +25,6 @@ impl DeepEnv {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Current association-list length (environment size).
-    pub fn alist_len(&self) -> usize {
-        self.alist.len()
-    }
 }
 
 impl Environment for DeepEnv {

@@ -478,28 +478,7 @@ fn get_field(r: &mut ByteReader) -> Result<FieldImage, &'static str> {
 }
 
 fn put_stats(w: &mut ByteWriter, s: &LptStats) {
-    for v in [
-        s.refops,
-        s.ep_refops,
-        s.gets,
-        s.frees,
-        s.hits,
-        s.misses,
-        s.pseudo_overflows,
-        s.compressed,
-        s.cycle_collections,
-        s.cycles_reclaimed,
-        s.max_occupancy as u64,
-        s.occupancy_sum,
-        s.occupancy_samples,
-        u64::from(s.max_refcount),
-        u64::from(s.max_ep_refcount),
-        s.faults_detected,
-        s.faults_recovered,
-        s.overflow_entries,
-        s.overflow_exits,
-        s.heap_direct_ops,
-    ] {
+    for v in s.to_words() {
         w.put_u64(v);
     }
 }
@@ -509,28 +488,7 @@ fn get_stats(r: &mut ByteReader) -> Result<LptStats, &'static str> {
     for slot in &mut v {
         *slot = r.counter()?;
     }
-    Ok(LptStats {
-        refops: v[0],
-        ep_refops: v[1],
-        gets: v[2],
-        frees: v[3],
-        hits: v[4],
-        misses: v[5],
-        pseudo_overflows: v[6],
-        compressed: v[7],
-        cycle_collections: v[8],
-        cycles_reclaimed: v[9],
-        max_occupancy: v[10] as usize,
-        occupancy_sum: v[11],
-        occupancy_samples: v[12],
-        max_refcount: u32::try_from(v[13]).map_err(|_| "refcount overflow")?,
-        max_ep_refcount: u32::try_from(v[14]).map_err(|_| "refcount overflow")?,
-        faults_detected: v[15],
-        faults_recovered: v[16],
-        overflow_entries: v[17],
-        overflow_exits: v[18],
-        heap_direct_ops: v[19],
-    })
+    LptStats::from_words(&v).ok_or("stats field overflow")
 }
 
 /// Encoded bytes of one LPT entry: two fields, `rc`, `addr`,

@@ -1,7 +1,7 @@
 //! The lockstep campaign engine: one driver, three scenarios.
 //!
 //! A campaign is declared as data — a [`Scenario`]: topology (a chain
-//! of [`RelayNode`] standbys behind a replicating primary) ×
+//! of [`server::start_standby`] relays behind a replicating primary) ×
 //! [`Faults`] × kills (one per relay) × script × epilogue — and
 //! [`FAILOVER`], [`NETCHAOS`] and [`CLUSTERCHAOS`] reproduce the three
 //! committed `results/*_report.json` files. The engine drives the
@@ -10,7 +10,8 @@
 //! and kills the serving node at pinned operation indices. Promotion
 //! is the standby's own decision: its [`Lease`], fed by `(ping)`
 //! heartbeats, expires after consecutive missed probes and it promotes
-//! on its own listener, so everything after a kill travels the wire.
+//! in place on its own listener, so everything after a kill travels
+//! the wire.
 //!
 //! The oracle is the uninterrupted serial twin, a never-evicting
 //! [`SessionStore`] fed the same requests: every reply, the survivor's
@@ -27,7 +28,7 @@ use crate::client::{self, splitmix64, Client, DialFn, RetryClient, RetryPolicy, 
 use crate::gen::{programs_for, PINNED_SEEDS};
 use crate::manager::SessionStore;
 use crate::protocol::{Reply, Request, Role, PROTO_VERSION};
-use crate::repl::{Lease, LeaseParams, RelayNode, ReplError};
+use crate::repl::{Lease, LeaseParams, ReplError};
 use crate::server::{self, ServerHandle, ServerParams};
 use crate::session::ServeConfig;
 use small_persist::{digest_bytes, DIGEST_SEED};
@@ -652,10 +653,16 @@ fn repl_io(e: ReplError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Pull a relay up to `target` through a replica-role connection.
-fn pull_to(puller: &mut Client, relay: &RelayNode, target: u64) -> io::Result<()> {
-    while relay.next_lsn() < target {
-        let from = relay.next_lsn();
+/// The LSN a replicating node logs next: a primary's log length, a
+/// standby's replay cursor.
+fn next_lsn(node: &ServerHandle) -> u64 {
+    node.wal_next_lsn().expect("every campaign node replicates")
+}
+
+/// Pull a standby up to `target` through a replica-role connection.
+fn pull_to(puller: &mut Client, relay: &ServerHandle, target: u64) -> io::Result<()> {
+    while next_lsn(relay) < target {
+        let from = next_lsn(relay);
         let (next, bytes) = puller.pull(from)?;
         if next == from {
             return Err(io::Error::new(
@@ -716,7 +723,7 @@ fn ship(
     i: usize,
     killed: usize,
     live: &ServerHandle,
-    standbys: &VecDeque<RelayNode>,
+    standbys: &VecDeque<ServerHandle>,
     pullers: &mut [Client],
     plan: &FaultPlan,
     t: &mut Pulls,
@@ -724,13 +731,11 @@ fn ship(
     for (h, (relay, puller)) in standbys.iter().zip(pullers.iter_mut()).enumerate() {
         let hop = killed + h;
         let target = match h {
-            0 => live
-                .wal_next_lsn()
-                .expect("a replicating primary has a WAL"),
-            _ => standbys[h - 1].next_lsn(),
+            0 => next_lsn(live),
+            _ => next_lsn(&standbys[h - 1]),
         };
         relay.note_upstream(target);
-        let lag = target.saturating_sub(relay.next_lsn());
+        let lag = target.saturating_sub(next_lsn(relay));
         if hop == 0 && plan.delayed_pulls.contains(&i) {
             t.delayed += 1;
             t.max_lag[0] = t.max_lag[0].max(lag);
@@ -739,25 +744,25 @@ fn ship(
         if hop > 0 {
             t.max_lag[hop] = t.max_lag[hop].max(lag);
         }
-        if hop == 0 && plan.corrupt_pulls.contains(&i) && relay.next_lsn() < target {
-            let (_, bytes) = puller.pull(relay.next_lsn())?;
+        if hop == 0 && plan.corrupt_pulls.contains(&i) && next_lsn(relay) < target {
+            let (_, bytes) = puller.pull(next_lsn(relay))?;
             if !bytes.is_empty() {
                 let mut bad = bytes.clone();
                 let last = bad.len() - 1;
                 bad[last] ^= 0xff;
                 // Fail closed: the corrupt batch must change nothing.
-                let before = relay.next_lsn();
+                let before = next_lsn(relay);
                 t.corrupt_leaked |= !matches!(relay.apply(&bad), Err(ReplError::BadFrame { .. }));
-                t.corrupt_leaked |= relay.next_lsn() != before;
+                t.corrupt_leaked |= next_lsn(relay) != before;
                 relay.apply(&bytes).map_err(repl_io)?;
                 t.corrupt += 1;
             }
         }
         pull_to(puller, relay, target)?;
-        if plan.dup_pulls.contains(&i) && relay.next_lsn() > 0 {
+        if plan.dup_pulls.contains(&i) && next_lsn(relay) > 0 {
             // Re-pull a window the relay already applied: at-least-once
             // shipping in miniature. It must apply nothing.
-            let (_, bytes) = puller.pull(relay.next_lsn().saturating_sub(2))?;
+            let (_, bytes) = puller.pull(next_lsn(relay).saturating_sub(2))?;
             let c = hop.min(1);
             t.dups_reapplied[c] |= relay.apply(&bytes).map_err(repl_io)? != 0;
             t.dups[c] += 1;
@@ -785,12 +790,6 @@ fn run_one<T: Transport>(
         replicate: true,
         ..p.server
     };
-    let promoted_params = ServerParams {
-        shards: 1,
-        wall: false,
-        trace: false,
-        ..params
-    };
     let ops = script(seed, p.sessions, p.requests, sc.sequenced_script);
     let mut kills = vec![kill_point.min(ops.len().saturating_sub(1))];
     while kills.len() < sc.relays.len() {
@@ -808,22 +807,24 @@ fn run_one<T: Transport>(
 
     // The chain: a sharded primary, then the relays in order.
     let mut live = server::start("127.0.0.1:0", p.cfg, params)?;
-    let relay = |max_resident| {
-        RelayNode::start(
-            "127.0.0.1:0",
-            ServeConfig {
-                max_resident,
-                ..p.cfg
-            },
-        )
+    let standby = |max_resident| {
+        let cfg = ServeConfig {
+            max_resident,
+            ..p.cfg
+        };
+        let params = ServerParams {
+            shards: 1,
+            ..params
+        };
+        server::start_standby("127.0.0.1:0", cfg, params)
     };
     let mut standbys = sc
         .relays
         .iter()
-        .map(|&r| relay(r))
+        .map(|&r| standby(r))
         .collect::<io::Result<VecDeque<_>>>()?;
     let addrs: Vec<SocketAddr> = std::iter::once(live.addr())
-        .chain(standbys.iter().map(RelayNode::addr))
+        .chain(standbys.iter().map(ServerHandle::addr))
         .collect();
     let mut client = retry_client(addrs.iter().map(|&a| dial(a, &state)).collect(), seed);
     let mut twin = serial_twin(&p.cfg);
@@ -868,13 +869,12 @@ fn run_one<T: Transport>(
         // promotes itself on its own listener once its lease expires.
         client.disconnect();
         drop(pullers);
-        let replicated = standbys[0].next_lsn();
+        let replicated = next_lsn(&standbys[0]);
         let drained = live.shutdown().verify_suspended().is_ok();
         let lease_ok = expire_lease(addrs[k], &mut lease);
-        let parts = standbys.pop_front().expect("one relay per kill").stop();
-        let promote_ok = parts.listener.local_addr().is_ok_and(|a| a == addrs[n])
-            && parts.wal.next_lsn() == replicated;
-        live = server::start_promoted(parts.listener, promoted_params, parts.store, parts.wal)?;
+        live = standbys.pop_front().expect("one standby per kill");
+        live.promote();
+        let promote_ok = live.addr() == addrs[n] && live.wal_next_lsn() == Some(replicated);
 
         // Exactly-once across this failover and every earlier one: the
         // last mutation acked before each kill so far is re-sent and

@@ -173,16 +173,6 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// `(open <token>)` and return the session id — the same id every
-    /// time for the same token, so a retried open cannot leak a
-    /// second session.
-    pub fn open_with_token(&mut self, token: u64) -> io::Result<u64> {
-        match self.request(&Request::Open { token: Some(token) })? {
-            Reply::Opened { id } => Ok(id),
-            other => Err(data_err(format!("open refused: {}", other.encode()))),
-        }
-    }
-
     /// `(ping)` and return the primary's durable LSN. Answered at
     /// decode time on the server, so it works even when the run
     /// queues are saturated — which is what makes it usable as a
@@ -494,14 +484,6 @@ impl<T: Transport> RetryClient<T> {
             }
         }
         Err(last)
-    }
-
-    /// `(open <token>)` through the retry machinery.
-    pub fn open_with_token(&mut self, token: u64) -> io::Result<u64> {
-        match self.request(&Request::Open { token: Some(token) })? {
-            Reply::Opened { id } => Ok(id),
-            other => Err(data_err(format!("open refused: {}", other.encode()))),
-        }
     }
 
     /// `(ping)` through the retry machinery.

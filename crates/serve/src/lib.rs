@@ -40,11 +40,16 @@
 //!   with ordered reply outboxes; N shard event loops with sessions
 //!   pinned by `id % shards` and bounded run queues that shed with
 //!   typed `(err busy …)` replies; the acceptor/lifecycle front end
-//!   with a two-barrier drain that can never tear a suspend blob.
-//! * [`repl`] — WAL-shipping replication: journal frames pulled by a
-//!   warm [`repl::Standby`] and replayed under digest verification, so
-//!   failover promotes byte-identical state; primaries and relays
-//!   answer pulls through one function.
+//!   with a two-barrier drain that can never tear a suspend blob. The
+//!   same server runs every node role: [`server::start`] a primary,
+//!   [`server::start_standby`] a one-shard standby that replays pulled
+//!   batches on its shard ([`server::ServerHandle::apply`]), ships them
+//!   on downstream, and promotes in place
+//!   ([`server::ServerHandle::promote`]) on the same listener and LSNs.
+//! * [`repl`] — WAL-shipping replication: journal frames replayed under
+//!   digest verification by one loop ([`repl::Standby`] in process, a
+//!   standby server on the wire), so failover promotes byte-identical
+//!   state; every node answers pulls through one function.
 //! * [`telemetry`] — the request-path observability layer: per-shard
 //!   [`telemetry::ShardMetrics`] latency histograms on two clocks
 //!   (deterministic virtual cycles, opt-in wall time), volatile
@@ -83,8 +88,8 @@ pub use campaign::{
 pub use client::{Client, RetryClient, RetryPolicy, Transport};
 pub use manager::{SessionOp, SessionStore};
 pub use protocol::{Reply, Request, Role, PROTO_VERSION};
-pub use repl::{Lease, LeaseParams, RelayNode, RelayParts, Standby, Wal};
-pub use server::{start, start_promoted, DrainOutcome, ServerHandle, ServerParams};
+pub use repl::{Lease, LeaseParams, Standby, Wal};
+pub use server::{start, start_standby, DrainOutcome, ServerHandle, ServerParams};
 pub use session::{ServeConfig, Session};
 pub use soak::{run_soak, SoakOutcome, SoakParams};
 pub use telemetry::{prometheus_text, ReqKind, ServeSink, ShardMetrics, TraceLog, VolatileMetrics};

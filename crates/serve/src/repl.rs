@@ -31,33 +31,27 @@
 //!
 //! # Chained shipping (primary → S1 → S2)
 //!
-//! A [`Standby`] retains every frame it applies in its own [`Wal`]
+//! Replay retains every applied frame in the standby's own [`Wal`]
 //! (byte-identical to the primary's — the record encoding is
-//! canonical), so it can serve `(pull <lsn>)` to a *downstream*
-//! replica: [`RelayNode`] wraps a standby in a TCP listener that
-//! answers `(hello …)`/`(ping)` with [`NodeRole::Standby`], ships
-//! retained frames to replica connections, publishes per-hop relay lag
-//! through `(metrics)`, and refuses session traffic with
-//! `(err repl not-primary)`. On promotion the relay hands back its
-//! *bound listener* along with the store and retained WAL, so the
-//! successor server ([`crate::server::start_promoted`]) serves on the
-//! same address with LSN continuity — the downstream replica keeps
-//! pulling the same endpoint with its cursor intact, and the chain
-//! heals to a fresh primary/standby pair.
+//! canonical), so a standby can serve `(pull <lsn>)` to a *downstream*
+//! replica. A networked standby is the ordinary sharded server started
+//! in the standby role ([`crate::server::start_standby`]): it answers
+//! `(hello …)`/`(ping)` as [`crate::protocol::NodeRole::Standby`],
+//! ships retained frames to replica connections, publishes per-hop
+//! relay lag through `(metrics)`, and refuses session traffic with
+//! `(err repl not-primary)`. Promotion flips its role in place
+//! ([`crate::server::ServerHandle::promote`]): same listener, same
+//! connections, same LSN space — the downstream replica keeps pulling
+//! the same endpoint with its cursor intact, and the chain heals to a
+//! fresh primary/standby pair.
 
 use crate::manager::{SessionOp, SessionStore};
-use crate::protocol::{err, hello_reply, write_frame, FrameBuf, NodeRole, Reply, Request, Role};
+use crate::protocol::Reply;
 use crate::session::ServeConfig;
 use crate::telemetry::VolatileMetrics;
 use small_persist::frame::{self, FrameError};
 use small_persist::{digest_bytes, ByteReader, DIGEST_SEED};
 use std::fmt;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// Byte budget for one `(pull …)` batch (hex-doubled on the wire, so
 /// comfortably inside `MAX_FRAME`).
@@ -248,7 +242,7 @@ impl Wal {
         lsn
     }
 
-    /// Append an already-decoded record verbatim (the standby's relay
+    /// Append an already-decoded record verbatim (the standby's
     /// retention path). The encoding is canonical, so the retained
     /// frame is byte-identical to the one the upstream shipped.
     pub fn append_record(&mut self, rec: &WalRecord) {
@@ -279,8 +273,8 @@ impl Wal {
     }
 }
 
-/// Answer a replica's `(pull <from>)` from `wal` — on a primary and a
-/// relay alike — and count the shipped batch in `vol`.
+/// Answer a replica's `(pull <from>)` from `wal` and count the shipped
+/// batch in `vol`.
 pub(crate) fn serve_pull(wal: &Wal, from: u64, vol: &mut VolatileMetrics) -> Reply {
     let (bytes, next) = wal.frames_from(from, PULL_BATCH_BYTES);
     vol.wal_pull_batches.inc();
@@ -291,12 +285,12 @@ pub(crate) fn serve_pull(wal: &Wal, from: u64, vol: &mut VolatileMetrics) -> Rep
     Reply::Frames { next, bytes }
 }
 
-/// A warm standby: replays pulled WAL batches through its own store
-/// under digest verification, ready to be promoted. Every applied frame
-/// is retained in the standby's own [`Wal`], so the retained log is
-/// also the replay cursor, and the standby can relay it to a
-/// downstream replica (and, on promotion, keep shipping from the same
-/// LSN space).
+/// An in-process warm standby: replays pulled WAL batches through its
+/// own store under digest verification, ready to be promoted. Every
+/// applied frame is retained in the standby's own [`Wal`], so the
+/// retained log is also the replay cursor. The networked standby
+/// ([`crate::server::start_standby`]) runs the same [`replay`] loop and
+/// ships its retained log downstream.
 pub struct Standby {
     store: SessionStore,
     wal: Wal,
@@ -331,31 +325,7 @@ impl Standby {
     /// nothing.
     pub fn apply(&mut self, bytes: &[u8]) -> Result<usize, ReplError> {
         let records = decode_frames(bytes)?;
-        let mut applied = 0;
-        for rec in &records {
-            let expected = self.next_lsn();
-            if rec.lsn < expected {
-                continue; // already applied: duplicated pull
-            }
-            if rec.lsn > expected {
-                return Err(ReplError::Gap {
-                    expected,
-                    got: rec.lsn,
-                });
-            }
-            let op = SessionOp::Write(rec.op.clone());
-            let actual = reply_digest(&self.store.execute(rec.session, &op).0);
-            if actual != rec.reply_digest {
-                return Err(ReplError::Divergence {
-                    lsn: rec.lsn,
-                    expected: rec.reply_digest,
-                    actual,
-                });
-            }
-            self.wal.append_record(rec);
-            applied += 1;
-        }
-        Ok(applied)
+        replay(&mut self.store, &mut self.wal, &records)
     }
 
     /// Read-only view of the standby's store (harness assertions).
@@ -368,252 +338,43 @@ impl Standby {
     pub fn promote(self) -> SessionStore {
         self.store
     }
-
-    /// Promote, keeping the retained WAL: the successor server seeds
-    /// its log from it so downstream pull cursors stay valid across
-    /// the handover.
-    pub fn promote_parts(self) -> (SessionStore, Wal) {
-        (self.store, self.wal)
-    }
 }
 
-// ---------------------------------------------------------------------
-// Relay node: a standby that serves downstream replicas
-// ---------------------------------------------------------------------
-
-/// Per-connection read timeout on the relay listener: short enough
-/// that conn threads notice a stop promptly, long enough to idle
-/// cheaply.
-const RELAY_READ_TIMEOUT: Duration = Duration::from_millis(50);
-
-struct RelayCore {
-    standby: Standby,
-    vol: VolatileMetrics,
-}
-
-/// What a stopped [`RelayNode`] dismantles into for promotion: the
-/// **still-bound listener** (so the successor serves on the same
-/// address and the downstream replica's connection target never
-/// changes), the replayed store, the retained WAL (LSN continuity for
-/// downstream pull cursors), and the relay's volatile metrics.
-pub struct RelayParts {
-    /// The relay's bound listener, ready to be inherited.
-    pub listener: TcpListener,
-    /// The replayed session store (dedup windows, token map, id cursor
-    /// all warm).
-    pub store: SessionStore,
-    /// The retained WAL, byte-identical to the upstream's prefix.
-    pub wal: Wal,
-    /// Relay-side volatile metrics (pull serving counters, hop lag).
-    pub vol: VolatileMetrics,
-}
-
-/// A chained standby serving the replication protocol over TCP: it
-/// answers `(hello …)` and `(ping)` with [`NodeRole::Standby`], ships
-/// its retained WAL to downstream `(pull …)`s, publishes per-hop relay
-/// lag via `(metrics)`, and refuses session traffic with
-/// `(err repl not-primary)` — a cluster-aware client that dials it
-/// moves on to the next endpoint. The relay's *own* upstream pulls are
-/// driven by the caller through [`RelayNode::apply`] (the campaign
-/// drivers pull in lockstep to stay deterministic).
-pub struct RelayNode {
-    addr: SocketAddr,
-    core: Arc<Mutex<RelayCore>>,
-    stop: Arc<AtomicBool>,
-    accept: JoinHandle<(TcpListener, Vec<JoinHandle<()>>)>,
-}
-
-impl RelayNode {
-    /// Bind `addr` and start serving the relay protocol.
-    pub fn start(addr: &str, cfg: ServeConfig) -> io::Result<RelayNode> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let core = Arc::new(Mutex::new(RelayCore {
-            standby: Standby::new(cfg),
-            vol: VolatileMetrics::default(),
-        }));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break; // the stop() self-connect wakeup
-                            }
-                            let core = Arc::clone(&core);
-                            let stop = Arc::clone(&stop);
-                            conns.push(thread::spawn(move || {
-                                relay_conn(&core, &stop, stream);
-                            }));
-                        }
-                        Err(_) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
-                    }
-                }
-                (listener, conns)
-            })
-        };
-        Ok(RelayNode {
-            addr: local,
-            core,
-            stop,
-            accept,
-        })
-    }
-
-    /// The bound address downstream replicas (and failing-over
-    /// clients) dial.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Apply a batch pulled from the upstream, retaining the frames
-    /// for downstream serving (see [`Standby::apply`] for the
-    /// fail-closed semantics).
-    pub fn apply(&self, bytes: &[u8]) -> Result<usize, ReplError> {
-        let mut core = self.lock();
-        let n = core.standby.apply(bytes)?;
-        let applied = core.standby.next_lsn();
-        core.vol.note_relay_applied(applied);
-        Ok(n)
-    }
-
-    /// Record the upstream's next-LSN (observed by the caller's pull
-    /// loop) so `(metrics)` can report this hop's lag.
-    pub fn note_upstream(&self, lsn: u64) {
-        self.lock().vol.note_relay_upstream(lsn);
-    }
-
-    /// The LSN this relay wants next from its upstream: every record
-    /// below it is applied and servable downstream.
-    pub fn next_lsn(&self) -> u64 {
-        self.lock().standby.next_lsn()
-    }
-
-    /// This hop's upstream-minus-applied lag.
-    pub fn relay_lag(&self) -> u64 {
-        self.lock().vol.relay_lag()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RelayCore> {
-        self.core.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Stop serving and dismantle into [`RelayParts`]. Connection
-    /// threads are joined (they notice the flag within one read
-    /// timeout), the accept thread hands the bound listener back, and
-    /// the standby is promoted with its retained WAL.
-    pub fn stop(self) -> RelayParts {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        let (listener, conns) = self.accept.join().expect("relay accept thread");
-        for c in conns {
-            let _ = c.join();
+/// Replay decoded `records` through `store`, retaining each applied
+/// frame in `wal`, whose next LSN is the replay cursor. The one replay
+/// loop behind [`Standby::apply`] and a standby server's
+/// [`crate::server::ServerHandle::apply`]; the rules are
+/// [`Standby::apply`]'s.
+pub(crate) fn replay(
+    store: &mut SessionStore,
+    wal: &mut Wal,
+    records: &[WalRecord],
+) -> Result<usize, ReplError> {
+    let mut applied = 0;
+    for rec in records {
+        let expected = wal.next_lsn();
+        if rec.lsn < expected {
+            continue; // already applied: duplicated pull
         }
-        let core = Arc::try_unwrap(self.core)
-            .map_err(|_| ())
-            .expect("relay conns joined")
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner());
-        let (store, wal) = core.standby.promote_parts();
-        RelayParts {
-            listener,
-            store,
-            wal,
-            vol: core.vol,
+        if rec.lsn > expected {
+            return Err(ReplError::Gap {
+                expected,
+                got: rec.lsn,
+            });
         }
+        let op = SessionOp::Write(rec.op.clone());
+        let actual = reply_digest(&store.execute(rec.session, &op).0);
+        if actual != rec.reply_digest {
+            return Err(ReplError::Divergence {
+                lsn: rec.lsn,
+                expected: rec.reply_digest,
+                actual,
+            });
+        }
+        wal.append_record(rec);
+        applied += 1;
     }
-}
-
-/// One relay connection: incremental frame reassembly through
-/// [`FrameBuf`] (torn writes from a faulty transport reassemble
-/// cleanly), replies written inline. Exits on EOF, any I/O error, a
-/// framing violation, or the relay's stop flag.
-fn relay_conn(core: &Arc<Mutex<RelayCore>>, stop: &Arc<AtomicBool>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(RELAY_READ_TIMEOUT));
-    let mut fb = FrameBuf::new();
-    let mut chunk = [0u8; 4096];
-    let mut replica = false;
-    loop {
-        loop {
-            match fb.pop_ref() {
-                Ok(Some(text)) => {
-                    let reply = relay_reply(core, text, &mut replica);
-                    if write_frame(&mut (&stream), &reply.encode()).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return, // oversized/corrupt framing: drop
-            }
-        }
-        match (&stream).read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => fb.extend(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Map one request to the relay's reply. Only the replication and
-/// discovery surface is served; session traffic is refused with a
-/// typed `(err repl not-primary)` so a scanning client moves on.
-fn relay_reply(core: &Arc<Mutex<RelayCore>>, text: &str, replica: &mut bool) -> Reply {
-    let req = match Request::decode(text) {
-        Ok(r) => r,
-        Err(reply) => return reply,
-    };
-    match req {
-        Request::Hello { version, role } => {
-            let reply = hello_reply(version, NodeRole::Standby);
-            if matches!(reply, Reply::Hello { .. }) && role == Role::Replica {
-                *replica = true;
-            }
-            reply
-        }
-        Request::Ping => {
-            let core = core.lock().unwrap_or_else(|e| e.into_inner());
-            Reply::Pong {
-                lsn: core.standby.next_lsn(),
-                node: NodeRole::Standby,
-            }
-        }
-        Request::Pull { from } => {
-            if !*replica {
-                return err("proto", "not-a-replica");
-            }
-            let mut core = core.lock().unwrap_or_else(|e| e.into_inner());
-            let core = &mut *core;
-            serve_pull(&core.standby.wal, from, &mut core.vol)
-        }
-        Request::Metrics => {
-            let core = core.lock().unwrap_or_else(|e| e.into_inner());
-            Reply::Metrics {
-                deterministic: core.standby.store().telemetry().deterministic_json(),
-                volatile: core.vol.json(core.standby.store().telemetry()),
-            }
-        }
-        _ => err("repl", "not-primary"),
-    }
+    Ok(applied)
 }
 
 // ---------------------------------------------------------------------
@@ -908,60 +669,157 @@ mod tests {
     #[test]
     fn relay_ships_downstream_and_promotes_with_its_listener() {
         use crate::client::Client;
-        use crate::protocol::{NodeRole, Role};
+        use crate::protocol::{NodeRole, Request, Role, PROTO_VERSION};
+        use crate::server::{start_standby, ServerParams};
 
         // A primary log with a tokenized open and seq'd mutations —
         // the state a failover must preserve.
         let (_, wal, last) = sequenced_log(7);
+        let lsn = wal.next_lsn();
 
-        // S1: relay fed by the harness (the upstream hop), serving TCP.
-        let relay = RelayNode::start("127.0.0.1:0", cfg(1)).expect("bind relay");
-        let addr = relay.addr();
-        relay.note_upstream(wal.next_lsn());
-        assert_eq!(relay.relay_lag(), wal.next_lsn());
-        while relay.next_lsn() < wal.next_lsn() {
-            let (batch, _) = wal.frames_from(relay.next_lsn(), 96);
-            relay.apply(&batch).expect("relay apply");
+        // S1: a standby server fed by the harness (the upstream hop).
+        let params = ServerParams {
+            shards: 1,
+            replicate: true,
+            ..ServerParams::default()
+        };
+        let s1 = start_standby("127.0.0.1:0", cfg(1), params).expect("bind standby");
+        let addr = s1.addr();
+        let mut c = Client::connect(addr, Role::Client).expect("dial as client");
+        let volatile = |c: &mut Client| match c.request(&Request::Metrics).expect("metrics") {
+            Reply::Metrics { volatile, .. } => volatile,
+            other => panic!("want metrics, got {}", other.encode()),
+        };
+        // The upstream's LSN reaches `(metrics)` before anything is
+        // applied, and the lag closes once the standby has caught up.
+        s1.note_upstream(lsn);
+        let lagging = volatile(&mut c);
+        assert!(
+            lagging.contains(&format!("\"relay_lag\":{lsn}")),
+            "{lagging}"
+        );
+        while let Some(from) = s1.wal_next_lsn().filter(|&at| at < lsn) {
+            let (batch, _) = wal.frames_from(from, 96);
+            s1.apply(&batch).expect("standby apply");
         }
-        assert_eq!(relay.relay_lag(), 0);
+        let caught_up = volatile(&mut c);
+        assert!(caught_up.contains("\"relay_lag\":0"), "{caught_up}");
 
         // S2: a downstream standby catching up over the wire — the
         // second hop of the chain.
         let mut s2 = Standby::new(cfg(3));
-        let mut down = Client::connect(addr, Role::Replica).expect("dial relay");
+        let mut down = Client::connect(addr, Role::Replica).expect("dial standby");
         assert_eq!(down.node_role(), NodeRole::Standby);
-        down.catch_up(&mut s2, wal.next_lsn())
-            .expect("chain catchup");
-        assert_eq!(s2.next_lsn(), wal.next_lsn());
+        down.catch_up(&mut s2, lsn).expect("chain catchup");
+        assert_eq!(s2.next_lsn(), lsn);
 
-        // Discovery surface: standby role on hello and ping, session
-        // traffic refused, pulls gated on the replica role, metrics
-        // expose the hop lag.
-        let mut c = Client::connect(addr, Role::Client).expect("dial as client");
-        assert_eq!(c.node_role(), NodeRole::Standby);
-        assert_eq!(c.ping().expect("ping"), wal.next_lsn());
-        assert_eq!(c.request_text("(open)").unwrap(), "(err repl not-primary)");
-        assert_eq!(
-            c.request_text("(pull 0)").unwrap(),
-            "(err proto not-a-replica)"
-        );
-        match c.request(&Request::Metrics).expect("metrics") {
-            Reply::Metrics { volatile, .. } => {
-                assert!(volatile.contains("\"relay_lag\":0"), "{volatile}");
-            }
-            other => panic!("want metrics, got {}", other.encode()),
+        // The standby surface, reply by reply: discovery answers as a
+        // standby, session and node-control traffic is refused, and
+        // pulls are gated on the replica role.
+        let refused = "(err repl not-primary)".to_string();
+        let eval = |src: &str| Request::Eval {
+            id: 0,
+            seq: None,
+            src: src.to_string(),
+        };
+        let table = [
+            (
+                Request::Hello {
+                    version: PROTO_VERSION,
+                    role: Role::Client,
+                },
+                format!("(ok hello {PROTO_VERSION} standby)"),
+            ),
+            (Request::Ping, format!("(ok pong {lsn} standby)")),
+            (Request::Open { token: None }, refused.clone()),
+            (eval("(add 1 2)"), refused.clone()),
+            (Request::Close { id: 0, seq: None }, refused.clone()),
+            (Request::Ledger { id: 0 }, refused.clone()),
+            (Request::Digest { id: 0 }, refused.clone()),
+            (Request::Stats, refused.clone()),
+            (Request::Shutdown, refused.clone()),
+            (
+                Request::Pull { from: 0 },
+                "(err proto not-a-replica)".to_string(),
+            ),
+        ];
+        for (req, want) in &table {
+            assert_eq!(&c.request_text(&req.encode()).unwrap(), want, "{req:?}");
         }
-        drop(c);
-        drop(down);
 
-        // Stop → promotion parts: the listener survives still bound to
-        // the same address, the retained WAL keeps LSN continuity, and
-        // the store answers a retried pre-failover mutation from the
-        // replicated dedup window.
-        let mut parts = relay.stop();
-        assert_eq!(parts.listener.local_addr().unwrap(), addr);
-        assert_eq!(parts.wal.next_lsn(), wal.next_lsn());
-        assert_dedup_survives(&mut parts.store, 7, &last);
+        // Promotion in place: same address, same LSN space, and the
+        // replica connection opened before it keeps pulling.
+        s1.promote();
+        assert_eq!(s1.addr(), addr);
+        assert_eq!(s1.wal_next_lsn(), Some(lsn));
+        assert_eq!(c.ping().expect("ping"), lsn);
+        assert_eq!(
+            c.request_text(&Request::Ping.encode()).unwrap(),
+            format!("(ok pong {lsn} primary)")
+        );
+
+        // Only a live standby applies or promotes; the refusal leaves
+        // the promoted node serving.
+        let (batch, _) = wal.frames_from(0, usize::MAX);
+        let s1_ref = std::panic::AssertUnwindSafe(&s1);
+        assert!(std::panic::catch_unwind(|| s1_ref.apply(&batch)).is_err());
+        assert!(std::panic::catch_unwind(|| s1_ref.promote()).is_err());
+
+        // Retries of pre-failover requests are answered from the
+        // replicated dedup windows, change no session and log nothing;
+        // a fresh open takes the next id after the replicated ones.
+        let retry = Request::Eval {
+            id: 0,
+            seq: Some(1),
+            src: "(setq acc (cons 2 acc))".to_string(),
+        };
+        let ledger = Request::Ledger { id: 0 }.encode();
+        let ledger_before = c.request_text(&ledger).unwrap();
+        assert!(ledger_before.starts_with("(ok ledger"), "{ledger_before}");
+        assert_eq!(c.request_text(&retry.encode()).unwrap(), last.encode());
+        assert_eq!(c.request_text(&ledger).unwrap(), ledger_before);
+        let reopen = Request::Open { token: Some(7) };
+        assert_eq!(c.request_text(&reopen.encode()).unwrap(), "(ok opened 0)");
+        assert_eq!(s1.wal_next_lsn(), Some(lsn));
+        assert_eq!(c.open().expect("fresh open"), 1);
+        assert_eq!(s1.wal_next_lsn(), Some(lsn + 1));
+
+        // The downstream cursor continues on the same connection.
+        down.catch_up(&mut s2, lsn + 1)
+            .expect("pull across promotion");
+        assert_eq!(s2.next_lsn(), lsn + 1);
+        drop((c, down));
+        s1.shutdown();
+    }
+
+    #[test]
+    fn standby_sheds_connections_past_the_cap() {
+        use crate::client::Client;
+        use crate::protocol::{read_frame, Role};
+        use crate::server::{raw_connect, start_standby, ServerParams};
+
+        let params = ServerParams {
+            shards: 1,
+            replicate: true,
+            max_conns_per_shard: 2,
+            ..ServerParams::default()
+        };
+        let node = start_standby("127.0.0.1:0", cfg(1), params).expect("bind standby");
+        // Each handshake completes only once the shard owns the
+        // connection, so the third one is past the cap.
+        let held: Vec<Client> = (0..2)
+            .map(|_| Client::connect(node.addr(), Role::Client).expect("dial"))
+            .collect();
+        let mut third = raw_connect(node.addr()).expect("dial third");
+        third
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(
+            read_frame(&mut third).expect("shed reply").as_deref(),
+            Some("(err busy too-many-connections 0)")
+        );
+        drop(held);
+        node.shutdown();
     }
 
     mod lease_props {

@@ -6,6 +6,8 @@
 //! into per-shard inboxes — admission control (per-shard connection
 //! caps, bounded run queues) lives in the shards, where it can always
 //! answer with a typed reply instead of silently refusing.
+//! [`start_standby`] starts the same server in the standby role; its
+//! handle feeds it pulled WAL batches and promotes it in place.
 //!
 //! Shutdown — client-initiated via `(shutdown)` or caller-initiated
 //! via [`ServerHandle::shutdown`] — runs the two-barrier drain
@@ -17,15 +19,16 @@
 
 use crate::manager::{SessionStore, TokenRoutes};
 use crate::protocol::StatsBody;
-use crate::repl::Wal;
+use crate::repl::{decode_frames, replay, ReplError, Wal};
 use crate::session::ServeConfig;
-use crate::shard::{shard_loop, RunQueue, SharedState};
+use crate::shard::{shard_loop, Job, RunQueue, SharedState};
 use crate::telemetry::{prometheus_text, ShardMetrics, TraceLog, VolatileMetrics};
 use small_metrics::EventCounts;
 use small_persist::PersistError;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Concurrency and admission knobs for one server instance.
@@ -159,59 +162,42 @@ impl DrainOutcome {
 }
 
 /// Bind `addr` and start the acceptor and shard threads.
-pub fn start(addr: &str, cfg: ServeConfig, params: ServerParams) -> std::io::Result<ServerHandle> {
+pub fn start(addr: &str, cfg: ServeConfig, params: ServerParams) -> io::Result<ServerHandle> {
+    start_on(addr, cfg, params, false)
+}
+
+/// Bind `addr` and start a warm standby: the same server in the standby
+/// role. It answers `(hello …)` and `(ping)` as a standby, ships its
+/// retained WAL to downstream `(pull …)`s, reports its hop lag through
+/// `(metrics)`, and refuses everything else with
+/// `(err repl not-primary)`. The caller feeds it batches pulled from
+/// the upstream ([`ServerHandle::apply`]) and promotes it in place
+/// ([`ServerHandle::promote`]).
+///
+/// A standby replays one serial record stream into one store, so
+/// `params.shards` must be 1; and it keeps shipping after promotion,
+/// so `params.replicate` must be set.
+pub fn start_standby(
+    addr: &str,
+    cfg: ServeConfig,
+    params: ServerParams,
+) -> io::Result<ServerHandle> {
+    assert_eq!(params.shards, 1, "a standby is single-sharded");
+    assert!(params.replicate, "a standby retains and ships its WAL");
+    start_on(addr, cfg, params, true)
+}
+
+/// Shared body of [`start`] and [`start_standby`].
+fn start_on(
+    addr: &str,
+    cfg: ServeConfig,
+    params: ServerParams,
+    standby: bool,
+) -> io::Result<ServerHandle> {
     assert!(params.shards > 0, "at least one shard");
     let listener = TcpListener::bind(addr)?;
-    let stores = (0..params.shards).map(|_| SessionStore::new(cfg)).collect();
-    start_on(listener, params, stores, None)
-}
-
-/// Start a server on an **already-bound** listener from a promoted
-/// standby's replayed state ([`crate::repl::RelayNode::stop`] hands
-/// both over). The listener keeps its file descriptor, so clients that
-/// redial the standby's advertised address land on the new primary
-/// without a rebind race. The retained WAL is installed as-is: its
-/// next LSN continues the chain, so a downstream replica's `(pull …)`
-/// cursor stays valid across the promotion.
-///
-/// The replayed store is necessarily single-sharded (a standby applies
-/// one serial record stream), so `params.shards` must be 1; dedup
-/// windows, the session-id allocator, and the token routes are all
-/// seeded from the store, making retried pre-failover requests
-/// answerable with their original replies.
-pub fn start_promoted(
-    listener: TcpListener,
-    params: ServerParams,
-    store: SessionStore,
-    wal: Wal,
-) -> std::io::Result<ServerHandle> {
-    assert_eq!(params.shards, 1, "a promoted standby is single-sharded");
-    assert!(params.replicate, "a promoted primary keeps shipping");
-    start_on(listener, params, vec![store], Some(wal))
-}
-
-/// Shared tail of [`start`] and [`start_promoted`]: spawn the shard
-/// loops over `stores` and the acceptor over `listener`.
-fn start_on(
-    listener: TcpListener,
-    params: ServerParams,
-    stores: Vec<SessionStore>,
-    retained_wal: Option<Wal>,
-) -> std::io::Result<ServerHandle> {
-    assert_eq!(stores.len(), params.shards, "one store per shard");
     let local = listener.local_addr()?;
     let trace = params.trace.then(|| Arc::new(TraceLog::new()));
-    let next_id = stores
-        .iter()
-        .map(|s| s.next_session_id())
-        .max()
-        .unwrap_or(0);
-    let mut routes = TokenRoutes::new();
-    for store in &stores {
-        for (token, id) in store.token_routes() {
-            routes.bind(token, id);
-        }
-    }
     let shared = Arc::new(SharedState {
         queues: (0..params.shards)
             .map(|_| Arc::new(RunQueue::new(params.queue_cap)))
@@ -238,21 +224,17 @@ fn start_on(
         stop: AtomicBool::new(false),
         decode_done: AtomicUsize::new(0),
         queues_done: AtomicUsize::new(0),
-        next_id: AtomicU64::new(next_id),
-        open_tokens: Mutex::new(routes),
-        wal: match retained_wal {
-            Some(wal) => Some(Mutex::new(wal)),
-            None => params.replicate.then(|| Mutex::new(Wal::new())),
-        },
+        next_id: AtomicU64::new(0),
+        open_tokens: Mutex::new(TokenRoutes::new()),
+        wal: params.replicate.then(|| Mutex::new(Wal::new())),
+        standby: AtomicBool::new(standby),
         addr: local,
     });
 
-    let shards: Vec<JoinHandle<SessionStore>> = stores
-        .into_iter()
-        .enumerate()
-        .map(|(me, store)| {
+    let shards: Vec<JoinHandle<SessionStore>> = (0..params.shards)
+        .map(|me| {
             let shared = Arc::clone(&shared);
-            let mut store = store.with_wall(params.wall);
+            let mut store = SessionStore::new(cfg).with_wall(params.wall);
             if let Some(log) = &trace {
                 store = store.with_trace(Arc::clone(log), me as u32 + 1);
             }
@@ -304,13 +286,105 @@ impl ServerHandle {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// Records logged so far, when running as a primary (`None`
-    /// otherwise). Lets a harness confirm a standby is caught up.
+    /// Records logged so far, when replicating (`None` otherwise). On
+    /// a standby this is the LSN it wants next from its upstream.
     pub fn wal_next_lsn(&self) -> Option<u64> {
         self.shared
             .wal
             .as_ref()
             .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).next_lsn())
+    }
+
+    /// Standby: replay a batch pulled from the upstream into shard 0's
+    /// store, retaining its frames in the WAL this node ships from. The
+    /// batch is decoded whole before any record runs, so a corrupt
+    /// batch changes nothing; see [`Standby::apply`](crate::repl::Standby::apply)
+    /// for the skip, gap and divergence rules. Returns the number of
+    /// records applied.
+    ///
+    /// Panics unless the node is a standby that has not begun draining.
+    pub fn apply(&self, bytes: &[u8]) -> Result<usize, ReplError> {
+        self.assert_live_standby();
+        let records = decode_frames(bytes)?;
+        self.on_shard0(move |store, shared| {
+            let mut wal = shared
+                .wal
+                .as_ref()
+                .expect("a standby replicates")
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            let applied = replay(store, &mut wal, &records);
+            shared.volatile[0]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .note_relay_applied(wal.next_lsn());
+            applied
+        })
+    }
+
+    /// Standby: record the upstream's next LSN (seen by the caller's
+    /// pull loop) so `(metrics)` reports this hop's `relay_lag`.
+    pub fn note_upstream(&self, lsn: u64) {
+        self.shared.volatile[0]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .note_relay_upstream(lsn);
+    }
+
+    /// Promote a standby in place. On shard 0 the session-id allocator
+    /// and the token routes are seeded from the replayed store, so
+    /// fresh ids never collide with replicated ones and a retried
+    /// tokenized open reaches its original session; then the role
+    /// flips to primary. The listener, the open connections and the
+    /// WAL's LSN space are untouched, so clients redial the same
+    /// address and a downstream replica keeps pulling with its cursor
+    /// intact.
+    ///
+    /// Panics unless the node is a standby that has not begun draining.
+    pub fn promote(&self) {
+        self.assert_live_standby();
+        self.on_shard0(|store, shared| {
+            // Checked again here, where the flip happens: two racing
+            // promotions both pass the handle's check.
+            assert!(shared.standby.load(Ordering::SeqCst), "promoted twice");
+            shared
+                .next_id
+                .store(store.next_session_id(), Ordering::SeqCst);
+            let mut routes = shared.open_tokens.lock().unwrap_or_else(|e| e.into_inner());
+            for (token, id) in store.token_routes() {
+                routes.bind(token, id);
+            }
+            shared.standby.store(false, Ordering::SeqCst);
+        });
+    }
+
+    /// The precondition of [`ServerHandle::apply`] and
+    /// [`ServerHandle::promote`]. A standby refuses `(shutdown)`, so
+    /// only [`ServerHandle::shutdown`], which consumes the handle, can
+    /// drain it: shard 0 is still running when the job is queued.
+    fn assert_live_standby(&self) {
+        assert!(
+            self.shared.standby.load(Ordering::SeqCst),
+            "only a standby applies or promotes"
+        );
+        assert!(!self.draining(), "the standby is draining");
+    }
+
+    /// Run `work` on shard 0's thread, against its store, and wait for
+    /// the result. A panic in `work` is contained on the shard and
+    /// re-raised here.
+    fn on_shard0<R: Send + 'static>(
+        &self,
+        work: impl FnOnce(&mut SessionStore, &SharedState) -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = mpsc::channel();
+        let job = Job::Control(Box::new(move |store, shared| {
+            let _ = tx.send(work(store, shared));
+        }));
+        if self.shared.queues[0].try_push(job).is_err() {
+            panic!("shard 0's run queue is full");
+        }
+        rx.recv().expect("control job panicked on shard 0")
     }
 
     /// Begin (idempotently) and complete the drain: joins the acceptor
@@ -485,5 +559,31 @@ mod tests {
         let (evictions, _) = outcome.eviction_counters();
         assert!(evictions > 0, "cap 1 must have evicted");
         assert!(verified > 0, "some sessions must be suspended at exit");
+    }
+
+    #[test]
+    fn a_panicking_control_job_leaves_the_standby_serving() {
+        let params = ServerParams {
+            shards: 1,
+            replicate: true,
+            ..ServerParams::default()
+        };
+        let handle = start_standby("127.0.0.1:0", small_cfg(), params).unwrap();
+        let h = std::panic::AssertUnwindSafe(&handle);
+        let lost = std::panic::catch_unwind(|| h.on_shard0(|_, _| panic!("injected")));
+        assert!(lost.is_err(), "the panic reaches the caller");
+        // Shard 0 survived: it still answers (a dead shard would leave
+        // this read to time out), and still runs control jobs.
+        let mut raw = raw_connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        crate::protocol::write_frame(&mut raw, "(ping)").unwrap();
+        let pong = crate::protocol::read_frame(&mut raw).expect("shard 0 answers");
+        assert_eq!(pong.as_deref(), Some("(ok pong 0 standby)"));
+        let mut c = Client::connect(handle.addr(), Role::Client).unwrap();
+        assert_eq!(handle.apply(&[]).unwrap(), 0);
+        handle.promote();
+        assert!(!c.request(&Request::Stats).unwrap().is_err());
+        handle.shutdown();
     }
 }

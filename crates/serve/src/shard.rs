@@ -14,7 +14,9 @@
 //! request's reply slot — deterministic back-pressure in place of
 //! unbounded accept; the connection stays open and ordered. Requests
 //! that touch no session (`hello`, `stats`, `pull`, malformed frames)
-//! are answered immediately by the owning shard.
+//! are answered immediately by the owning shard. A standby answers
+//! only `hello`, `ping`, `pull` and `metrics`; everything else gets
+//! `(err repl not-primary)` at decode time.
 //!
 //! # Drain (the shutdown/suspend race, fixed structurally)
 //!
@@ -57,20 +59,28 @@ const IDLE_SLEEP: Duration = Duration::from_micros(200);
 /// unresponsive peers.
 const DRAIN_FLUSH_DEADLINE: Duration = Duration::from_secs(2);
 
-/// One queued unit of work: a session op plus the reply slot it must
-/// fill.
-pub struct Job {
-    /// Reply slot in the connection's outbox.
-    pub seq: u64,
-    /// The connection's outbox (shared with the owning shard).
-    pub outbox: Arc<Outbox>,
-    /// The target session (for an open: the id the decoding shard
-    /// reserved, or resolved through the token routes for a retried
-    /// tokenized open). It pins the job to its home shard.
-    pub id: u64,
-    /// What to do.
-    pub op: SessionOp,
+/// One queued unit of work.
+pub enum Job {
+    /// A session op plus the reply slot it must fill.
+    Session {
+        /// Reply slot in the connection's outbox.
+        seq: u64,
+        /// The connection's outbox (shared with the owning shard).
+        outbox: Arc<Outbox>,
+        /// The target session (for an open: the id the decoding shard
+        /// reserved, or resolved through the token routes for a retried
+        /// tokenized open). It pins the job to its home shard.
+        id: u64,
+        /// What to do.
+        op: SessionOp,
+    },
+    /// Work the server handle runs on a shard's own store: a standby's
+    /// replay of a pulled batch, or its promotion.
+    Control(ControlWork),
 }
+
+/// The body of a [`Job::Control`].
+pub type ControlWork = Box<dyn FnOnce(&mut SessionStore, &SharedState) + Send>;
 
 /// A bounded MPSC run queue: any shard pushes, the home shard drains.
 pub struct RunQueue {
@@ -142,8 +152,12 @@ pub struct SharedState {
     /// owning store performs the authoritative dedup; this map only
     /// guarantees a retried `(open <token>)` pins to the same shard.
     pub open_tokens: Mutex<TokenRoutes>,
-    /// The replication log, when the server runs as a primary.
+    /// The replication log, when the server runs as a primary or a
+    /// standby.
     pub wal: Option<Mutex<Wal>>,
+    /// Whether the node serves as a standby: only `hello`, `ping`,
+    /// `pull` and `metrics` are answered until promotion clears it.
+    pub standby: AtomicBool,
     /// The listen address (shards self-connect to unblock the
     /// acceptor when a client-initiated shutdown sets `stop`).
     pub addr: SocketAddr,
@@ -158,6 +172,15 @@ impl SharedState {
     /// The shard session `id` is pinned to.
     pub fn home(&self, id: u64) -> usize {
         (id % self.nshards() as u64) as usize
+    }
+
+    /// The role the node answers `hello` and `ping` with.
+    pub fn role(&self) -> NodeRole {
+        if self.standby.load(Ordering::SeqCst) {
+            NodeRole::Standby
+        } else {
+            NodeRole::Primary
+        }
     }
 
     /// Begin drain (idempotent) and unblock the acceptor.
@@ -239,10 +262,25 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
         .unwrap_or_else(|e| e.into_inner())
         .queue_depth
         .record(jobs.len() as u64);
+    let ran = jobs.len();
     let mut completions: Vec<(Arc<Outbox>, u64, Reply)> = Vec::with_capacity(jobs.len());
     for job in jobs {
+        let (seq, outbox, id, op) = match job {
+            Job::Session {
+                seq,
+                outbox,
+                id,
+                op,
+            } => (seq, outbox, id, op),
+            Job::Control(work) => {
+                // Contained so the shard outlives it; the dropped reply
+                // channel tells the waiting handle.
+                let _ = catch_unwind(AssertUnwindSafe(|| work(store, shared)));
+                continue;
+            }
+        };
         let span = shared.trace.as_ref().map(|log| {
-            let name = match &job.op {
+            let name = match &op {
                 SessionOp::Write(WalOp::Open { .. }) => "run:open",
                 SessionOp::Write(WalOp::Eval { .. }) => "run:eval",
                 SessionOp::Write(WalOp::Close { .. }) => "run:close",
@@ -252,18 +290,18 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
             log.span(tid, name)
         });
         // A contained panic journals the mutation it interrupted.
-        let (reply, journal) = catch_unwind(AssertUnwindSafe(|| store.execute(job.id, &job.op)))
-            .unwrap_or_else(|_| (err("session", "panicked"), job.op.write()));
+        let (reply, journal) = catch_unwind(AssertUnwindSafe(|| store.execute(id, &op)))
+            .unwrap_or_else(|_| (err("session", "panicked"), op.write()));
         drop(span);
         if let (Some(wal), Some(op)) = (&shared.wal, journal) {
             wal.lock().unwrap_or_else(|e| e.into_inner()).append(
-                job.id,
+                id,
                 op.clone(),
                 reply_digest(&reply),
             );
             wal_appends += 1;
         }
-        if matches!(job.op, SessionOp::Write(WalOp::Close { .. }))
+        if matches!(op, SessionOp::Write(WalOp::Close { .. }))
             && matches!(reply, Reply::Closed { .. })
         {
             // The session is gone: retire its token route so the
@@ -273,11 +311,10 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
                 .open_tokens
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .note_close(job.id);
+                .note_close(id);
         }
-        completions.push((job.outbox, job.seq, reply));
+        completions.push((outbox, seq, reply));
     }
-    let ran = completions.len();
     // Publish this shard's stats and telemetry before releasing any
     // reply: a client that sees an acknowledgement and immediately asks
     // `(stats)` or `(metrics)` on another shard gets counters that
@@ -320,7 +357,7 @@ fn handle_request(
     };
     let route = |id: u64, op: SessionOp, conn: &Conn| {
         let target = shared.home(id);
-        let job = Job {
+        let job = Job::Session {
             seq,
             outbox: Arc::clone(&conn.outbox),
             id,
@@ -337,9 +374,18 @@ fn handle_request(
             conn.outbox.complete(seq, &busy_reply(target));
         }
     };
+    let node = shared.role();
+    let served_by_standby = matches!(
+        req,
+        Request::Hello { .. } | Request::Ping | Request::Pull { .. } | Request::Metrics
+    );
+    if node == NodeRole::Standby && !served_by_standby {
+        conn.outbox.complete(seq, &err("repl", "not-primary"));
+        return;
+    }
     match req {
         Request::Hello { version, role } => {
-            let reply = hello_reply(version, NodeRole::Primary);
+            let reply = hello_reply(version, node);
             if matches!(reply, Reply::Hello { .. }) {
                 conn.role = Some(role);
             } else {
@@ -357,13 +403,7 @@ fn handle_request(
                 .as_ref()
                 .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).next_lsn())
                 .unwrap_or(0);
-            conn.outbox.complete(
-                seq,
-                &Reply::Pong {
-                    lsn,
-                    node: NodeRole::Primary,
-                },
-            );
+            conn.outbox.complete(seq, &Reply::Pong { lsn, node });
         }
         Request::Shutdown => {
             conn.outbox.complete(seq, &Reply::Draining);
@@ -545,7 +585,7 @@ mod tests {
     use super::*;
 
     fn job(seq: u64) -> Job {
-        Job {
+        Job::Session {
             seq,
             outbox: Outbox::new(),
             id: seq,
@@ -559,11 +599,15 @@ mod tests {
         assert!(q.try_push(job(0)).is_ok());
         // Queue of one: the second push is always rejected, the
         // rejected job comes back intact for its busy reply.
+        let seq = |job: &Job| match job {
+            Job::Session { seq, .. } => *seq,
+            Job::Control(_) => unreachable!("only session jobs queued"),
+        };
         let back = q.try_push(job(1)).unwrap_err();
-        assert_eq!(back.seq, 1);
+        assert_eq!(seq(&back), 1);
         let drained = q.drain_all();
         assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].seq, 0);
+        assert_eq!(seq(&drained[0]), 0);
         assert!(q.is_empty());
         // Space freed: pushes succeed again.
         assert!(q.try_push(job(2)).is_ok());

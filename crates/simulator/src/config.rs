@@ -16,7 +16,7 @@
 //! The thesis's control setting is `0.6 / 0.3 / 0.01 / 0.01`; Table 5.5
 //! perturbs each.
 
-use small_core::{CompressPolicy, DecrementPolicy, OverflowPolicy, RefcountMode};
+use small_core::{CompressPolicy, DecrementPolicy, LpConfig, OverflowPolicy, RefcountMode};
 
 /// Parameters of one simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -72,6 +72,18 @@ impl Default for SimParams {
 }
 
 impl SimParams {
+    /// The LP configuration a run with these parameters drives.
+    pub fn lp_config(&self) -> LpConfig {
+        LpConfig {
+            table_size: self.table_size,
+            compression: self.compression,
+            decrement: self.decrement,
+            refcounts: self.refcounts,
+            overflow: self.overflow,
+            ..LpConfig::default()
+        }
+    }
+
     /// The control setting of §5.2.6.
     pub fn control() -> Self {
         Self::default()

@@ -38,7 +38,7 @@ use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use small_core::LptStats;
-use small_core::{Id, ListProcessor, LpConfig, LpError, LpValue, Rooted};
+use small_core::{Id, ListProcessor, LpError, LpValue, Rooted};
 use small_heap::controller::{ControllerStats, HeapController, TwoPointerController};
 use small_metrics::{EventSink, NoopSink};
 use small_trace::{Prim, Trace};
@@ -176,33 +176,8 @@ pub fn run_sim_on_controller<C: HeapController, S: EventSink>(
     controller: C,
     sink: S,
 ) -> (SimResult, C, S) {
-    let lp = ListProcessor::with_sink(
-        controller,
-        LpConfig {
-            table_size: params.table_size,
-            compression: params.compression,
-            decrement: params.decrement,
-            refcounts: params.refcounts,
-            overflow: params.overflow,
-            ..LpConfig::default()
-        },
-        sink,
-    );
-    let mut d = Driver {
-        trace,
-        np_pool: clark::np_pool(&trace.uids),
-        params,
-        lp,
-        rng: StdRng::seed_from_u64(params.seed),
-        frames: Vec::new(),
-        globals: Vec::new(),
-        tos: None,
-        cache: cache.map(|c| LruCache::new(c.lines, c.line_cells)),
-        addrs: FxHashMap::default(),
-        next_addr: 0,
-        access_hits: 0,
-        access_misses: 0,
-    };
+    let lp = ListProcessor::with_sink(controller, params.lp_config(), sink);
+    let mut d = Driver::new(trace, params, lp, cache);
     let (true_overflow, prims_executed, failure) = d.run();
     let result = SimResult {
         name: trace.name.clone(),
@@ -221,6 +196,31 @@ pub fn run_sim_on_controller<C: HeapController, S: EventSink>(
 }
 
 impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
+    /// A driver at the start of `trace`: empty stack, no globals, the
+    /// RNG seeded from `params.seed`.
+    pub(crate) fn new(
+        trace: &'t Trace,
+        params: SimParams,
+        lp: ListProcessor<C, S>,
+        cache: Option<CacheConfig>,
+    ) -> Self {
+        Driver {
+            trace,
+            np_pool: clark::np_pool(&trace.uids),
+            params,
+            lp,
+            rng: StdRng::seed_from_u64(params.seed),
+            frames: Vec::new(),
+            globals: Vec::new(),
+            tos: None,
+            cache: cache.map(|c| LruCache::new(c.lines, c.line_cells)),
+            addrs: FxHashMap::default(),
+            next_addr: 0,
+            access_hits: 0,
+            access_misses: 0,
+        }
+    }
+
     /// Defuse outstanding handles and tear the LP down (the deferred
     /// releases would never run anyway; this keeps teardown explicit).
     pub(crate) fn teardown(mut self) -> (C, S) {

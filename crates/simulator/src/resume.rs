@@ -19,18 +19,19 @@
 //!
 //! The same entry point serves both directions: an empty
 //! [`CrashStore`] starts a fresh durable run, a non-empty one recovers
-//! and resumes. The restored machine passes through an
-//! [`audit`](small_core::ListProcessor::audit)/[`reconcile`]
-//! consistency gate before replay begins.
+//! and resumes. Before replay begins, the restored counts must cover
+//! every restored driver root ([`check_roots`]) and the restored table
+//! must pass [`audit`]; `reconcile` is deliberately not run (see
+//! `recovery_gate`).
 //!
-//! [`reconcile`]: small_core::ListProcessor::reconcile
+//! [`check_roots`]: small_core::ListProcessor::check_roots
+//! [`audit`]: small_core::ListProcessor::audit
 
 use crate::config::SimParams;
 use crate::driver::{Driver, FrameSim, SimResult};
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use small_core::{Id, ListProcessor, LpConfig, LpError, LpValue, RootKind, Rooted};
+use small_core::{Id, ListProcessor, LpError, LpValue, RootKind, Rooted};
 use small_heap::controller::TwoPointerController;
 use small_heap::{HeapController, PersistableController, Word};
 use small_metrics::NoopSink;
@@ -45,17 +46,6 @@ type DurableDriver<'t> = Driver<'t, TwoPointerController, DurableSink>;
 
 /// A run-ending LP condition: `(true_overflow, failure)`.
 type Abort = (bool, Option<String>);
-
-fn lp_config(params: &SimParams) -> LpConfig {
-    LpConfig {
-        table_size: params.table_size,
-        compression: params.compression,
-        decrement: params.decrement,
-        refcounts: params.refcounts,
-        overflow: params.overflow,
-        ..LpConfig::default()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Driver-state codec (the checkpoint's opaque driver section)
@@ -192,19 +182,15 @@ fn decode_driver<'t>(
         .collect();
     Ok((
         Driver {
-            trace,
-            np_pool: crate::clark::np_pool(&trace.uids),
-            params,
-            lp,
             rng: StdRng::from_state(rng_state),
             frames,
             globals,
             tos,
-            cache: None,
             addrs,
             next_addr,
             access_hits,
             access_misses,
+            ..Driver::new(trace, params, lp, None)
         },
         prims,
     ))
@@ -279,10 +265,10 @@ fn finish(
 ///   store contents.
 /// * **Non-empty store** — recovery: the checkpoint is validated and
 ///   loaded (fail-closed on any damage), the journal's torn tail is
-///   truncated, the restored machine passes the `audit`/`reconcile`
-///   gate, and the trace is re-executed from the checkpoint with every
-///   replayed operation verified against the journaled digests before
-///   live (journaling) execution resumes.
+///   truncated, the restored roots pass `check_roots` and the table
+///   passes `audit`, and the trace is re-executed from the checkpoint
+///   with every replayed operation verified against the journaled
+///   digests before live (journaling) execution resumes.
 ///
 /// An injected crash (a [`CrashStore`] plan) surfaces as
 /// [`PersistError::Crash`]; the store then holds exactly the bytes a
@@ -305,24 +291,10 @@ pub fn run_sim_resumable(
             // Fresh run: build, seed, install the initial checkpoint.
             let lp = ListProcessor::with_sink(
                 TwoPointerController::new(params.heap_cells, 256),
-                lp_config(&params),
+                params.lp_config(),
                 JournalSink::new(NoopSink, 0),
             );
-            let mut d = Driver {
-                trace,
-                np_pool: crate::clark::np_pool(&trace.uids),
-                params,
-                lp,
-                rng: StdRng::seed_from_u64(params.seed),
-                frames: Vec::new(),
-                globals: Vec::new(),
-                tos: None,
-                cache: None,
-                addrs: FxHashMap::default(),
-                next_addr: 0,
-                access_hits: 0,
-                access_misses: 0,
-            };
+            let mut d = Driver::new(trace, params, lp, None);
             match d.seed_globals() {
                 Ok(()) => {}
                 Err(LpError::TrueOverflow) => return Ok(finish(d, true, 0, None)),
@@ -352,7 +324,7 @@ pub fn run_sim_resumable(
             }
             let lp = ListProcessor::from_image(
                 controller,
-                lp_config(&params),
+                params.lp_config(),
                 &ckpt.lp,
                 JournalSink::new(NoopSink, ckpt.journal_seq),
             )?;

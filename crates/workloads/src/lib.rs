@@ -37,14 +37,3 @@ pub fn standard_suite(scale: u32) -> Vec<Trace> {
         pearl::run(scale).trace,
     ]
 }
-
-/// The four workloads the Chapter 5 simulations use (Table 5.1 omits
-/// PEARL).
-pub fn chapter5_suite(scale: u32) -> Vec<Trace> {
-    vec![
-        lyra::run(scale).trace,
-        plagen::run(scale).trace,
-        slang::run(scale).trace,
-        editor::run(scale).trace,
-    ]
-}
