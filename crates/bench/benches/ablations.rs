@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use small_core::{CompressPolicy, DecrementPolicy, RefcountMode};
-use small_core::{FreeDiscipline, ListProcessor, LpConfig, LpValue};
+use small_core::{FreeDiscipline, ListProcessor, LpConfig, LpValue, RootKind};
 use small_heap::controller::TwoPointerController;
 use small_heap::Word;
 use small_simulator::driver::run_sim;
@@ -96,8 +96,8 @@ fn bench_free_discipline(c: &mut Criterion) {
                         .cons(LpValue::Atom(Word::int(k)), LpValue::Atom(Word::NIL))
                         .unwrap();
                     let b2 = lp.cons(a, LpValue::Atom(Word::NIL)).unwrap();
-                    drop(lp.adopt_binding(a));
-                    drop(lp.adopt_binding(b2));
+                    lp.unroot(a, RootKind::Binding);
+                    lp.unroot(b2, RootKind::Binding);
                 }
                 black_box(lp.stats().gets)
             })

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use small_core::machine::SmallBackend;
-use small_core::{ListProcessor, LpConfig, LpValue};
+use small_core::{ListProcessor, LpConfig, LpValue, RootKind};
 use small_heap::controller::TwoPointerController;
 use small_heap::{FaultyController, HeapController};
 use small_lisp::compiler::compile_program;
@@ -64,7 +64,7 @@ fn bench_lp_primitives(c: &mut Criterion) {
                     LpValue::Atom(small_heap::Word::NIL),
                 )
                 .unwrap();
-            drop(lp.adopt_binding(v));
+            lp.unroot(v, RootKind::Binding);
             black_box(lp.occupancy())
         })
     });
@@ -78,7 +78,7 @@ fn bench_lp_primitives(c: &mut Criterion) {
         let _ = lp.car(id).unwrap(); // materialize once
         b.iter(|| {
             let c = lp.car(id).unwrap();
-            drop(lp.adopt_binding(c));
+            lp.unroot(c, RootKind::Binding);
             black_box(c)
         })
     });
@@ -104,7 +104,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
                 .unwrap();
             let id = v.obj().unwrap();
             let _ = lp.car(id).unwrap();
-            drop(lp.adopt_binding(v));
+            lp.unroot(v, RootKind::Binding);
             last = lp.occupancy();
         }
         last
@@ -163,7 +163,7 @@ fn bench_fault_injection_overhead(c: &mut Criterion) {
                 .unwrap();
             let id = v.obj().unwrap();
             let _ = lp.car(id).unwrap();
-            drop(lp.adopt_binding(v));
+            lp.unroot(v, RootKind::Binding);
             last = lp.occupancy();
         }
         last

@@ -6,6 +6,7 @@
 //! cargo run -p small-bench --bin regress --release -- --wall  # + wall-time medians
 //! cargo run -p small-bench --bin regress --release -- --out path.json
 //! cargo run -p small-bench --bin regress --release -- --check # verify committed file
+//! cargo run -p small-bench --bin regress --release -- --loc   # non-test line counts
 //! ```
 //!
 //! Without `--wall` the payload contains only virtual-cycle totals,
@@ -14,8 +15,11 @@
 //! and byte-compares it against the committed file with wall-time
 //! medians normalized to `null` (the CI trajectory gate: committed
 //! wall data is machine-local, everything else must reproduce exactly).
+//! `--loc` runs no workload: it prints the non-test line counts of
+//! `crates/` (run from the repository root) per file, per crate and in
+//! total.
 
-use small_bench::regress;
+use small_bench::{loc, regress};
 
 fn main() {
     let mut wall = false;
@@ -26,6 +30,16 @@ fn main() {
         match a.as_str() {
             "--wall" => wall = true,
             "--check" => check = true,
+            "--loc" => {
+                match loc::count_crates(std::path::Path::new("crates")) {
+                    Ok(counts) => print!("{}", loc::report(&counts)),
+                    Err(e) => {
+                        eprintln!("could not read crates/: {e}");
+                        std::process::exit(1);
+                    }
+                }
+                return;
+            }
             "--out" => match args.next() {
                 Some(p) => out = p,
                 None => {
@@ -35,7 +49,7 @@ fn main() {
             },
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: regress [--wall] [--check] [--out <path>]");
+                eprintln!("usage: regress [--wall] [--check] [--out <path>] | --loc");
                 std::process::exit(2);
             }
         }

@@ -8,11 +8,14 @@
 //! cargo run -p small-bench --bin repro --release -- fig3.4 table5.2 …
 //! ```
 //!
+//! `regress --loc` counts the workspace's non-test lines ([`loc`]).
+//!
 //! Criterion micro-benchmarks (list representations, environments,
 //! collectors, LPT vs direct heap, compression policies) live under
 //! `benches/`.
 
 pub mod experiments;
+pub mod loc;
 pub mod regress;
 pub mod suite;
 

@@ -27,26 +27,26 @@
 //! the table; only if both fail does the machine degrade to overflow
 //! mode (surfaced as [`LpError::TrueOverflow`]).
 //!
-//! # Protecting operands: the [`Rooted`] handle
+//! # Protecting operands
 //!
 //! The EP must protect in-flight operands from reclamation while a
 //! multi-step operation runs, and must tell the LP about stack/binding
-//! references. Both protections are one RAII API:
+//! references. The processor's owner makes both calls directly:
 //!
 //! * [`ListProcessor::root`] takes a *register* reference (a processor
 //!   register holds the operand; no reference-count bus traffic);
 //! * [`ListProcessor::root_binding`] takes a *stack/binding* reference
 //!   (counted per the configured [`RefcountMode`]);
-//! * [`ListProcessor::adopt_binding`] wraps a stack reference a value
-//!   already carries (e.g. the reference `readlist`/`car`/`cons` results
-//!   arrive with) in a handle without taking another.
+//! * [`ListProcessor::unroot`] gives either kind back.
 //!
-//! Dropping the handle releases the reference. Because a handle must
-//! coexist with `&mut` operations on the processor, release is
-//! *deferred*: the drop enqueues an unroot request which the LP drains
-//! at the next operation boundary (or [`ListProcessor::drain_unroots`]).
-//! Deferral is always in the safe direction — a reference lives
-//! slightly longer, never shorter.
+//! A stack reference a value already carries (the one
+//! `readlist`/`car`/`cons` results arrive with) needs no call to keep:
+//! the owner holds the value and unroots it when done.
+//!
+//! Release is *deferred*: `unroot` queues the request, and the LP
+//! drains the queue in issue order at the next operation boundary (or
+//! [`ListProcessor::drain_unroots`]). Deferral is always in the safe
+//! direction — a reference lives slightly longer, never shorter.
 //!
 //! # Instrumentation
 //!
@@ -62,8 +62,6 @@ use small_heap::controller::{HeapController, HeapError};
 use small_heap::{Tag, Word};
 use small_metrics::{Event, EventSink, NoopSink, OpClass, PrimKind};
 use small_sexpr::SExpr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
 
 /// An LPT identifier — the small name the EP uses for a list object.
 pub type Id = u32;
@@ -663,9 +661,10 @@ pub struct EntryImage {
 
 /// A deterministic, complete snapshot of a [`ListProcessor`]'s table
 /// state — everything except the heap controller (exported separately
-/// via [`small_heap::PersistableController`]) and outstanding [`Rooted`]
-/// handles (the restored counts already include them; see
-/// [`ListProcessor::resume_root`]).
+/// via [`small_heap::PersistableController`]). The references the owner
+/// holds are not listed: the restored counts already include them, and
+/// the owner unroots them as usual after
+/// [`ListProcessor::from_image`].
 ///
 /// Equal processor states export equal images: `ep_counts` is sorted by
 /// identifier and every collection is emitted in table order.
@@ -707,11 +706,7 @@ fn field_from_image(f: FieldImage) -> Field {
     }
 }
 
-// ---------------------------------------------------------------------
-// The Rooted protect protocol
-// ---------------------------------------------------------------------
-
-/// Which reference a [`Rooted`] handle holds.
+/// Which reference a [`ListProcessor::unroot`] gives back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RootKind {
     /// A processor-register reference: protects the value during a
@@ -720,86 +715,6 @@ pub enum RootKind {
     /// A stack/binding reference, counted per the configured
     /// [`RefcountMode`].
     Binding,
-}
-
-/// Shared root bookkeeping between a processor and its outstanding
-/// [`Rooted`] handles.
-struct RootShared {
-    /// References whose handles have dropped, awaiting release at the
-    /// next operation boundary.
-    queue: Mutex<Vec<(LpValue, RootKind)>>,
-    /// Fast-path flag: set when the queue is non-empty, so ops that
-    /// never see handles pay one relaxed load.
-    pending: AtomicBool,
-}
-
-/// An RAII reference to an LP value: the value cannot be reclaimed
-/// while the handle lives. Created by [`ListProcessor::root`],
-/// [`ListProcessor::root_binding`], or [`ListProcessor::adopt_binding`].
-///
-/// Dropping the handle *schedules* the release; the processor performs
-/// it at its next operation boundary (or on an explicit
-/// [`ListProcessor::drain_unroots`]). A handle outliving its processor
-/// degrades to a no-op.
-#[must_use = "dropping a Rooted releases the reference it protects"]
-pub struct Rooted {
-    value: LpValue,
-    kind: RootKind,
-    shared: Weak<RootShared>,
-    live: bool,
-}
-
-impl Rooted {
-    /// The protected value.
-    pub fn value(&self) -> LpValue {
-        self.value
-    }
-
-    /// The identifier, if the protected value is a list object.
-    pub fn id(&self) -> Option<Id> {
-        self.value.obj()
-    }
-
-    /// Which reference kind the handle holds.
-    pub fn kind(&self) -> RootKind {
-        self.kind
-    }
-
-    /// Defuse the handle: the reference is intentionally kept forever
-    /// (the value stays live for the processor's lifetime). Returns the
-    /// value.
-    pub fn leak(mut self) -> LpValue {
-        self.live = false;
-        self.value
-    }
-}
-
-impl std::fmt::Debug for Rooted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Rooted")
-            .field("value", &self.value)
-            .field("kind", &self.kind)
-            .finish()
-    }
-}
-
-impl Drop for Rooted {
-    fn drop(&mut self) {
-        if !self.live {
-            return;
-        }
-        if let Some(shared) = self.shared.upgrade() {
-            // A worker that panicked while holding the lock poisons it;
-            // the queue is a plain `Vec` push/take, so the data is valid
-            // regardless — recover instead of cascading the panic.
-            shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((self.value, self.kind));
-            shared.pending.store(true, Ordering::Release);
-        }
-    }
 }
 
 /// Number of lines in the direct-mapped inline field cache. Power of
@@ -860,8 +775,9 @@ pub struct ListProcessor<C: HeapController, S: EventSink = NoopSink> {
     /// Recent pseudo-overflow times (in occupancy samples), for the
     /// hybrid compression policy.
     recent_overflows: std::collections::VecDeque<u64>,
-    /// Unroot requests from dropped [`Rooted`] handles.
-    roots: Arc<RootShared>,
+    /// Releases queued by [`Self::unroot`], in issue order, awaiting the
+    /// next operation boundary.
+    pending: Vec<(LpValue, RootKind)>,
     /// True while operating in §4.3.2.3 heap-direct overflow mode
     /// (only ever set under [`OverflowPolicy::Degrade`]).
     degraded: bool,
@@ -906,10 +822,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             sink,
             ep_counts: fxhash::FxHashMap::default(),
             recent_overflows: std::collections::VecDeque::new(),
-            roots: Arc::new(RootShared {
-                queue: Mutex::new(Vec::new()),
-                pending: AtomicBool::new(false),
-            }),
+            pending: Vec::new(),
             degraded: false,
             pin: None,
             cache: vec![CacheLine::EMPTY; FIELD_CACHE_LINES].into_boxed_slice(),
@@ -1271,80 +1184,53 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     }
 
     // -----------------------------------------------------------------
-    // The Rooted protect protocol
+    // The protect protocol
     // -----------------------------------------------------------------
 
-    fn make_rooted(&self, v: LpValue, kind: RootKind) -> Rooted {
-        Rooted {
-            value: v,
-            kind,
-            shared: Arc::downgrade(&self.roots),
-            live: true,
-        }
-    }
-
-    /// Protect `v` with a *register* reference for the handle's
-    /// lifetime. No reference-count bus traffic.
-    pub fn root(&mut self, v: LpValue) -> Rooted {
+    /// Protect `v` with a *register* reference until the matching
+    /// [`Self::unroot`]. No reference-count bus traffic.
+    pub fn root(&mut self, v: LpValue) {
         self.drain_unroots();
         self.register_acquire(v);
-        self.make_rooted(v, RootKind::Register)
     }
 
-    /// Take a *stack/binding* reference to `v` for the handle's
-    /// lifetime, counted per the configured [`RefcountMode`].
-    pub fn root_binding(&mut self, v: LpValue) -> Rooted {
+    /// Take a *stack/binding* reference to `v` until the matching
+    /// [`Self::unroot`], counted per the configured [`RefcountMode`].
+    pub fn root_binding(&mut self, v: LpValue) {
         self.drain_unroots();
         self.binding_acquire(v);
-        self.make_rooted(v, RootKind::Binding)
     }
 
-    /// Wrap a stack reference `v` *already carries* (results of
-    /// `readlist`/`car`/`cdr`/`cons` arrive retained for the EP) in a
-    /// handle, without taking another reference.
-    pub fn adopt_binding(&mut self, v: LpValue) -> Rooted {
-        self.drain_unroots();
-        self.make_rooted(v, RootKind::Binding)
+    /// Schedule the release of one `kind` reference to `v`: one taken by
+    /// [`Self::root`]/[`Self::root_binding`], one a result arrived with,
+    /// or one restored from a checkpoint image. It is performed at the
+    /// next operation boundary, after every release queued before it.
+    pub fn unroot(&mut self, v: LpValue, kind: RootKind) {
+        // Atoms carry no table reference; their release is a no-op.
+        if v.obj().is_some() {
+            self.pending.push((v, kind));
+        }
     }
 
-    /// Rebuild a [`Rooted`] handle for a reference that is *already
-    /// counted* in restored table state (checkpoint recovery). Unlike
-    /// [`Self::root`]/[`Self::root_binding`] no new reference is taken:
-    /// an imported [`LpImage`]'s counts and EP-side table include every
-    /// reference that was protected by a handle at export time, so
-    /// recovery only needs to re-wrap them. Dropping the handle releases
-    /// the restored reference as usual.
-    pub fn resume_root(&self, v: LpValue, kind: RootKind) -> Rooted {
-        self.make_rooted(v, kind)
-    }
-
-    /// Perform the releases scheduled by dropped [`Rooted`] handles.
-    /// Called automatically at every operation boundary; callers only
-    /// need it to force deterministic reclamation points (tests,
+    /// Perform the releases scheduled by [`Self::unroot`], in issue
+    /// order. Called automatically at every operation boundary; callers
+    /// only need it to force deterministic reclamation points (tests,
     /// shutdown accounting).
     pub fn drain_unroots(&mut self) {
-        // Cheap read-only probe first: this runs at every operation
-        // boundary and is almost always empty, so skip the atomic RMW
-        // (and its bus lock) in the common case. A concurrent drop that
-        // lands between load and swap is picked up at the next
-        // boundary, exactly as with the bare swap.
-        if !self.roots.pending.load(Ordering::Relaxed) {
+        if self.pending.is_empty() {
             return;
         }
-        if !self.roots.pending.swap(false, Ordering::Acquire) {
-            return;
-        }
-        // Releases never enqueue new unroots, so one batch suffices. A
-        // poisoned lock (panicking worker elsewhere) still holds a valid
-        // Vec; adopt it rather than turning one failure into a cascade.
-        let batch: Vec<(LpValue, RootKind)> =
-            std::mem::take(&mut *self.roots.queue.lock().unwrap_or_else(|e| e.into_inner()));
-        for (v, kind) in batch {
+        // Releases never schedule new unroots, so one batch suffices;
+        // the buffer goes back afterwards to keep its capacity.
+        let mut batch = std::mem::take(&mut self.pending);
+        for &(v, kind) in &batch {
             match kind {
                 RootKind::Register => self.register_release(v),
                 RootKind::Binding => self.binding_release(v),
             }
         }
+        batch.clear();
+        self.pending = batch;
     }
 
     /// Release a field's owned heap word, if any. Pointer-tagged atom
@@ -2428,8 +2314,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     /// reallocation, to a fixpoint. The hardware never does this — the
     /// deferred work is the price of O(1) frees (§4.3.2.1) — but tests
     /// and shutdown accounting use it to verify that everything
-    /// unreachable is eventually detected. Scheduled unroots from
-    /// dropped [`Rooted`] handles are drained first.
+    /// unreachable is eventually detected. Scheduled unroots are
+    /// drained first.
     pub fn drain_lazy(&mut self) {
         self.drain_unroots();
         loop {
@@ -2958,10 +2844,10 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     /// address, or a pointer word in an atom field) names an object
     /// `controller` holds — and fails closed with
     /// [`ImageError::Malformed`](small_heap::ImageError) on any
-    /// mismatch. Outstanding handles are *not* recreated; callers
-    /// re-wrap recovered references via [`Self::resume_root`]. Recovery
-    /// gates should follow up with [`Self::audit`] /
-    /// [`Self::reconcile`].
+    /// mismatch. The references the owner held at export time stay
+    /// counted in the image: the owner keeps their values and unroots
+    /// them as usual. Recovery gates should follow up with
+    /// [`Self::check_roots`], [`Self::audit`] / [`Self::reconcile`].
     pub fn from_image(
         controller: C,
         config: LpConfig,
@@ -3027,10 +2913,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             sink,
             ep_counts,
             recent_overflows: image.recent_overflows.iter().copied().collect(),
-            roots: Arc::new(RootShared {
-                queue: Mutex::new(Vec::new()),
-                pending: AtomicBool::new(false),
-            }),
+            pending: Vec::new(),
             degraded: image.degraded,
             pin: None,
             // The cache is host-side state and is never checkpointed:
@@ -3042,9 +2925,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         })
     }
 
-    /// Check the references a caller is about to re-wrap with
-    /// [`Self::resume_root`] after [`Self::from_image`] against the
-    /// restored counts: every object root names a live entry whose
+    /// Check the references a caller takes back after
+    /// [`Self::from_image`] against the restored counts: every object root names a live entry whose
     /// count covers its roots on top of the table's own references to
     /// it (in split mode, the EP-side count covers the roots), and
     /// every atom root is a word the controller accepts. Fails closed
@@ -3097,10 +2979,10 @@ mod tests {
 
     type Lp = ListProcessor<TwoPointerController>;
 
-    /// Drop the EP's stack reference to `v` *now*: adopt the reference
+    /// Drop the EP's stack reference to `v` *now*: unroot the reference
     /// the value already carries, then force the deferred release.
     fn release<S: EventSink>(lp: &mut ListProcessor<TwoPointerController, S>, v: LpValue) {
-        drop(lp.adopt_binding(v));
+        lp.unroot(v, RootKind::Binding);
         lp.drain_unroots();
     }
 
@@ -3489,8 +3371,8 @@ mod tests {
             let v = read(&mut lp, &mut i, "(a b c)");
             // Simulate heavy stack churn: repeated push/pop of the value.
             for _ in 0..100 {
-                let h = lp.root_binding(v);
-                drop(h);
+                lp.root_binding(v);
+                lp.unroot(v, RootKind::Binding);
                 lp.drain_unroots();
             }
             release(&mut lp, v);
@@ -3535,19 +3417,18 @@ mod tests {
         assert!(!lp.equal(a, c).unwrap());
     }
 
-    // -- Rooted protect protocol --------------------------------------
+    // -- protect protocol ----------------------------------------------
 
     #[test]
     fn rooted_register_protects_until_drop() {
         let mut i = Interner::new();
         let mut lp = lp();
         let a = read(&mut lp, &mut i, "(x)");
-        let g = lp.root(a);
-        assert_eq!(g.kind(), RootKind::Register);
+        lp.root(a);
         // Drop the EP's stack reference: the register root keeps `a`.
         release(&mut lp, a);
         assert_eq!(lp.occupancy(), 1);
-        drop(g);
+        lp.unroot(a, RootKind::Register);
         // The release is deferred to the next operation boundary.
         assert_eq!(lp.occupancy(), 1);
         lp.drain_unroots();
@@ -3562,8 +3443,8 @@ mod tests {
         let mut lp = lp();
         let a = read(&mut lp, &mut i, "(x y)");
         let refops = lp.stats().refops;
-        let g = lp.root(a);
-        drop(g);
+        lp.root(a);
+        lp.unroot(a, RootKind::Register);
         lp.drain_unroots();
         assert_eq!(lp.stats().refops, refops);
     }
@@ -3574,9 +3455,9 @@ mod tests {
         let mut lp = lp();
         let a = read(&mut lp, &mut i, "(x)");
         let refops = lp.stats().refops;
-        let b = lp.root_binding(a);
+        lp.root_binding(a);
         assert_eq!(lp.stats().refops, refops + 1, "binding roots are counted");
-        drop(b);
+        lp.unroot(a, RootKind::Binding);
         lp.drain_unroots();
         assert_eq!(lp.stats().refops, refops + 2);
     }
@@ -3587,8 +3468,7 @@ mod tests {
         let mut lp = lp();
         let a = read(&mut lp, &mut i, "(x)");
         let frees = lp.stats().frees;
-        let h = lp.adopt_binding(a); // wraps readlist's reference
-        drop(h);
+        lp.unroot(a, RootKind::Binding); // readlist's reference
         assert_eq!(lp.stats().frees, frees, "release is deferred");
         // Any LP operation drains the pending unroot first.
         let _ = lp
@@ -3599,14 +3479,14 @@ mod tests {
 
     #[test]
     fn rooted_leak_keeps_the_reference() {
+        // A reference that is never unrooted stays live across drains.
         let mut i = Interner::new();
         let mut lp = lp();
         let a = read(&mut lp, &mut i, "(x)");
-        let h = lp.adopt_binding(a);
-        let v = h.leak();
-        lp.drain_unroots();
-        assert_eq!(lp.occupancy(), 1, "leaked root keeps the value live");
-        assert_eq!(v, a);
+        lp.root_binding(a);
+        lp.unroot(a, RootKind::Binding);
+        lp.drain_lazy();
+        assert_eq!(lp.occupancy(), 1, "the kept reference holds the value");
     }
 
     #[test]
@@ -3621,24 +3501,14 @@ mod tests {
             },
         );
         let v = read(&mut lp, &mut i, "(a)");
-        let h = lp.root_binding(v);
+        lp.root_binding(v);
         assert_eq!(lp.ep_tracked(), 1);
-        drop(h);
+        lp.unroot(v, RootKind::Binding);
         lp.drain_unroots();
-        // The adopted readlist reference remains; the handle's is gone.
+        // The readlist reference remains; the rooted one is gone.
         assert_eq!(lp.ep_tracked(), 1);
         release(&mut lp, v);
         assert_eq!(lp.occupancy(), 0);
-    }
-
-    #[test]
-    fn rooted_outliving_the_processor_is_harmless() {
-        let mut i = Interner::new();
-        let mut lp = lp();
-        let a = read(&mut lp, &mut i, "(x)");
-        let h = lp.root(a);
-        drop(lp);
-        drop(h); // must not panic
     }
 
     #[test]
@@ -3669,10 +3539,9 @@ mod tests {
         assert!(counts.heap_splits.get() > 0);
     }
 
-    /// Retired from the deprecated four-method protect protocol
-    /// (`guard`/`unguard`/`stack_retain`/`stack_release`, now removed):
-    /// the RAII `Rooted` handles must stay behaviorally identical to the
-    /// immediate acquire/release primitives they defer to.
+    /// Deferred release through `unroot` must stay behaviorally
+    /// identical to the immediate acquire/release primitives it defers
+    /// to, including the issue order of the queued releases.
     #[test]
     fn rooted_handles_match_immediate_semantics() {
         let run = |immediate: bool| -> (u64, usize) {
@@ -3686,39 +3555,16 @@ mod tests {
                 lp.register_release(v);
                 lp.binding_release(v);
             } else {
-                let g = lp.root(v);
-                let b = lp.root_binding(v);
-                drop(b);
-                drop(g);
+                lp.root(v);
+                lp.root_binding(v);
+                lp.unroot(v, RootKind::Binding);
+                lp.unroot(v, RootKind::Register);
                 lp.drain_unroots();
                 release(&mut lp, v);
             }
             (lp.stats().refops, lp.occupancy())
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn poisoned_roots_queue_recovers() {
-        // A worker that panics while holding the shared unroot queue
-        // poisons the mutex; both the `Rooted` drop path and
-        // `drain_unroots` must adopt the (still valid) queue instead of
-        // cascading the panic across every other worker.
-        let mut i = Interner::new();
-        let mut lp = lp();
-        let a = read(&mut lp, &mut i, "(x)");
-        let handle = lp.adopt_binding(a);
-        let shared = Arc::clone(&lp.roots);
-        std::thread::spawn(move || {
-            let _guard = shared.queue.lock().unwrap();
-            panic!("poison the roots queue");
-        })
-        .join()
-        .unwrap_err();
-        assert!(lp.roots.queue.is_poisoned(), "setup must actually poison");
-        drop(handle); // Rooted::drop pushes through the poisoned lock
-        lp.drain_unroots(); // ...and the drain takes through it
-        assert_eq!(lp.occupancy(), 0, "release still went through");
     }
 
     #[test]
@@ -4016,7 +3862,7 @@ mod tests {
         let mut lp = lp();
         let v = read(&mut lp, &mut i, "(a (b c) d)");
         let held = lp.cdr(v.obj().unwrap()).unwrap();
-        let handle = lp.root_binding(held);
+        lp.root_binding(held);
         let image = lp.export_image();
         // The entries' backing addresses must name cells of the heap
         // restored beside them.
@@ -4033,12 +3879,11 @@ mod tests {
         assert_eq!(restored.export_image(), image);
         assert_eq!(restored.occupancy(), lp.occupancy());
         assert_eq!(restored.stats(), lp.stats());
-        // The restored handle releases normally and the count drops.
-        let resumed = restored.resume_root(held, RootKind::Binding);
+        // The restored reference releases normally and the count drops.
         let mut restored = restored;
-        drop(resumed);
+        restored.unroot(held, RootKind::Binding);
         restored.drain_unroots();
-        drop(handle);
+        lp.unroot(held, RootKind::Binding);
         lp.drain_unroots();
         assert_eq!(restored.export_image(), lp.export_image());
         assert!(restored.audit().is_clean());
@@ -4320,17 +4165,17 @@ mod tests {
         let mut interner = Interner::new();
         let mut lp: Lp = ListProcessor::new(TwoPointerController::new(65536, 64), config);
         lp.set_cache_enabled(cache);
-        let mut held: Vec<Rooted> = Vec::new();
-        let pick = |held: &[Rooted], i: usize| {
+        let mut held: Vec<(LpValue, RootKind)> = Vec::new();
+        let pick = |held: &[(LpValue, RootKind)], i: usize| {
             held.get(i % (held.len() + 1))
-                .map_or(LpValue::Atom(Word::int(i as i64)), Rooted::value)
+                .map_or(LpValue::Atom(Word::int(i as i64)), |r| r.0)
         };
         for (n, &step) in steps.iter().enumerate() {
             let made = match step {
                 // Half the conses extend the newest value: long chains.
                 Step::Cons(a, b) => {
                     let cdr = match held.last() {
-                        Some(r) if b % 2 == 0 => r.value(),
+                        Some(r) if b % 2 == 0 => r.0,
                         _ => pick(&held, b),
                     };
                     Some(lp.cons(pick(&held, a), cdr))
@@ -4353,31 +4198,35 @@ mod tests {
                 }
                 Step::Root(a) => {
                     let v = pick(&held, a);
-                    let r = if a % 2 == 0 {
-                        lp.root(v)
+                    let kind = if a % 2 == 0 {
+                        lp.root(v);
+                        RootKind::Register
                     } else {
-                        lp.root_binding(v)
+                        lp.root_binding(v);
+                        RootKind::Binding
                     };
-                    held.push(r);
+                    held.push((v, kind));
                     None
                 }
                 Step::Unroot(a) => {
                     if !held.is_empty() {
                         let i = a % held.len();
-                        drop(held.swap_remove(i));
+                        let (v, kind) = held.swap_remove(i);
+                        lp.unroot(v, kind);
                         lp.drain_unroots();
                     }
                     None
                 }
             };
             if let Some(Ok(v)) = made {
-                held.push(lp.adopt_binding(v));
+                held.push((v, RootKind::Binding));
             }
             // The EP forgets its oldest values, so the table holds
             // structure reachable only through fields: what compression
             // and cycle breaking reclaim.
             if held.len() > config.table_size / 2 {
-                drop(held.remove(0));
+                let (v, kind) = held.remove(0);
+                lp.unroot(v, kind);
                 lp.drain_unroots();
             }
             let report = lp.audit();
@@ -4387,7 +4236,9 @@ mod tests {
                 report.violations
             );
         }
-        drop(held);
+        for (v, kind) in held {
+            lp.unroot(v, kind);
+        }
         lp.drain_unroots();
         let report = lp.audit();
         assert!(report.is_clean(), "after release: {:?}", report.violations);

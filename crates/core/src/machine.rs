@@ -7,9 +7,10 @@
 //! control/binding stack is the EP stack of §4.3.1, and its
 //! `retain`/`release` hook calls are exactly the reference-count traffic
 //! the EP sends the LP on binding creation and function return. The
-//! backend holds one [`Rooted`] binding handle per retained reference;
-//! releasing drops the handle and the LP performs the release at its
-//! next operation boundary.
+//! backend counts the references it retained per identifier, the
+//! EP-side stack count of §5.2.4; a release is queued with
+//! [`ListProcessor::unroot`] and the LP performs it at its next
+//! operation boundary.
 //!
 //! Because the VM maintains one retained reference per live stack slot
 //! and binding, running a program to completion and dropping its result
@@ -20,13 +21,12 @@
 //! into [`small_lisp::vm::BackendError`], so no LP condition — not even
 //! a corrupt heap word — panics the machine.
 
-use crate::lp::{Id, ListProcessor, LpConfig, LpError, LpValue, Rooted};
+use crate::lp::{Id, ListProcessor, LpConfig, LpError, LpValue, RootKind};
 use small_heap::controller::TwoPointerController;
 use small_heap::{HeapController, Word};
 use small_lisp::vm::{BackendError, ListBackend, VmError, VmValue};
 use small_metrics::{EventSink, NoopSink};
 use small_sexpr::{SExpr, Symbol};
-use std::collections::HashMap;
 
 impl From<LpError> for BackendError {
     fn from(e: LpError) -> Self {
@@ -36,7 +36,7 @@ impl From<LpError> for BackendError {
             LpError::NotAList => BackendError::NotAList,
             LpError::UnexpectedTag(t) => BackendError::UnexpectedTag(t),
             LpError::Degraded(what) => BackendError::Degraded(what),
-            LpError::Cyclic => BackendError::Degraded("printing a cyclic structure"),
+            LpError::Cyclic => BackendError::Cyclic,
         }
     }
 }
@@ -45,21 +45,22 @@ impl From<LpError> for BackendError {
 pub struct SmallBackend<C: HeapController, S: EventSink = NoopSink> {
     /// The List Processor (public for stats inspection).
     pub lp: ListProcessor<C, S>,
-    /// Outstanding binding handles, one per `retain` the VM issued.
-    /// References the VM received pre-retained (car/cdr/cons/read_in
-    /// results) have no handle here; `release` wraps those with
-    /// [`ListProcessor::adopt_binding`] on the way out.
-    roots: HashMap<Id, Vec<Rooted>>,
+    /// Per identifier, the binding references `retain` (or
+    /// [`Self::resume_retained`]) took and `release` has not given back
+    /// yet. References the VM received pre-retained (car/cdr/cons/
+    /// read_in results) are not counted; `release` unroots those all
+    /// the same. Sized from the table, whose size is fixed.
+    retained: Vec<u32>,
 }
 
 impl SmallBackend<TwoPointerController> {
     /// Convenience: an uninstrumented LP over a two-pointer heap
     /// controller.
     pub fn new(heap_cells: usize, config: LpConfig) -> Self {
-        SmallBackend {
-            lp: ListProcessor::new(TwoPointerController::new(heap_cells, 64), config),
-            roots: HashMap::new(),
-        }
+        Self::from_lp(ListProcessor::new(
+            TwoPointerController::new(heap_cells, 64),
+            config,
+        ))
     }
 }
 
@@ -67,10 +68,7 @@ impl<C: HeapController> SmallBackend<C> {
     /// An uninstrumented LP over any heap controller — e.g. a
     /// fault-injecting wrapper for chaos runs.
     pub fn over(controller: C, config: LpConfig) -> Self {
-        SmallBackend {
-            lp: ListProcessor::new(controller, config),
-            roots: HashMap::new(),
-        }
+        Self::from_lp(ListProcessor::new(controller, config))
     }
 }
 
@@ -80,21 +78,26 @@ impl<S: EventSink> SmallBackend<TwoPointerController, S> {
     /// whole VM run: every primitive the compiled program issues gets
     /// cycle-stamped EP/LP spans.
     pub fn with_sink(heap_cells: usize, config: LpConfig, sink: S) -> Self {
-        SmallBackend {
-            lp: ListProcessor::with_sink(TwoPointerController::new(heap_cells, 64), config, sink),
-            roots: HashMap::new(),
-        }
+        Self::from_lp(ListProcessor::with_sink(
+            TwoPointerController::new(heap_cells, 64),
+            config,
+            sink,
+        ))
     }
 }
 
 impl<C: HeapController, S: EventSink> SmallBackend<C, S> {
     /// Consume the backend and return its event sink (releases the
-    /// VM's outstanding roots first so deferred unroot events land in
-    /// the sink rather than vanishing). Pair with
+    /// references the VM still holds first, in identifier order, so
+    /// their events land in the sink rather than vanishing). Pair with
     /// [`with_sink`](SmallBackend::with_sink) to recover a profiler or
     /// recorder after a VM run.
     pub fn into_sink(mut self) -> S {
-        self.roots.clear();
+        for (id, &n) in self.retained.iter().enumerate() {
+            for _ in 0..n {
+                self.lp.unroot(LpValue::Obj(id as Id), RootKind::Binding);
+            }
+        }
         self.lp.drain_unroots();
         self.lp.into_sink()
     }
@@ -102,29 +105,24 @@ impl<C: HeapController, S: EventSink> SmallBackend<C, S> {
 
 impl<C: HeapController, S: EventSink> SmallBackend<C, S> {
     /// Wrap an existing List Processor — e.g. one rebuilt from a
-    /// checkpoint image — as a fresh backend with no outstanding
-    /// binding handles. Pair with [`SmallBackend::resume_retained`] to
-    /// reconstruct the handles a suspended session's globals held.
+    /// checkpoint image — as a fresh backend holding no retained
+    /// references. Pair with [`SmallBackend::resume_retained`] to count
+    /// the references a suspended session's globals held.
     pub fn from_lp(lp: ListProcessor<C, S>) -> Self {
-        SmallBackend {
-            lp,
-            roots: HashMap::new(),
-        }
+        let retained = vec![0; lp.capacity()];
+        SmallBackend { lp, retained }
     }
 
-    /// Re-create one retained binding handle for `id` after a resume.
+    /// Count one retained binding reference to `id` after a resume.
     ///
     /// The restored [`LpImage`](crate::lp::LpImage) already carries the
-    /// reference counts the handle represents, so this re-wraps the
-    /// reference without touching the table (no refop traffic): call it
-    /// once per `List`-valued global binding being restored, in any
-    /// order, and the backend's handle multiset matches the suspended
-    /// machine's exactly.
+    /// reference, so the table is not touched (no refop traffic): call
+    /// it once per `List`-valued global binding being restored, in any
+    /// order, and the backend's counts match the suspended machine's
+    /// exactly. `id` must be a table identifier
+    /// ([`ListProcessor::check_roots`] checks restored ones).
     pub fn resume_retained(&mut self, id: Id) {
-        let handle = self
-            .lp
-            .resume_root(LpValue::Obj(id), crate::lp::RootKind::Binding);
-        self.roots.entry(id).or_default().push(handle);
+        self.retained[id as usize] += 1;
     }
 
     /// Reconstruct the s-expression behind a value without panicking:
@@ -216,34 +214,34 @@ impl<C: HeapController, S: EventSink> ListBackend for SmallBackend<C, S> {
     }
 
     fn write_out(&mut self, v: &VmValue<Id>) -> SExpr {
-        self.lp
-            .writelist(Self::to_lp(v))
-            .expect("writelist of live value")
+        self.write_checked(v).expect("writelist of acyclic value")
     }
 
     fn equal(&mut self, a: &VmValue<Id>, b: &VmValue<Id>) -> bool {
+        self.equal_checked(a, b).expect("equal of acyclic values")
+    }
+
+    fn write_checked(&mut self, v: &VmValue<Id>) -> Result<SExpr, VmError> {
+        self.try_write_out(v).map_err(Self::lp_err)
+    }
+
+    fn equal_checked(&mut self, a: &VmValue<Id>, b: &VmValue<Id>) -> Result<bool, VmError> {
         self.lp
             .equal(Self::to_lp(a), Self::to_lp(b))
-            .expect("equal of live values")
+            .map_err(Self::lp_err)
     }
 
     fn retain(&mut self, r: &Id) {
-        let handle = self.lp.root_binding(LpValue::Obj(*r));
-        self.roots.entry(*r).or_default().push(handle);
+        self.lp.root_binding(LpValue::Obj(*r));
+        self.retained[*r as usize] += 1;
     }
 
     fn release(&mut self, r: &Id) {
-        if let Some(stack) = self.roots.get_mut(r) {
-            if let Some(handle) = stack.pop() {
-                if stack.is_empty() {
-                    self.roots.remove(r);
-                }
-                drop(handle); // schedules the release
-                return;
-            }
-        }
-        // A reference the value arrived with (no retain of ours).
-        drop(self.lp.adopt_binding(LpValue::Obj(*r)));
+        // A reference of ours, or one the value arrived with: either way
+        // exactly one binding release is scheduled.
+        let held = &mut self.retained[*r as usize];
+        *held = held.saturating_sub(1);
+        self.lp.unroot(LpValue::Obj(*r), RootKind::Binding);
     }
 }
 
@@ -308,25 +306,19 @@ pub fn traverse_preorder<C: HeapController, S: EventSink>(
                     count.hits += 1;
                 }
                 go(lp, car, count)?;
-                if let LpValue::Obj(_) = car {
-                    drop(lp.adopt_binding(car));
-                }
+                lp.unroot(car, RootKind::Binding);
                 // Touch 2: back at the node between its sub-trees.
                 let cdr = lp.cdr(id)?;
                 count.touches += 1;
                 count.hits += 1;
                 go(lp, cdr, count)?;
-                if let LpValue::Obj(_) = cdr {
-                    drop(lp.adopt_binding(cdr));
-                }
+                lp.unroot(cdr, RootKind::Binding);
                 // Touch 3: final contact after the right sub-tree (where
                 // a post-order visit — or a merge — would happen).
                 let again = lp.car(id)?;
                 count.touches += 1;
                 count.hits += 1;
-                if let LpValue::Obj(_) = again {
-                    drop(lp.adopt_binding(again));
-                }
+                lp.unroot(again, RootKind::Binding);
                 Ok(())
             }
         }
@@ -479,7 +471,7 @@ mod tests {
         let mut lp = backend.lp;
         let v = lp.readlist(None, &e).unwrap();
         traverse_preorder(&mut lp, v).unwrap();
-        drop(lp.adopt_binding(v));
+        lp.unroot(v, RootKind::Binding);
         // Everything was reachable from v; after the deferred decrements
         // run, the whole structure must be detected as garbage.
         lp.drain_lazy();

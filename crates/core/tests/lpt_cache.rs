@@ -11,7 +11,9 @@
 //! cached accesses, so a stale line would be served if invalidation
 //! missed a site.
 
-use small_core::{ListProcessor, LpConfig, LpValue, LptCacheStats, OverflowPolicy, RefcountMode};
+use small_core::{
+    ListProcessor, LpConfig, LpValue, LptCacheStats, OverflowPolicy, RefcountMode, RootKind,
+};
 use small_heap::controller::TwoPointerController;
 use small_heap::PersistableController;
 use small_metrics::{CountingSink, EventSink};
@@ -45,7 +47,7 @@ fn read<S: EventSink>(
 /// Drop the EP stack reference `v` carries, forcing the deferred
 /// release now.
 fn release<S: EventSink>(lp: &mut ListProcessor<TwoPointerController, S>, v: LpValue) {
-    drop(lp.adopt_binding(v));
+    lp.unroot(v, RootKind::Binding);
     lp.drain_unroots();
 }
 
@@ -83,16 +85,16 @@ fn drive_churn(lp: &mut Lp, i: &mut Interner) -> Vec<String> {
     let mut held = Vec::new();
     for src in srcs {
         let v = read(lp, i, src);
-        let h = lp.root_binding(v);
-        release(lp, v); // keep exactly the handle's reference
+        lp.root_binding(v);
+        release(lp, v); // keep exactly the rooted reference
                         // Walk twice: the second pass re-touches entries whose lines
                         // are warm unless intervening compression dropped them.
         walk(lp, v);
         walk(lp, v);
-        held.push((v, h));
+        held.push(v);
     }
     // Destructive updates between warm accesses.
-    let (first, _) = held[0];
+    let first = held[0];
     let x = read(lp, i, "(new-head)");
     lp.rplaca_of(first, x).unwrap();
     release(lp, x);
@@ -112,9 +114,9 @@ fn drive_churn(lp: &mut Lp, i: &mut Interner) -> Vec<String> {
         walk(lp, v);
         release(lp, v);
     }
-    for (v, _) in &held {
-        walk(lp, *v);
-        out.push(print(&lp.writelist(*v).unwrap(), i));
+    for &v in &held {
+        walk(lp, v);
+        out.push(print(&lp.writelist(v).unwrap(), i));
     }
     out.push(format!("occupancy={}", lp.occupancy()));
     out
@@ -185,26 +187,26 @@ fn degrade_entry_and_exit_between_cached_accesses() {
         let mut out = Vec::new();
         // Warm the cache on a small rooted list.
         let keep = read(lp, i, "(a b c)");
-        let kh = lp.root_binding(keep);
+        lp.root_binding(keep);
         release(lp, keep);
         walk(lp, keep);
         walk(lp, keep);
         // Blow past the table: degrade-mode entry clears the cache.
         let big = read(lp, i, "(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18)");
-        let bh = lp.root_binding(big);
+        lp.root_binding(big);
         release(lp, big);
         walk(lp, big);
         out.push(format!("degraded={}", lp.degraded()));
         out.push(print(&lp.writelist(big).unwrap(), i));
         // Release the big list; occupancy recovery exits degraded mode
         // at the next operation boundary — another cache clear.
-        drop(bh);
+        lp.unroot(big, RootKind::Binding);
         lp.drain_unroots();
         lp.drain_lazy();
         walk(lp, keep);
         out.push(format!("degraded={}", lp.degraded()));
         out.push(print(&lp.writelist(keep).unwrap(), i));
-        drop(kh);
+        lp.unroot(keep, RootKind::Binding);
         lp.drain_unroots();
         out
     };
@@ -263,9 +265,9 @@ fn checkpoint_resume_between_cached_accesses() {
         read(&mut on, &mut i, "(a (b c) d e)"),
         read(&mut off, &mut i, "(a (b c) d e)"),
     );
-    let h_on = on.root_binding(v_on);
+    on.root_binding(v_on);
     release(&mut on, v_on);
-    let h_off = off.root_binding(v_off);
+    off.root_binding(v_off);
     release(&mut off, v_off);
     walk(&mut on, v_on);
     walk(&mut off, v_off);
@@ -288,7 +290,6 @@ fn checkpoint_resume_between_cached_accesses() {
     .unwrap();
     assert!(resumed.cache_enabled());
     assert_eq!(resumed.cache_stats(), LptCacheStats::default());
-    let rh = resumed.resume_root(v_on, small_core::RootKind::Binding);
     walk(&mut resumed, v_on);
     walk(&mut resumed, v_on);
     assert!(resumed.cache_stats().hits > 0, "resumed cache must re-warm");
@@ -303,11 +304,11 @@ fn checkpoint_resume_between_cached_accesses() {
     let _ = off.writelist(v_off).unwrap();
     let _ = on.writelist(v_on).unwrap();
     assert_eq!(resumed.stats(), off.stats(), "post-resume stats diverged");
-    drop(rh);
+    resumed.unroot(v_on, RootKind::Binding);
     resumed.drain_unroots();
-    drop(h_on);
+    on.unroot(v_on, RootKind::Binding);
     on.drain_unroots();
-    drop(h_off);
+    off.unroot(v_off, RootKind::Binding);
     off.drain_unroots();
     assert!(resumed.audit().is_clean());
 }

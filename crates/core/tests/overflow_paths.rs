@@ -3,7 +3,9 @@
 //! observed both through `LptStats` and through the event-sink
 //! counters, which must agree.
 
-use small_core::{CompressPolicy, ListProcessor, LpConfig, LpError, LpValue, OverflowPolicy};
+use small_core::{
+    CompressPolicy, ListProcessor, LpConfig, LpError, LpValue, OverflowPolicy, RootKind,
+};
 use small_heap::controller::TwoPointerController;
 use small_heap::Word;
 use small_metrics::CountingSink;
@@ -31,7 +33,7 @@ fn compressible_pair(lp: &mut Lp) -> LpValue {
         .cons(LpValue::Atom(Word::int(1)), LpValue::Atom(Word::NIL))
         .unwrap();
     let b = lp.cons(a, LpValue::Atom(Word::NIL)).unwrap();
-    drop(lp.adopt_binding(a));
+    lp.unroot(a, RootKind::Binding);
     lp.drain_unroots();
     b
 }
@@ -128,8 +130,8 @@ fn cycle_breaking_reclaims_unreachable_cycle_and_counts_it() {
     let a = atom_cons(&mut lp, 1);
     let b = lp.cons(a, LpValue::Atom(Word::NIL)).unwrap();
     lp.rplacd(a.obj().unwrap(), b).unwrap();
-    drop(lp.adopt_binding(a));
-    drop(lp.adopt_binding(b));
+    lp.unroot(a, RootKind::Binding);
+    lp.unroot(b, RootKind::Binding);
     lp.drain_unroots();
     assert_eq!(lp.occupancy(), 2, "the cycle leaks under pure counting");
     // Fill the remaining 4 entries, then one more: compression cannot
@@ -165,17 +167,17 @@ fn degrade_workload(table_size: usize) -> (Vec<String>, u64) {
         let src = format!("({k} (a b) ({} c))", k * 2);
         let e = parse(&src, &mut i).unwrap();
         let v = lp.readlist(None, &e).unwrap();
-        held.push((v, lp.adopt_binding(v)));
+        held.push(v);
         if k % 3 == 0 && held.len() >= 2 {
-            let a = held[held.len() - 1].0;
-            let b = held[held.len() - 2].0;
+            let a = held[held.len() - 1];
+            let b = held[held.len() - 2];
             let c = lp.cons(a, b).unwrap();
-            held.push((c, lp.adopt_binding(c)));
+            held.push(c);
         }
     }
     let out = held
         .iter()
-        .map(|(v, _)| print(&lp.writelist(*v).unwrap(), &i))
+        .map(|&v| print(&lp.writelist(v).unwrap(), &i))
         .collect();
     (out, lp.stats().overflow_entries)
 }

@@ -1,13 +1,16 @@
 //! Property-based tests of the SMALL core invariants.
 //!
-//! Reference dropping goes through the RAII `Rooted` API (adopt the
-//! EP's stack reference, then force the deferred release); the legacy
-//! four-method protect protocol keeps one dedicated equivalence test
-//! next to its implementation in `lp.rs`.
+//! Reference dropping goes through `ListProcessor::unroot` (schedule the
+//! release of the EP's stack reference, then force the deferred
+//! release); deferred release keeps one dedicated equivalence test
+//! against the immediate primitives next to its implementation in
+//! `lp.rs`.
 
 use proptest::prelude::*;
 use small_core::machine::{traverse_preorder, SmallBackend};
-use small_core::{CompressPolicy, DecrementPolicy, FreeDiscipline, LpConfig, RefcountMode};
+use small_core::{
+    CompressPolicy, DecrementPolicy, FreeDiscipline, LpConfig, RefcountMode, RootKind,
+};
 use small_heap::controller::TwoPointerController;
 use small_sexpr::{parse, print, Interner};
 
@@ -100,7 +103,7 @@ proptest! {
         let mut lp = backend.lp;
         let v = lp.readlist(None, &e).unwrap();
         traverse_preorder(&mut lp, v).unwrap();
-        drop(lp.adopt_binding(v));
+        lp.unroot(v, RootKind::Binding);
         lp.drain_unroots();
         lp.drain_lazy();
         prop_assert_eq!(lp.occupancy(), 0);
@@ -143,29 +146,29 @@ proptest! {
         for src in &srcs {
             let e = parse(src, &mut i).unwrap();
             let v = lp.readlist(None, &e).unwrap();
-            held.push((v, Some(lp.adopt_binding(v))));
+            held.push(v);
         }
         for (step, op) in ops.iter().enumerate() {
             let n = held.len();
             if n == 0 { break; }
-            let v = held[step % n].0;
+            let v = held[step % n];
             match op {
                 0 => {
                     if let Some(id) = v.obj() {
                         let c = lp.car(id).unwrap();
-                        drop(lp.adopt_binding(c));
+                        lp.unroot(c, RootKind::Binding);
                     }
                 }
                 1 => {
                     if let Some(id) = v.obj() {
                         let c = lp.cdr(id).unwrap();
-                        drop(lp.adopt_binding(c));
+                        lp.unroot(c, RootKind::Binding);
                     }
                 }
                 2 => {
-                    let w = held[(step + 1) % n].0;
+                    let w = held[(step + 1) % n];
                     let c = lp.cons(v, w).unwrap();
-                    held.push((c, Some(lp.adopt_binding(c))));
+                    held.push(c);
                 }
                 3 => {
                     if let Some(id) = v.obj() {
@@ -177,8 +180,7 @@ proptest! {
                 4 => {
                     // Release one held reference (deferred unroot).
                     let idx = step % held.len();
-                    held[idx].1 = None;
-                    held.remove(idx);
+                    lp.unroot(held.remove(idx), RootKind::Binding);
                 }
                 _ => {
                     // Drain pending lazy decrements mid-sequence.
@@ -193,7 +195,9 @@ proptest! {
                 report.violations
             );
         }
-        held.clear();
+        for v in held.drain(..) {
+            lp.unroot(v, RootKind::Binding);
+        }
         lp.drain_unroots();
         lp.drain_lazy();
         let report = lp.audit();
@@ -210,7 +214,7 @@ proptest! {
         let backend = SmallBackend::<TwoPointerController>::new(16384, LpConfig::default());
         let mut lp = backend.lp;
         let v = lp.readlist(None, &e).unwrap();
-        drop(lp.adopt_binding(v));
+        lp.unroot(v, RootKind::Binding);
         lp.drain_unroots();
         lp.drain_lazy();
         let free = lp.controller.drain_and_free();
@@ -224,7 +228,7 @@ mod structure_coded_controller {
     //! the structure-coded exception-table store.
 
     use proptest::prelude::*;
-    use small_core::{ListProcessor, LpConfig};
+    use small_core::{ListProcessor, LpConfig, RootKind};
     use small_heap::controller::TwoPointerController;
     use small_heap::StructureCodedController;
     use small_sexpr::{parse, print, Interner};
@@ -327,9 +331,9 @@ mod structure_coded_controller {
             if let Some(id) = v.obj() {
                 // car() returns a retained reference; drop it too.
                 let c = lp.car(id).unwrap();
-                drop(lp.adopt_binding(c));
+                lp.unroot(c, RootKind::Binding);
             }
-            drop(lp.adopt_binding(v));
+            lp.unroot(v, RootKind::Binding);
             lp.drain_unroots();
             lp.drain_lazy();
             prop_assert_eq!(lp.occupancy(), 0);

@@ -91,6 +91,9 @@ pub enum BackendError {
     /// degraded (heap-direct overflow) mode; the payload names the
     /// refused operation.
     Degraded(&'static str),
+    /// Printing or comparing met a cycle built by `rplaca`/`rplacd`: the
+    /// structure has no finite s-expression.
+    Cyclic,
 }
 
 impl fmt::Display for BackendError {
@@ -103,6 +106,7 @@ impl fmt::Display for BackendError {
             BackendError::Degraded(what) => {
                 write!(f, "{what} is unsupported in degraded overflow mode")
             }
+            BackendError::Cyclic => write!(f, "cyclic list structure has no finite s-expression"),
         }
     }
 }
@@ -192,6 +196,21 @@ pub trait ListBackend {
     fn write_out(&mut self, v: &VmValue<Self::Ref>) -> SExpr;
     /// Structural equality of two values.
     fn equal(&mut self, a: &VmValue<Self::Ref>, b: &VmValue<Self::Ref>) -> bool;
+    /// [`Self::write_out`] for a value that may be cyclic: a backend
+    /// that can hold cycles fails with [`BackendError::Cyclic`] here
+    /// instead of panicking. The VM prints through this method.
+    fn write_checked(&mut self, v: &VmValue<Self::Ref>) -> Result<SExpr, VmError> {
+        Ok(self.write_out(v))
+    }
+    /// [`Self::equal`] for values that may be cyclic (see
+    /// [`Self::write_checked`]). The VM compares through this method.
+    fn equal_checked(
+        &mut self,
+        a: &VmValue<Self::Ref>,
+        b: &VmValue<Self::Ref>,
+    ) -> Result<bool, VmError> {
+        Ok(self.equal(a, b))
+    }
     /// A new *binding* reference to a list object was created (the EP
     /// tells the LP to increment the object's reference count).
     fn retain(&mut self, r: &Self::Ref) {
@@ -1011,10 +1030,10 @@ impl<B: ListBackend> Vm<B> {
     fn do_brneq(&mut self, a: CodeAddr, pc: &mut usize) -> Result<(), VmError> {
         let b = self.pop()?;
         let x = self.pop()?;
-        let eq = self.backend.equal(&x, &b);
+        let eq = self.backend.equal_checked(&x, &b);
         self.release_value(&b);
         self.release_value(&x);
-        if !eq {
+        if !eq? {
             *pc = a;
         }
         Ok(())
@@ -1062,10 +1081,10 @@ impl<B: ListBackend> Vm<B> {
     fn do_equalp(&mut self) -> Result<(), VmError> {
         let b = self.pop()?;
         let a = self.pop()?;
-        let eq = self.backend.equal(&a, &b);
+        let eq = self.backend.equal_checked(&a, &b);
         self.release_value(&a);
         self.release_value(&b);
-        self.push_bool(eq);
+        self.push_bool(eq?);
         Ok(())
     }
 
@@ -1192,7 +1211,7 @@ impl<B: ListBackend> Vm<B> {
     #[inline(always)]
     fn do_wrlist(&mut self) -> Result<(), VmError> {
         let v = self.peek()?.clone();
-        let e = self.backend.write_out(&v);
+        let e = self.backend.write_checked(&v)?;
         self.output.push(e);
         Ok(())
     }

@@ -20,7 +20,7 @@
 //! the accounting the tests assert is exact.
 
 use crate::weights::{WeightTable, WeightedRef};
-use small_core::{ListProcessor, LpConfig, LpValue};
+use small_core::{Id, ListProcessor, LpConfig, LpValue, RootKind};
 use small_heap::controller::TwoPointerController;
 use small_sexpr::SExpr;
 
@@ -35,8 +35,8 @@ pub struct GlobalRef {
 
 impl GlobalRef {
     /// The owner-node LPT identifier.
-    pub fn id(&self) -> small_core::Id {
-        self.wref.obj as small_core::Id
+    pub fn id(&self) -> Id {
+        self.wref.obj as Id
     }
 }
 
@@ -200,7 +200,7 @@ impl MultiNode {
                     if !node.weights.alive(obj) {
                         // Last reference anywhere: the owner's LPT entry
                         // (created with one EP reference) is released.
-                        drop(node.lp.adopt_binding(LpValue::Obj(obj as small_core::Id)));
+                        node.lp.unroot(LpValue::Obj(obj as Id), RootKind::Binding);
                         node.lp.drain_unroots();
                     }
                 }

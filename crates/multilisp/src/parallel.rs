@@ -17,7 +17,7 @@
 
 use crate::weights::{WeightTable, WeightedRef};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use small_core::{ListProcessor, LpConfig, LpValue};
+use small_core::{Id, ListProcessor, LpConfig, LpValue, RootKind};
 use small_heap::controller::TwoPointerController;
 use small_sexpr::SExpr;
 use std::thread::JoinHandle;
@@ -73,7 +73,7 @@ impl NodeState {
                 Request::Fetch { obj, reply } => {
                     let e = self
                         .lp
-                        .writelist(LpValue::Obj(obj as small_core::Id))
+                        .writelist(LpValue::Obj(obj as Id))
                         .expect("fetch of live object");
                     let _ = reply.send(e);
                 }
@@ -81,7 +81,7 @@ impl NodeState {
                     for (obj, weight) in updates {
                         self.weights.decrement(obj, weight);
                         if !self.weights.alive(obj) {
-                            drop(self.lp.adopt_binding(LpValue::Obj(obj as small_core::Id)));
+                            self.lp.unroot(LpValue::Obj(obj as Id), RootKind::Binding);
                             self.lp.drain_unroots();
                         }
                     }

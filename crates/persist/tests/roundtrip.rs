@@ -12,7 +12,6 @@
 
 use small_core::{
     FreeDiscipline, ListProcessor, LpConfig, LpValue, OverflowPolicy, RefcountMode, RootKind,
-    Rooted,
 };
 use small_heap::{
     CdrCodedController, HeapController, PersistableController, StructureCodedController,
@@ -43,30 +42,21 @@ fn read<C: HeapController>(
 /// Drive a deterministic workload leaving a nontrivial mid-run state:
 /// held bindings, freed entries with pending lazy decrements, a
 /// mutated structure, and (split mode) populated EP-side counts.
-/// Returns the values still held, in handle order.
-fn work<C: HeapController>(
-    lp: &mut ListProcessor<C, NoopSink>,
-    i: &mut Interner,
-) -> (Vec<Rooted>, Vec<LpValue>) {
-    let mut held = Vec::new();
+/// Returns the values still held, each with one binding reference.
+fn work<C: HeapController>(lp: &mut ListProcessor<C, NoopSink>, i: &mut Interner) -> Vec<LpValue> {
     let keep = read(lp, i, "(alpha (beta gamma) delta)");
-    held.push(lp.adopt_binding(keep));
     let tmp = read(lp, i, "((a b) (c d) e)");
-    let tmp_h = lp.adopt_binding(tmp);
     let pair = lp.cons(keep, tmp).unwrap();
-    held.push(lp.adopt_binding(pair));
     let kar = lp.car_of(pair).unwrap();
-    held.push(lp.root_binding(kar));
+    lp.root_binding(kar);
     lp.rplaca_of(tmp, kar).unwrap();
     // Drop the direct reference to `tmp`: its spine survives only
-    // through `pair`, and the drop's release lands at the next drain.
-    drop(tmp_h);
+    // through `pair`, and the release lands at the next drain.
+    lp.unroot(tmp, RootKind::Binding);
     let dead = read(lp, i, "(x (y) z)");
-    let dead_h = lp.adopt_binding(dead);
-    drop(dead_h);
+    lp.unroot(dead, RootKind::Binding);
     lp.drain_unroots();
-    let values = held.iter().map(Rooted::value).collect();
-    (held, values)
+    vec![keep, pair, kar]
 }
 
 fn snapshot<C: HeapController + PersistableController>(
@@ -92,7 +82,7 @@ where
     let cfg = config(refcounts, free_discipline);
     let mut i = Interner::new();
     let mut lp = ListProcessor::with_sink(make(), cfg, NoopSink);
-    let (_held, values) = work(&mut lp, &mut i);
+    let values = work(&mut lp, &mut i);
 
     // Codec round-trip is exact and deterministic.
     let ckpt = snapshot(&lp);
@@ -107,23 +97,17 @@ where
     assert_eq!(restored.export_image(), ckpt.lp, "{tag}: image drifted");
     assert_eq!(restored.stats(), lp.stats(), "{tag}: stats drifted");
     assert!(restored.audit().is_clean(), "{tag}: restored audit");
-    let _restored_held: Vec<Rooted> = values
-        .iter()
-        .map(|&v| restored.resume_root(v, RootKind::Binding))
-        .collect();
 
     // Both machines keep executing the same operations identically.
     let mut j = Interner::new();
     for lp in [&mut lp, &mut restored] {
         let extra = read(lp, &mut j, "(p (q r) s)");
-        let h = lp.adopt_binding(extra);
         let joined = lp.cons(extra, values[0]).unwrap();
-        let jh = lp.adopt_binding(joined);
         let kdr = lp.cdr_of(joined).unwrap();
-        let kh = lp.root_binding(kdr);
-        drop(h);
-        drop(jh);
-        drop(kh);
+        lp.root_binding(kdr);
+        lp.unroot(extra, RootKind::Binding);
+        lp.unroot(joined, RootKind::Binding);
+        lp.unroot(kdr, RootKind::Binding);
         lp.drain_unroots();
     }
     assert_eq!(
@@ -171,19 +155,18 @@ fn mid_degrade_snapshot_restores_and_reenters_table_mode() {
         let v = lp
             .cons(LpValue::Atom(Word::int(k)), LpValue::Atom(Word::NIL))
             .unwrap();
-        held.push(lp.adopt_binding(v));
+        held.push(v);
     }
     assert!(!lp.degraded());
     let d = lp
         .cons(LpValue::Atom(Word::int(99)), LpValue::Atom(Word::NIL))
         .unwrap();
-    held.push(lp.adopt_binding(d));
+    held.push(d);
     assert!(lp.degraded(), "the 9th pair must push the table over");
     assert!(d.is_heap_direct());
     assert!(lp.stats().overflow_entries > 0);
 
     // Snapshot mid-degrade and restore.
-    let values: Vec<LpValue> = held.iter().map(Rooted::value).collect();
     let ckpt = snapshot(&lp);
     let decoded = decode_checkpoint(&encode_checkpoint(&ckpt)).unwrap();
     let controller = TwoPointerController::import_image(&decoded.controller).unwrap();
@@ -193,10 +176,6 @@ fn mid_degrade_snapshot_restores_and_reenters_table_mode() {
         "snapshot must restore into degraded mode"
     );
     assert_eq!(restored.export_image(), ckpt.lp);
-    let mut restored_held: Vec<Rooted> = values
-        .iter()
-        .map(|&v| restored.resume_root(v, RootKind::Binding))
-        .collect();
     // Heap-direct traversal works identically on the restored machine.
     assert_eq!(restored.car_of(d).unwrap(), LpValue::Atom(Word::int(99)));
     assert_eq!(lp.car_of(d).unwrap(), LpValue::Atom(Word::int(99)));
@@ -204,8 +183,10 @@ fn mid_degrade_snapshot_restores_and_reenters_table_mode() {
     // Release everything on both sides: occupancy falls to half the
     // table and the next operation boundary re-enters table mode on
     // both machines in lockstep.
-    held.clear();
-    restored_held.clear();
+    for &v in &held {
+        lp.unroot(v, RootKind::Binding);
+        restored.unroot(v, RootKind::Binding);
+    }
     lp.drain_unroots();
     restored.drain_unroots();
     let a = lp

@@ -946,6 +946,7 @@ pub fn vm_error_reply(e: &VmError) -> Reply {
             BackendError::NotAList => err("lp", "not-a-list"),
             BackendError::UnexpectedTag(_) => err("lp", "unexpected-tag"),
             BackendError::Degraded(_) => err("lp", "degraded"),
+            BackendError::Cyclic => err("lp", "cyclic"),
         },
     }
 }

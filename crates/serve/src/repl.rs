@@ -667,6 +667,33 @@ mod tests {
     }
 
     #[test]
+    fn cyclic_structure_gets_typed_replies_and_replays() {
+        // Comparing or printing a cycle built by `rplacd` answers the
+        // typed `(err lp cyclic)` a cyclic top-level result gets; the
+        // session keeps serving, and a standby replays the log.
+        let mut primary = SessionStore::new(cfg(2));
+        let mut wal = Wal::new();
+        let open = WalOp::Open { token: None };
+        assert!(!primary_run(&mut primary, &mut wal, 0, open).is_err());
+        let mut run = |src: &str| {
+            let op = WalOp::Eval {
+                seq: None,
+                src: src.to_string(),
+            };
+            primary_run(&mut primary, &mut wal, 0, op).encode()
+        };
+        assert_eq!(run("(setq x (cons 1 nil))"), "(ok value (1))");
+        assert_eq!(run("(rplacd x x)"), "(err lp cyclic)");
+        for src in ["(equal x x)", "(= x x)", "(print x)", "(write x)"] {
+            assert_eq!(run(src), "(err lp cyclic)", "{src}");
+        }
+        assert_eq!(run("(car x)"), "(ok value 1)");
+        let (batch, _) = wal.frames_from(0, usize::MAX);
+        let mut standby = Standby::new(cfg(2));
+        assert_eq!(standby.apply(&batch), Ok(wal.next_lsn() as usize));
+    }
+
+    #[test]
     fn relay_ships_downstream_and_promotes_with_its_listener() {
         use crate::client::Client;
         use crate::protocol::{NodeRole, Request, Role, PROTO_VERSION};

@@ -269,9 +269,9 @@ impl Session {
     /// idle sessions). The blob embeds the LPT image, the heap image,
     /// the interner, the global bindings, the metrics counters, and the
     /// request/digest bookkeeping — everything [`Session::resume`]
-    /// needs. No release traffic is issued: the outstanding binding
-    /// handles' counts ride inside the LPT image and are re-wrapped on
-    /// resume, keeping suspension invisible to the ledger.
+    /// needs. No release traffic is issued: the counts of the references
+    /// the machine holds ride inside the LPT image and are counted back
+    /// on resume, keeping suspension invisible to the ledger.
     pub fn suspend(self) -> Vec<u8> {
         self.suspend_with_counts().0
     }
@@ -325,9 +325,9 @@ impl Session {
             driver: w.finish(),
         });
         (blob, counts)
-        // Dropping `self` here drops the outstanding `Rooted` handles
-        // without draining their unroots — the counts they represent
-        // were exported live, as resume expects.
+        // Dropping `self` here releases none of the references the
+        // machine holds — their counts were exported live, as resume
+        // expects.
     }
 
     /// Resume a session from a [`Session::suspend`] blob (of any

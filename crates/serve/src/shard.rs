@@ -52,8 +52,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Idle sleep between event-loop passes that did no work.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
+/// Idle sleep between event-loop passes that did no work. Linux adds
+/// up to 50 µs of timer slack, so an idle shard looks at its sockets
+/// every 150–200 µs, and a closed-loop client waits that long once per
+/// round trip.
+const IDLE_SLEEP: Duration = Duration::from_micros(150);
 
 /// How long the final flush may take per shard before giving up on
 /// unresponsive peers.
@@ -522,11 +525,17 @@ pub fn shard_loop(
             }
         }
 
-        // Execute whatever reached this shard's queue.
-        worked += run_queue_jobs(me, &mut store, &shared);
-
         // Flush replies; retire finished connections. The span is only
         // recorded when some outbox actually had bytes in flight.
+        //
+        // Replies go out after the read and before the jobs run, so a
+        // reply completed in this pass leaves in the next one, right
+        // before that pass may sleep. Whether a shard sleeps thus never
+        // depends on how fast a client answers a reply. Flushing after
+        // the jobs would let a client that shares the shard's CPU
+        // answer before the next read and skip the sleep, while one on
+        // another CPU waits it out: throughput would swing with thread
+        // placement.
         let flush_t0 = shared.trace.as_ref().map(|log| log.now_us());
         let mut flushed_any = false;
         for conn in &mut conns {
@@ -538,6 +547,9 @@ pub fn shard_loop(
             }
         }
         conns.retain(|c| !c.finished());
+
+        // Execute whatever reached this shard's queue.
+        worked += run_queue_jobs(me, &mut store, &shared);
 
         if decode_acked && shared.decode_done.load(Ordering::SeqCst) == nshards {
             // No producer remains anywhere. Drain to empty (each pass

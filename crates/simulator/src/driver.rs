@@ -17,9 +17,9 @@
 //! The simulated control-cum-binding stack pushes argument and local
 //! slots on every `FnEnter` ("randomly bound to something older on the
 //! stack") and pops them on `FnExit`, generating the reference-count
-//! bursts of §5.3.3. Every slot holds a [`Rooted`] binding handle;
-//! popping a frame drops its handles and the LP performs the releases
-//! at its next operation boundary.
+//! bursts of §5.3.3. Every slot holds a value with one binding
+//! reference; popping a frame unroots its slots and the LP performs the
+//! releases at its next operation boundary.
 //!
 //! A parallel LRU data cache (§5.2.5) observes the same car/cdr request
 //! stream through synthesized heap addresses: objects read in get
@@ -38,10 +38,10 @@ use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use small_core::LptStats;
-use small_core::{Id, ListProcessor, LpError, LpValue, Rooted};
+use small_core::{Id, ListProcessor, LpError, LpValue, RootKind};
 use small_heap::controller::{ControllerStats, HeapController, TwoPointerController};
 use small_metrics::{EventSink, NoopSink};
-use small_trace::{Prim, Trace};
+use small_trace::{event::ListRef, Prim, Trace};
 
 /// Optional cache model configuration.
 #[derive(Debug, Clone, Copy)]
@@ -100,9 +100,10 @@ fn rate(h: u64, m: u64) -> f64 {
     }
 }
 
+/// One simulated call frame. Every slot holds a binding reference.
 pub(crate) struct FrameSim {
-    pub(crate) args: Vec<Rooted>,
-    pub(crate) locals: Vec<Rooted>,
+    pub(crate) args: Vec<LpValue>,
+    pub(crate) locals: Vec<LpValue>,
 }
 
 pub(crate) struct Driver<'t, C: HeapController, S: EventSink> {
@@ -114,8 +115,11 @@ pub(crate) struct Driver<'t, C: HeapController, S: EventSink> {
     pub(crate) lp: ListProcessor<C, S>,
     pub(crate) rng: StdRng,
     pub(crate) frames: Vec<FrameSim>,
-    pub(crate) globals: Vec<Rooted>,
-    pub(crate) tos: Option<Rooted>,
+    /// Global slots and TOS, each holding a binding reference.
+    pub(crate) globals: Vec<LpValue>,
+    pub(crate) tos: Option<LpValue>,
+    /// Operands the current primitive holds register references to.
+    pub(crate) operands: Vec<LpValue>,
     // Cache model.
     pub(crate) cache: Option<LruCache>,
     pub(crate) addrs: FxHashMap<Id, u64>,
@@ -213,6 +217,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
             frames: Vec::new(),
             globals: Vec::new(),
             tos: None,
+            operands: Vec::new(),
             cache: cache.map(|c| LruCache::new(c.lines, c.line_cells)),
             addrs: FxHashMap::default(),
             next_addr: 0,
@@ -221,18 +226,9 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
         }
     }
 
-    /// Defuse outstanding handles and tear the LP down (the deferred
-    /// releases would never run anyway; this keeps teardown explicit).
-    pub(crate) fn teardown(mut self) -> (C, S) {
-        self.tos.take().map(Rooted::leak);
-        self.globals.drain(..).for_each(|h| {
-            h.leak();
-        });
-        for f in self.frames.drain(..) {
-            f.args.into_iter().chain(f.locals).for_each(|h| {
-                h.leak();
-            });
-        }
+    /// Tear the LP down; the references the slots hold are never
+    /// released.
+    pub(crate) fn teardown(self) -> (C, S) {
         self.lp.into_parts()
     }
 
@@ -241,8 +237,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
         for _ in 0..6 {
             let v = self.fresh_object()?;
             // The read-in reference becomes the global binding.
-            let h = self.lp.adopt_binding(v);
-            self.globals.push(h);
+            self.globals.push(v);
         }
         Ok(())
     }
@@ -308,22 +303,30 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
             args: Vec::with_capacity(nargs),
             locals: Vec::with_capacity(nlocals),
         };
+        // Once `seed_globals` has run the pool is never empty, so
+        // `older_value` reads nothing and cannot fail here.
         for _ in 0..nargs {
             let v = self.older_value()?;
-            frame.args.push(self.lp.root_binding(v));
+            self.lp.root_binding(v);
+            frame.args.push(v);
         }
         for _ in 0..nlocals {
             let v = self.older_value()?;
-            frame.locals.push(self.lp.root_binding(v));
+            self.lp.root_binding(v);
+            frame.locals.push(v);
         }
         self.frames.push(frame);
         Ok(())
     }
 
     fn fn_exit(&mut self) {
-        // Dropping the frame drops its binding handles; the LP releases
-        // them at its next operation boundary.
-        self.frames.pop();
+        // The LP releases the frame's bindings, args before locals, at
+        // its next operation boundary.
+        if let Some(f) = self.frames.pop() {
+            for v in f.args.into_iter().chain(f.locals) {
+                self.lp.unroot(v, RootKind::Binding);
+            }
+        }
     }
 
     /// A value "older on the stack": a random existing slot, or a fresh
@@ -343,23 +346,23 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
             return self.fresh_object();
         }
         let mut k = self.rng.gen_range(0..len);
-        if let Some(h) = &self.tos {
+        if let Some(v) = self.tos {
             if k == 0 {
-                return Ok(h.value());
+                return Ok(v);
             }
             k -= 1;
         }
         for f in &self.frames {
             if k < f.args.len() {
-                return Ok(f.args[k].value());
+                return Ok(f.args[k]);
             }
             k -= f.args.len();
             if k < f.locals.len() {
-                return Ok(f.locals[k].value());
+                return Ok(f.locals[k]);
             }
             k -= f.locals.len();
         }
-        Ok(self.globals[k].value())
+        Ok(self.globals[k])
     }
 
     // -- operand selection (§5.2.1) --------------------------------------
@@ -414,22 +417,20 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
         }
     }
 
-    fn slot_get(&self, c: (usize, usize, usize)) -> LpValue {
+    fn slot(&mut self, c: (usize, usize, usize)) -> &mut LpValue {
         match c.0 {
-            0 => self.frames[c.1].args[c.2].value(),
-            1 => self.frames[c.1].locals[c.2].value(),
-            _ => self.globals[c.2].value(),
+            0 => &mut self.frames[c.1].args[c.2],
+            1 => &mut self.frames[c.1].locals[c.2],
+            _ => &mut self.globals[c.2],
         }
     }
 
-    /// Install a binding handle in a slot; the displaced handle's
-    /// reference is released at the next LP operation boundary.
-    fn slot_set(&mut self, c: (usize, usize, usize), h: Rooted) {
-        match c.0 {
-            0 => self.frames[c.1].args[c.2] = h,
-            1 => self.frames[c.1].locals[c.2] = h,
-            _ => self.globals[c.2] = h,
-        }
+    /// Install a value carrying a binding reference in a slot; the
+    /// displaced value's reference is released at the next LP operation
+    /// boundary.
+    fn slot_set(&mut self, c: (usize, usize, usize), v: LpValue) {
+        let old = std::mem::replace(self.slot(c), v);
+        self.lp.unroot(old, RootKind::Binding);
     }
 
     /// Pick an operand per §5.2.1. When `need_list` is set the operand
@@ -437,8 +438,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
     /// slot is treated as freshly re-read.
     fn operand(&mut self, chained: bool, need_list: bool) -> Result<LpValue, LpError> {
         if chained {
-            if let Some(h) = &self.tos {
-                let v = h.value();
+            if let Some(v) = self.tos {
                 if !need_list || v.is_list() {
                     return Ok(v);
                 }
@@ -450,17 +450,15 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
         // Ensure a global exists for the non-local fallback.
         if self.globals.is_empty() {
             let v = self.fresh_object()?;
-            let h = self.lp.adopt_binding(v);
-            self.globals.push(h);
+            self.globals.push(v);
         }
         let slot = self.select_slot();
-        let mut v = self.slot_get(slot);
+        let mut v = *self.slot(slot);
         let reread = self.rng.gen_bool(self.params.read_prob) || (need_list && !v.is_list());
         if reread {
             let fresh = self.fresh_object()?;
-            // `fresh` carries one stack reference; the slot adopts it.
-            let h = self.lp.adopt_binding(fresh);
-            self.slot_set(slot, h);
+            // `fresh` carries one stack reference; the slot keeps it.
+            self.slot_set(slot, fresh);
             v = fresh;
         }
         Ok(v)
@@ -468,10 +466,12 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
 
     // -- result placement -------------------------------------------------
 
-    fn set_tos(&mut self, h: Rooted) {
-        // The displaced TOS handle drops; its reference is released at
-        // the next operation boundary.
-        self.tos = Some(h);
+    /// Put a value carrying a binding reference on TOS; the displaced
+    /// TOS reference is released at the next operation boundary.
+    fn set_tos(&mut self, v: LpValue) {
+        if let Some(old) = self.tos.replace(v) {
+            self.lp.unroot(old, RootKind::Binding);
+        }
     }
 
     fn maybe_bind(&mut self, v: LpValue) {
@@ -479,13 +479,13 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
             && !(self.frames.is_empty() && self.globals.is_empty())
         {
             if self.globals.is_empty() {
-                let h = self.lp.root_binding(v);
-                self.globals.push(h);
+                self.lp.root_binding(v);
+                self.globals.push(v);
                 return;
             }
             let slot = self.select_slot();
-            let h = self.lp.root_binding(v);
-            self.slot_set(slot, h);
+            self.lp.root_binding(v);
+            self.slot_set(slot, v);
         }
     }
 
@@ -527,17 +527,33 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
 
     // -- primitive execution --------------------------------------------
 
-    fn prim(&mut self, prim: Prim, args: &[small_trace::event::ListRef]) -> Result<(), LpError> {
+    /// Protect an operand with a register reference until the current
+    /// primitive ends. No reference-count bus traffic.
+    fn root_operand(&mut self, v: LpValue) {
+        self.lp.root(v);
+        self.operands.push(v);
+    }
+
+    fn prim(&mut self, prim: Prim, args: &[ListRef]) -> Result<(), LpError> {
+        let result = self.run_prim(prim, args);
+        // Operand roots go back in the order they were taken, whether or
+        // not the primitive completed.
+        for v in self.operands.drain(..) {
+            self.lp.unroot(v, RootKind::Register);
+        }
+        result
+    }
+
+    fn run_prim(&mut self, prim: Prim, args: &[ListRef]) -> Result<(), LpError> {
         let chained = |k: usize| args.get(k).is_some_and(|a| a.chained);
         match prim {
             Prim::Car | Prim::Cdr => {
                 let arg = self.operand(chained(0), true)?;
                 // Root the operand: selecting/re-reading other slots or
-                // replacing TOS must not free it while in use. (A
-                // register reference — no bus traffic.) Heap-direct
+                // replacing TOS must not free it while in use. Heap-direct
                 // operands (§4.3.2.3 overflow mode) carry no table
-                // reference; the handle is inert for them.
-                let guard = self.lp.root(arg);
+                // reference; rooting them is a no-op.
+                self.root_operand(arg);
                 if let LpValue::Obj(id) = arg {
                     self.cache_access(id);
                 }
@@ -562,18 +578,16 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                     self.access_hits += 1;
                 }
                 // Atoms carry no reference; objects arrive retained.
-                let h = self.lp.adopt_binding(v);
-                self.set_tos(h);
+                self.set_tos(v);
                 self.maybe_bind(v);
-                drop(guard);
             }
             Prim::Cons => {
                 let a = self.operand(chained(0), false)?;
-                let guard_a = self.lp.root(a);
+                self.root_operand(a);
                 // The second selection can re-read the slot holding `a`;
                 // the root reference keeps `a` alive.
                 let b = self.operand(chained(1), false)?;
-                let guard_b = self.lp.root(b);
+                self.root_operand(b);
                 let v = self.lp.retrying(|lp| lp.cons(a, b))?;
                 if let LpValue::Obj(id) = v {
                     // A conventional machine would allocate one cell.
@@ -581,17 +595,14 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                     self.next_addr += 1;
                     self.addrs.insert(id, addr);
                 }
-                let h = self.lp.adopt_binding(v);
-                self.set_tos(h);
+                self.set_tos(v);
                 self.maybe_bind(v);
-                drop(guard_a);
-                drop(guard_b);
             }
             Prim::Rplaca | Prim::Rplacd => {
                 let target = self.operand(chained(0), true)?;
-                let guard_t = self.lp.root(target);
+                self.root_operand(target);
                 let v = self.operand(chained(1), false)?;
-                let guard_v = self.lp.root(v);
+                self.root_operand(v);
                 let before = self.lp.stats().misses;
                 let is_a = prim == Prim::Rplaca;
                 match self.lp.retrying(|lp| {
@@ -615,31 +626,32 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                 }
                 // The result is the modified list; TOS takes a fresh
                 // stack reference to it.
-                let h = self.lp.root_binding(target);
-                self.set_tos(h);
-                drop(guard_t);
-                drop(guard_v);
+                self.lp.root_binding(target);
+                self.set_tos(target);
             }
             Prim::Read => {
                 let v = self.fresh_object()?;
                 // `read` binds its result to a variable (Figure 4.15),
                 // and its value lands on TOS.
-                let bind = self.lp.root_binding(v);
-                self.maybe_bind_forced(bind);
-                let h = self.lp.adopt_binding(v);
-                self.set_tos(h);
+                self.lp.root_binding(v);
+                self.maybe_bind_forced(v);
+                // The binding `read` displaced is released before the
+                // value lands on TOS, so it is counted even when the
+                // trace ends here.
+                self.lp.drain_unroots();
+                self.set_tos(v);
             }
         }
         Ok(())
     }
 
-    fn maybe_bind_forced(&mut self, h: Rooted) {
+    fn maybe_bind_forced(&mut self, v: LpValue) {
         if self.globals.is_empty() {
-            self.globals.push(h);
+            self.globals.push(v);
             return;
         }
         let slot = self.select_slot();
-        self.slot_set(slot, h);
+        self.slot_set(slot, v);
     }
 }
 

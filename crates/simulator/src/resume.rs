@@ -31,7 +31,7 @@ use crate::config::SimParams;
 use crate::driver::{Driver, FrameSim, SimResult};
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
-use small_core::{Id, ListProcessor, LpError, LpValue, RootKind, Rooted};
+use small_core::{Id, ListProcessor, LpError, LpValue};
 use small_heap::controller::TwoPointerController;
 use small_heap::{HeapController, PersistableController, Word};
 use small_metrics::NoopSink;
@@ -76,10 +76,10 @@ fn get_value(r: &mut ByteReader) -> Result<LpValue, &'static str> {
     }
 }
 
-fn put_handles(w: &mut ByteWriter, hs: &[Rooted]) {
-    w.put_u64(hs.len() as u64);
-    for h in hs {
-        put_value(w, h.value());
+fn put_handles(w: &mut ByteWriter, vs: &[LpValue]) {
+    w.put_u64(vs.len() as u64);
+    for &v in vs {
+        put_value(w, v);
     }
 }
 
@@ -88,10 +88,10 @@ fn encode_driver(d: &DurableDriver<'_>, prims: u64) -> Vec<u8> {
     for word in d.rng.state() {
         w.put_u64(word);
     }
-    match &d.tos {
-        Some(h) => {
+    match d.tos {
+        Some(v) => {
             w.put_bool(true);
-            put_value(&mut w, h.value());
+            put_value(&mut w, v);
         }
         None => w.put_bool(false),
     }
@@ -117,8 +117,8 @@ fn encode_driver(d: &DurableDriver<'_>, prims: u64) -> Vec<u8> {
 
 /// Rebuild a driver from checkpointed state. Every persisted slot holds
 /// a binding reference that is *already counted* in the restored LPT
-/// image, so handles are re-wrapped with
-/// [`ListProcessor::resume_root`] rather than re-acquired.
+/// image, so the slots take their values back without re-acquiring
+/// them.
 fn decode_driver<'t>(
     trace: &'t Trace,
     params: SimParams,
@@ -148,7 +148,7 @@ fn decode_driver<'t>(
     for _ in 0..nframes {
         let args = values(&mut r).map_err(corrupt)?;
         let locals = values(&mut r).map_err(corrupt)?;
-        frames.push((args, locals));
+        frames.push(FrameSim { args, locals });
     }
     let naddrs = r.count(12).map_err(corrupt)?;
     let mut addrs = FxHashMap::with_capacity_and_hasher(naddrs, Default::default());
@@ -164,22 +164,8 @@ fn decode_driver<'t>(
     let access_misses = r.counter().map_err(corrupt)?;
     let prims = r.counter().map_err(corrupt)?;
     r.expect_end().map_err(corrupt)?;
-    let slots = frames.iter().flat_map(|(a, l)| a.iter().chain(l));
+    let slots = frames.iter().flat_map(|f| f.args.iter().chain(&f.locals));
     lp.check_roots(tos.iter().chain(&globals).chain(slots).copied())?;
-    let wrap = |vs: Vec<LpValue>| -> Vec<Rooted> {
-        vs.into_iter()
-            .map(|v| lp.resume_root(v, RootKind::Binding))
-            .collect()
-    };
-    let tos = tos.map(|v| lp.resume_root(v, RootKind::Binding));
-    let globals = wrap(globals);
-    let frames = frames
-        .into_iter()
-        .map(|(args, locals)| FrameSim {
-            args: wrap(args),
-            locals: wrap(locals),
-        })
-        .collect();
     Ok((
         Driver {
             rng: StdRng::from_state(rng_state),
