@@ -722,13 +722,17 @@ pub enum RootKind {
 const FIELD_CACHE_LINES: usize = 256;
 
 /// One line of the inline field cache: a materialized `(car, cdr)`
-/// pair keyed by entry id (`tag` is `id + 1`; 0 marks an empty line).
-/// Only entries whose fields are fully materialized and self-contained
-/// (no parked owned heap words, which `access` must transfer into the
-/// table on touch) are ever cached.
+/// pair keyed by entry id and cache epoch. A line is valid only while
+/// its `epoch` equals the processor's, so bumping the processor's epoch
+/// drops every line at once; epoch 0 marks an empty line. `epoch` sits
+/// in the padding after `tag`, so a line stays 40 bytes. Only entries
+/// whose fields are fully materialized and self-contained (no parked
+/// owned heap words, which `access` must transfer into the table on
+/// touch) are ever cached.
 #[derive(Clone, Copy)]
 struct CacheLine {
-    tag: u32,
+    tag: Id,
+    epoch: u32,
     car: Field,
     cdr: Field,
 }
@@ -736,6 +740,7 @@ struct CacheLine {
 impl CacheLine {
     const EMPTY: CacheLine = CacheLine {
         tag: 0,
+        epoch: 0,
         car: Field::Empty,
         cdr: Field::Empty,
     };
@@ -793,6 +798,8 @@ pub struct ListProcessor<C: HeapController, S: EventSink = NoopSink> {
     /// — the cache saves wall time, never virtual cycles. Empty slice
     /// when disabled.
     cache: Box<[CacheLine]>,
+    /// The epoch a line must carry to be valid; never 0.
+    cache_epoch: u32,
     /// Wall-clock-only cache probe counters (see [`LptCacheStats`]).
     cache_stats: LptCacheStats,
     /// Entries walked by each compression pass so far.
@@ -826,6 +833,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             degraded: false,
             pin: None,
             cache: vec![CacheLine::EMPTY; FIELD_CACHE_LINES].into_boxed_slice(),
+            cache_epoch: 1,
             cache_stats: LptCacheStats::default(),
             #[cfg(test)]
             pass_evaluations: Vec::new(),
@@ -982,7 +990,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             return None;
         }
         let line = &self.cache[id as usize & (self.cache.len() - 1)];
-        (line.tag == id + 1).then_some((line.car, line.cdr))
+        (line.tag == id && line.epoch == self.cache_epoch).then_some((line.car, line.cdr))
     }
 
     /// Install `id`'s fields into its cache line, if they are fully
@@ -1003,7 +1011,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         if cacheable(e.car) && cacheable(e.cdr) {
             let mask = self.cache.len() - 1;
             self.cache[id as usize & mask] = CacheLine {
-                tag: id + 1,
+                tag: id,
+                epoch: self.cache_epoch,
                 car: e.car,
                 cdr: e.cdr,
             };
@@ -1018,19 +1027,22 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         }
         let mask = self.cache.len() - 1;
         let line = &mut self.cache[id as usize & mask];
-        if line.tag == id + 1 {
+        if line.tag == id && line.epoch == self.cache_epoch {
             *line = CacheLine::EMPTY;
         }
     }
 
-    /// Drop every cache line. Called on any transition that can move
-    /// or reclaim entries out from under their ids — frees,
-    /// compression, cycle breaking, degrade-mode entry/exit,
-    /// perturbation, reconciliation.
+    /// Drop every cache line in O(1) by moving to the next epoch. Called
+    /// on any transition that can move or reclaim entries out from under
+    /// their ids — frees, compression, cycle breaking, degrade-mode
+    /// entry/exit, perturbation, reconciliation. Only when the counter
+    /// wraps are the lines wiped, since old epochs would come round again.
     #[inline]
     fn cache_clear(&mut self) {
-        for line in self.cache.iter_mut() {
-            *line = CacheLine::EMPTY;
+        self.cache_epoch = self.cache_epoch.wrapping_add(1);
+        if self.cache_epoch == 0 {
+            self.cache.fill(CacheLine::EMPTY);
+            self.cache_epoch = 1;
         }
     }
 
@@ -1287,7 +1299,9 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             assert!(refs == 0, "freeing entry {id} with {refs} internal refs");
         }
         // Any line may name the freed entry (as the tagged id or as a
-        // cached Obj child), and its id is about to be reusable.
+        // cached Obj child), and its id is about to be reusable. The free
+        // itself stays O(1), as the lazy free intends: the clear is one
+        // epoch bump.
         self.cache_clear();
         self.stats.frees += 1;
         self.sink.record(Event::EntryFreed);
@@ -2919,6 +2933,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             // The cache is host-side state and is never checkpointed:
             // a restored processor starts cold and re-warms.
             cache: vec![CacheLine::EMPTY; FIELD_CACHE_LINES].into_boxed_slice(),
+            cache_epoch: 1,
             cache_stats: LptCacheStats::default(),
             #[cfg(test)]
             pass_evaluations: Vec::new(),
@@ -4245,12 +4260,16 @@ mod tests {
         lp.stats()
     }
 
+    /// Random programs per run: a release build (where the LP runs at
+    /// full speed) holds the cache on/off twins to many more.
+    const COMPRESSION_CASES: u32 = if cfg!(debug_assertions) { 12 } else { 400 };
+
     mod compression_props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
+            #![proptest_config(ProptestConfig::with_cases(COMPRESSION_CASES))]
 
             /// Random programs over every policy combination keep the
             /// table audit-clean, the memoized flushability equal to the
@@ -4287,6 +4306,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cache_epoch_wrap_matches_a_fresh_epoch() {
+        assert_eq!(std::mem::size_of::<CacheLine>(), 40);
+        fn walk(lp: &mut Lp, v: LpValue) {
+            let mut cur = v;
+            while let LpValue::Obj(id) = cur {
+                let car = lp.car(id).unwrap();
+                release(lp, car);
+                let next = lp.cdr(id).unwrap();
+                release(lp, next);
+                cur = next;
+            }
+        }
+        // Warm walks of a kept list, each round ended by a temporary
+        // list whose frees clear the cache, from epoch `start`.
+        let drive = |start: u32| {
+            let mut i = Interner::new();
+            let mut lp = lp_with(64);
+            lp.cache_epoch = start;
+            let keep = read(&mut lp, &mut i, "(a (b c) d e)");
+            for _ in 0..4 {
+                walk(&mut lp, keep);
+                walk(&mut lp, keep);
+                let tmp = read(&mut lp, &mut i, "(1 (2 3) 4)");
+                walk(&mut lp, tmp);
+                release(&mut lp, tmp);
+            }
+            release(&mut lp, keep);
+            (lp.stats(), lp.cache_stats(), lp.cache_epoch)
+        };
+        // Every phase of the wrap, against a twin that never nears it.
+        let (twin_stats, twin_cache, clears) = drive(1);
+        assert!(twin_cache.hits > 0, "the cache never engaged");
+        for start in u32::MAX - clears / 2..=u32::MAX {
+            let (stats, cache, end) = drive(start);
+            assert!(end < start, "the clears from {start} never wrapped");
+            assert_eq!(stats, twin_stats, "LptStats from epoch {start}");
+            assert_eq!(cache, twin_cache, "cache stats from epoch {start}");
+        }
+        // The wrap itself: old epochs would come round again, so the
+        // lines are wiped, and the counter skips 0, the empty mark.
+        let mut i = Interner::new();
+        let mut lp = lp();
+        lp.cache_epoch = u32::MAX;
+        let v = read(&mut lp, &mut i, "(a b)");
+        walk(&mut lp, v);
+        assert!(lp.cache.iter().any(|l| l.epoch == u32::MAX));
+        lp.cache_clear();
+        assert_eq!(lp.cache_epoch, 1);
+        assert!(lp.cache.iter().all(|l| l.epoch == 0));
     }
 
     #[test]

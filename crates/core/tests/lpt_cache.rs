@@ -136,6 +136,17 @@ fn assert_twins_agree(on: &Lp, off: &Lp, out_on: &[String], out_off: &[String]) 
     );
 }
 
+/// `(probes, hits)` of the scripted churn with the cache on, read off
+/// the wipe-per-free cache that epochs replaced: an epoch bump must
+/// leave exactly the lines valid that a wipe left, so neither count
+/// may move. Both churn configurations read the same pair.
+const CHURN_PROBES_AND_HITS: (u64, u64) = (236, 147);
+
+fn probes_and_hits(lp: &Lp) -> (u64, u64) {
+    let c = lp.cache_stats();
+    (c.hits + c.misses, c.hits)
+}
+
 #[test]
 fn churn_with_compression_and_cycles_is_bit_identical() {
     // Table of 40 with ~60 cells of held structure: walks overflow the
@@ -154,6 +165,7 @@ fn churn_with_compression_and_cycles_is_bit_identical() {
     );
     assert_twins_agree(&on, &off, &out_on, &out_off);
     assert!(on.audit().is_clean());
+    assert_eq!(probes_and_hits(&on), CHURN_PROBES_AND_HITS);
 }
 
 #[test]
@@ -179,6 +191,7 @@ fn split_refcounts_with_queue_discipline_agree() {
     let out_on = drive_churn(&mut on, &mut i_on);
     let out_off = drive_churn(&mut off, &mut i_off);
     assert_twins_agree(&on, &off, &out_on, &out_off);
+    assert_eq!(probes_and_hits(&on), CHURN_PROBES_AND_HITS);
 }
 
 #[test]

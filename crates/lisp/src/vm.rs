@@ -21,7 +21,6 @@ use small_heap::{Tag, FIXNUM};
 use small_sexpr::{Atom, SExpr, Symbol};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// A VM value: immediates plus a backend-defined list reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,42 +267,54 @@ pub struct Vm<B: ListBackend> {
     /// persistent globals already on the binding stack, and top-level
     /// `prog` locals must be addressed above them.
     entry_base: usize,
-    /// Lazily built threaded-dispatch image of `program.code`: one
-    /// handler-fn entry per instruction with operands pre-resolved.
-    /// Invalidated whenever the program is swapped.
-    decoded: Option<Arc<[DecodedOp<B>]>>,
+    /// `program.code` resolved for [`Vm::run`], rebuilt whenever the
+    /// program is swapped.
+    ops: Vec<Op>,
 }
 
-/// One pre-decoded instruction of the threaded-dispatch backend: the
-/// handler function pointer plus every operand it could need, resolved
-/// at decode time (branch targets as absolute addresses, `FCall`
-/// targets as entry/arity instead of a hash lookup per call).
-struct DecodedOp<B: ListBackend> {
-    handler: Handler<B>,
-    addr: CodeAddr,
-    num: i64,
-    sym: Symbol,
-    n: u16,
+/// One instruction as [`Vm::run`] executes it: an [`Inst`] whose
+/// outcome the loaded program already fixes is resolved at load.
+#[derive(Clone, Copy)]
+enum Op {
+    /// Executes exactly as [`Vm::run_reference`] executes it.
+    Inst(Inst),
+    /// `FCall` of a defined function: entry and arity, looked up once
+    /// instead of hashing the function table on every call. The entry
+    /// is a `u32` so that an op packs into the 16 bytes of an [`Inst`]
+    /// and the loop switches on a single tag byte.
+    Call(u32, u8),
+    /// `FCall` of an undefined function. It fails only when executed,
+    /// since the call site may be dead code.
+    CallMissing(Symbol),
+    /// A literal outside the fixnum range, failing when executed.
+    FixnumOverflow,
 }
 
-impl<B: ListBackend> Clone for DecodedOp<B> {
-    fn clone(&self) -> Self {
-        *self
+impl Op {
+    fn resolve(inst: Inst, program: &Program) -> Op {
+        match inst {
+            Inst::PushInt(i) if !FIXNUM.contains(&i) => Op::FixnumOverflow,
+            Inst::PushConst(k) if !fixnums_fit(&program.constants[k as usize]) => {
+                Op::FixnumOverflow
+            }
+            Inst::FCall(name, _nargs) => match program.functions.get(&name) {
+                Some(fi) => Op::Call(
+                    u32::try_from(fi.entry).expect("code addresses fit in u32"),
+                    fi.arity,
+                ),
+                None => Op::CallMissing(name),
+            },
+            inst => Op::Inst(inst),
+        }
     }
-}
 
-impl<B: ListBackend> Copy for DecodedOp<B> {}
-
-type Handler<B> =
-    fn(&mut Vm<B>, &DecodedOp<B>, &mut usize) -> Result<Step<<B as ListBackend>::Ref>, VmError>;
-
-/// Outcome of one dispatched instruction.
-enum Step<R> {
-    /// Keep executing at the (already advanced) program counter.
-    Next,
-    /// The program produced its final value (`Halt`, or a top-level
-    /// `FRetN`).
-    Done(VmValue<R>),
+    fn resolve_all(program: &Program) -> Vec<Op> {
+        program
+            .code
+            .iter()
+            .map(|&i| Op::resolve(i, program))
+            .collect()
+    }
 }
 
 impl<B: ListBackend> Vm<B> {
@@ -311,6 +322,7 @@ impl<B: ListBackend> Vm<B> {
     pub fn new(program: Program, backend: B) -> Self {
         Vm {
             backend,
+            ops: Op::resolve_all(&program),
             program,
             stack: Vec::new(),
             bindings: Vec::new(),
@@ -320,7 +332,6 @@ impl<B: ListBackend> Vm<B> {
             stats: VmStats::default(),
             budget: u64::MAX,
             entry_base: 0,
-            decoded: None,
         }
     }
 
@@ -359,8 +370,8 @@ impl<B: ListBackend> Vm<B> {
     /// [`Vm::recover`] would.
     pub fn load_program(&mut self, program: Program) {
         self.recover();
+        self.ops = Op::resolve_all(&program);
         self.program = program;
-        self.decoded = None;
     }
 
     /// Unwind to the global level after a failed run: pop every call
@@ -408,17 +419,91 @@ impl<B: ListBackend> Vm<B> {
     /// Run from the program entry point; returns the final value left on
     /// the operand stack by `Halt` (or nil).
     ///
-    /// Runs the pre-decoded threaded-dispatch loop ([`Vm::run_threaded`]).
-    /// The decode-per-step [`Vm::run_reference`] executes the same
-    /// per-opcode handlers and is the oracle the dispatch differential
-    /// suite holds it against.
+    /// One `match` per step over the ops resolved at load (`FCall`
+    /// targets looked up once), calling the same per-opcode cores as
+    /// [`Vm::run_reference`], the oracle the dispatch differential
+    /// suite holds it against. The remaining budget lives in a local;
+    /// the executed count is what it consumed, so both are written back
+    /// exactly on every exit, the failing ones included.
     pub fn run(&mut self) -> Result<VmValue<B::Ref>, VmError> {
-        self.run_threaded()
+        // Everything bound before this run (globals from earlier
+        // requests, including persisted top-level prog locals) sits
+        // below the entry block's own slot space.
+        self.entry_base = self.bindings.len();
+        let mut left = self.budget;
+        let out = self.dispatch(&mut left);
+        self.stats.instructions += self.budget - left;
+        self.budget = left;
+        out
+    }
+
+    /// The loop of [`Vm::run`], with `left` steps of budget remaining.
+    fn dispatch(&mut self, left: &mut u64) -> Result<VmValue<B::Ref>, VmError> {
+        let mut pc = self.program.entry;
+        loop {
+            if *left == 0 {
+                return Err(VmError::StepBudget);
+            }
+            *left -= 1;
+            let op = self.ops[pc];
+            pc += 1;
+            match op {
+                Op::Inst(Inst::Halt) => return Ok(self.stack.pop().unwrap_or(VmValue::Nil)),
+                Op::Inst(Inst::BindN(sym)) => self.do_bindn(sym)?,
+                Op::Inst(Inst::BindNil(sym)) => self.do_bindnil(sym),
+                Op::Inst(Inst::PushStk(k)) => self.do_pushstk(k)?,
+                Op::Inst(Inst::PushName(sym)) => self.do_pushname(sym)?,
+                Op::Inst(Inst::PushInt(i)) => self.stack.push(VmValue::Int(i)),
+                Op::Inst(Inst::PushSym(s)) => self.stack.push(VmValue::Sym(s)),
+                Op::Inst(Inst::PushNil) => self.stack.push(VmValue::Nil),
+                Op::Inst(Inst::PushConst(k)) => self.do_pushconst(k)?,
+                Op::Inst(Inst::Pop) => self.do_pop_discard()?,
+                Op::Inst(Inst::Dup) => self.do_dup()?,
+                Op::Inst(Inst::SetStk(k)) => self.do_setstk(k)?,
+                Op::Inst(Inst::SetName(sym)) => self.do_setname(sym)?,
+                Op::Inst(Inst::Jmp(a)) => pc = a,
+                Op::Inst(Inst::Brf(a)) => self.do_brf(a, &mut pc)?,
+                Op::Inst(Inst::Brt(a)) => self.do_brt(a, &mut pc)?,
+                Op::Inst(Inst::BrNeq(a)) => self.do_brneq(a, &mut pc)?,
+                Op::Inst(Inst::AddOp) => self.do_add()?,
+                Op::Inst(Inst::SubOp) => self.do_sub()?,
+                Op::Inst(Inst::MulOp) => self.do_mul()?,
+                Op::Inst(Inst::DivOp) => self.do_div()?,
+                Op::Inst(Inst::RemOp) => self.do_rem()?,
+                Op::Inst(Inst::EqualP) => self.do_equalp()?,
+                Op::Inst(Inst::EqP) => self.do_eqp()?,
+                Op::Inst(Inst::GreaterP) => self.do_greaterp()?,
+                Op::Inst(Inst::LessP) => self.do_lessp()?,
+                Op::Inst(Inst::AtomP) => self.do_atomp()?,
+                Op::Inst(Inst::NullP) => self.do_nullp()?,
+                Op::Inst(Inst::CarOp) => self.do_car()?,
+                Op::Inst(Inst::CdrOp) => self.do_cdr()?,
+                Op::Inst(Inst::ConsOp) => self.do_cons()?,
+                Op::Inst(Inst::RplacaOp) => self.do_rplaca()?,
+                Op::Inst(Inst::RplacdOp) => self.do_rplacd()?,
+                Op::Inst(Inst::RdList) => self.do_rdlist()?,
+                Op::Inst(Inst::WrList) => self.do_wrlist()?,
+                Op::Inst(Inst::FCall(..)) => unreachable!("calls are resolved at load"),
+                Op::Call(entry, arity) => self.do_call(entry as usize, arity, &mut pc),
+                Op::CallMissing(name) => {
+                    return Err(VmError::NoSuchFunction(format!("#{}", name.0)))
+                }
+                Op::FixnumOverflow => return Err(VmError::FixnumOverflow),
+                Op::Inst(Inst::FRetN) => {
+                    if let Some(ret) = self.do_fretn(&mut pc)? {
+                        // `return` at top level: the program's value.
+                        return Ok(ret);
+                    }
+                }
+            }
+        }
     }
 
     /// Run with the reference interpreter: re-decode `Inst` and branch
-    /// through a `match` on every step. This is the semantic oracle the
-    /// dispatch differential suite holds [`Vm::run_threaded`] against.
+    /// through a `match` on every step, hashing the function table on
+    /// every call and keeping the budget and count in the machine. This
+    /// is the semantic oracle the dispatch differential suite holds
+    /// [`Vm::run`] against.
     pub fn run_reference(&mut self) -> Result<VmValue<B::Ref>, VmError> {
         // Everything bound before this run (globals from earlier
         // requests, including persisted top-level prog locals) sits
@@ -495,408 +580,8 @@ impl<B: ListBackend> Vm<B> {
         }
     }
 
-    /// Run with threaded dispatch: on first use the program is decoded
-    /// into a dense array of handler-fn entries with operands resolved
-    /// (branch targets absolute, `FCall` targets looked up once), then
-    /// the loop is an indexed load and an indirect call per step — no
-    /// per-step operand decoding or function-table hashing.
-    pub fn run_threaded(&mut self) -> Result<VmValue<B::Ref>, VmError> {
-        let ops = match &self.decoded {
-            Some(ops) => Arc::clone(ops),
-            None => {
-                let ops: Arc<[DecodedOp<B>]> = self
-                    .program
-                    .code
-                    .iter()
-                    .map(|&inst| Self::decode_inst(inst, &self.program))
-                    .collect();
-                self.decoded = Some(Arc::clone(&ops));
-                ops
-            }
-        };
-        // Everything bound before this run (globals from earlier
-        // requests, including persisted top-level prog locals) sits
-        // below the entry block's own slot space.
-        self.entry_base = self.bindings.len();
-        let mut pc = self.program.entry;
-        loop {
-            if self.budget == 0 {
-                return Err(VmError::StepBudget);
-            }
-            self.budget -= 1;
-            self.stats.instructions += 1;
-            let op = &ops[pc];
-            pc += 1;
-            match (op.handler)(self, op, &mut pc)? {
-                Step::Next => {}
-                Step::Done(v) => return Ok(v),
-            }
-        }
-    }
-
     // -----------------------------------------------------------------
-    // Threaded-dispatch decode and handlers
-    // -----------------------------------------------------------------
-
-    fn decode_inst(inst: Inst, program: &Program) -> DecodedOp<B> {
-        let mut op = DecodedOp {
-            handler: Self::th_halt as Handler<B>,
-            addr: 0,
-            num: 0,
-            sym: Symbol(0),
-            n: 0,
-        };
-        match inst {
-            Inst::Halt => op.handler = Self::th_halt,
-            Inst::BindN(s) => (op.handler, op.sym) = (Self::th_bindn, s),
-            Inst::BindNil(s) => (op.handler, op.sym) = (Self::th_bindnil, s),
-            Inst::PushStk(k) => (op.handler, op.n) = (Self::th_pushstk, k),
-            Inst::PushName(s) => (op.handler, op.sym) = (Self::th_pushname, s),
-            // An out-of-range literal must fail when it is evaluated
-            // (it may be dead code), so it decodes to an erroring
-            // handler, as a call to an undefined function does.
-            Inst::PushInt(i) if !FIXNUM.contains(&i) => op.handler = Self::th_fixnum_overflow,
-            Inst::PushInt(i) => (op.handler, op.num) = (Self::th_pushint, i),
-            Inst::PushSym(s) => (op.handler, op.sym) = (Self::th_pushsym, s),
-            Inst::PushNil => op.handler = Self::th_pushnil,
-            Inst::PushConst(k) if !fixnums_fit(&program.constants[k as usize]) => {
-                op.handler = Self::th_fixnum_overflow
-            }
-            Inst::PushConst(k) => (op.handler, op.n) = (Self::th_pushconst, k),
-            Inst::Pop => op.handler = Self::th_pop,
-            Inst::Dup => op.handler = Self::th_dup,
-            Inst::SetStk(k) => (op.handler, op.n) = (Self::th_setstk, k),
-            Inst::SetName(s) => (op.handler, op.sym) = (Self::th_setname, s),
-            Inst::Jmp(a) => (op.handler, op.addr) = (Self::th_jmp, a),
-            Inst::Brf(a) => (op.handler, op.addr) = (Self::th_brf, a),
-            Inst::Brt(a) => (op.handler, op.addr) = (Self::th_brt, a),
-            Inst::BrNeq(a) => (op.handler, op.addr) = (Self::th_brneq, a),
-            Inst::AddOp => op.handler = Self::th_add,
-            Inst::SubOp => op.handler = Self::th_sub,
-            Inst::MulOp => op.handler = Self::th_mul,
-            Inst::DivOp => op.handler = Self::th_div,
-            Inst::RemOp => op.handler = Self::th_rem,
-            Inst::EqualP => op.handler = Self::th_equalp,
-            Inst::EqP => op.handler = Self::th_eqp,
-            Inst::GreaterP => op.handler = Self::th_greaterp,
-            Inst::LessP => op.handler = Self::th_lessp,
-            Inst::AtomP => op.handler = Self::th_atomp,
-            Inst::NullP => op.handler = Self::th_nullp,
-            Inst::CarOp => op.handler = Self::th_car,
-            Inst::CdrOp => op.handler = Self::th_cdr,
-            Inst::ConsOp => op.handler = Self::th_cons,
-            Inst::RplacaOp => op.handler = Self::th_rplaca,
-            Inst::RplacdOp => op.handler = Self::th_rplacd,
-            Inst::RdList => op.handler = Self::th_rdlist,
-            Inst::WrList => op.handler = Self::th_wrlist,
-            Inst::FCall(name, _nargs) => match program.functions.get(&name) {
-                // The hash lookup the reference loop pays per call
-                // happens once, here. A call to an undefined function
-                // must still fail at *execution* time (the call site may
-                // be dead code), so it decodes to an erroring handler.
-                Some(fi) => {
-                    (op.handler, op.addr, op.n) = (Self::th_call, fi.entry, u16::from(fi.arity))
-                }
-                None => (op.handler, op.sym) = (Self::th_call_missing, name),
-            },
-            Inst::FRetN => op.handler = Self::th_fretn,
-        }
-        op
-    }
-
-    fn th_halt(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        Ok(Step::Done(vm.stack.pop().unwrap_or(VmValue::Nil)))
-    }
-
-    fn th_bindn(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_bindn(op.sym)?;
-        Ok(Step::Next)
-    }
-
-    fn th_bindnil(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_bindnil(op.sym);
-        Ok(Step::Next)
-    }
-
-    fn th_pushstk(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_pushstk(op.n)?;
-        Ok(Step::Next)
-    }
-
-    fn th_pushname(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_pushname(op.sym)?;
-        Ok(Step::Next)
-    }
-
-    fn th_pushint(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.stack.push(VmValue::Int(op.num));
-        Ok(Step::Next)
-    }
-
-    fn th_fixnum_overflow(
-        _vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        Err(VmError::FixnumOverflow)
-    }
-
-    fn th_pushsym(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.stack.push(VmValue::Sym(op.sym));
-        Ok(Step::Next)
-    }
-
-    fn th_pushnil(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.stack.push(VmValue::Nil);
-        Ok(Step::Next)
-    }
-
-    fn th_pushconst(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_pushconst(op.n)?;
-        Ok(Step::Next)
-    }
-
-    fn th_pop(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_pop_discard()?;
-        Ok(Step::Next)
-    }
-
-    fn th_dup(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_dup()?;
-        Ok(Step::Next)
-    }
-
-    fn th_setstk(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_setstk(op.n)?;
-        Ok(Step::Next)
-    }
-
-    fn th_setname(
-        vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_setname(op.sym)?;
-        Ok(Step::Next)
-    }
-
-    fn th_jmp(vm: &mut Self, op: &DecodedOp<B>, pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        let _ = vm;
-        *pc = op.addr;
-        Ok(Step::Next)
-    }
-
-    fn th_brf(vm: &mut Self, op: &DecodedOp<B>, pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_brf(op.addr, pc)?;
-        Ok(Step::Next)
-    }
-
-    fn th_brt(vm: &mut Self, op: &DecodedOp<B>, pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_brt(op.addr, pc)?;
-        Ok(Step::Next)
-    }
-
-    fn th_brneq(vm: &mut Self, op: &DecodedOp<B>, pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_brneq(op.addr, pc)?;
-        Ok(Step::Next)
-    }
-
-    fn th_add(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_add()?;
-        Ok(Step::Next)
-    }
-
-    fn th_sub(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_sub()?;
-        Ok(Step::Next)
-    }
-
-    fn th_mul(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_mul()?;
-        Ok(Step::Next)
-    }
-
-    fn th_div(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_div()?;
-        Ok(Step::Next)
-    }
-
-    fn th_rem(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_rem()?;
-        Ok(Step::Next)
-    }
-
-    fn th_equalp(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_equalp()?;
-        Ok(Step::Next)
-    }
-
-    fn th_eqp(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_eqp()?;
-        Ok(Step::Next)
-    }
-
-    fn th_greaterp(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_greaterp()?;
-        Ok(Step::Next)
-    }
-
-    fn th_lessp(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_lessp()?;
-        Ok(Step::Next)
-    }
-
-    fn th_atomp(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_atomp()?;
-        Ok(Step::Next)
-    }
-
-    fn th_nullp(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_nullp()?;
-        Ok(Step::Next)
-    }
-
-    fn th_car(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_car()?;
-        Ok(Step::Next)
-    }
-
-    fn th_cdr(vm: &mut Self, _op: &DecodedOp<B>, _pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_cdr()?;
-        Ok(Step::Next)
-    }
-
-    fn th_cons(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_cons()?;
-        Ok(Step::Next)
-    }
-
-    fn th_rplaca(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_rplaca()?;
-        Ok(Step::Next)
-    }
-
-    fn th_rplacd(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_rplacd()?;
-        Ok(Step::Next)
-    }
-
-    fn th_rdlist(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_rdlist()?;
-        Ok(Step::Next)
-    }
-
-    fn th_wrlist(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        vm.do_wrlist()?;
-        Ok(Step::Next)
-    }
-
-    fn th_call(vm: &mut Self, op: &DecodedOp<B>, pc: &mut usize) -> Result<Step<B::Ref>, VmError> {
-        vm.do_call(op.addr, op.n as u8, pc);
-        Ok(Step::Next)
-    }
-
-    fn th_call_missing(
-        _vm: &mut Self,
-        op: &DecodedOp<B>,
-        _pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        Err(VmError::NoSuchFunction(format!("#{}", op.sym.0)))
-    }
-
-    fn th_fretn(
-        vm: &mut Self,
-        _op: &DecodedOp<B>,
-        pc: &mut usize,
-    ) -> Result<Step<B::Ref>, VmError> {
-        match vm.do_fretn(pc)? {
-            Some(ret) => Ok(Step::Done(ret)),
-            None => Ok(Step::Next),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Per-opcode cores, shared by both dispatch backends
+    // Per-opcode cores, shared by both dispatch loops
     // -----------------------------------------------------------------
 
     #[inline(always)]
@@ -1547,6 +1232,11 @@ mod tests {
         let mut vm = Vm::new(p, DirectBackend::new(256));
         vm.run().unwrap();
         assert_eq!(vm.stats().list_ops, 2);
+    }
+
+    #[test]
+    fn op_is_no_larger_than_inst() {
+        assert_eq!(std::mem::size_of::<Op>(), std::mem::size_of::<Inst>());
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Dispatch conformance: the threaded dispatcher ([`Vm::run_threaded`])
-//! must be observationally indistinguishable from the reference
-//! interpreter ([`Vm::run_reference`]) — byte-equal results, equal
-//! [`VmStats`], equal [`LptStats`] ledgers, and equal per-kind event
-//! counts — on every program the repository knows how to generate:
+//! Dispatch conformance: the serving loop ([`Vm::run`], one `match`
+//! over ops resolved at load, with the step budget in a local) must be
+//! observationally indistinguishable from the reference interpreter
+//! ([`Vm::run_reference`], which re-decodes every step) — byte-equal
+//! results, equal [`VmStats`], equal [`LptStats`] ledgers, and equal
+//! per-kind event counts — on every program the repository knows how
+//! to generate:
 //!
 //! * the typed expression grammar and the `rplaca`/`rplacd` mutation
 //!   scenes of the engine differential suite (`tests/differential.rs`,
@@ -11,9 +13,12 @@
 //! * the soak generator's seeded request templates
 //!   ([`small_serve::gen::programs_for`]), run session-style — one
 //!   persistent machine per client with `load_program` per request,
-//!   error recovery included, exactly as the serving layer drives it.
+//!   error recovery included, exactly as the serving layer drives it;
+//! * both of the above under step budgets too small to finish, so
+//!   `StepBudget` must trip at the same instruction in both loops and
+//!   the session must run on identically after `recover`.
 //!
-//! Both backends run over the SMALL List Processor with a counting
+//! Both loops run over the SMALL List Processor with a counting
 //! sink, so a divergence in *any* deterministic observable — not just
 //! the final value — fails the suite.
 
@@ -58,16 +63,24 @@ struct Report {
     occupancy: usize,
 }
 
+/// The budget a program runs under unless a test trips it early.
+const FULL_BUDGET: u64 = 50_000_000;
+
 /// Drive `programs` through one persistent machine the way a session
 /// does — compile each against the shared interner, `load_program`,
-/// run with the selected dispatch backend, recover from errors, keep
+/// run with the selected dispatch loop, recover from errors, keep
 /// going — then shut down and collect every observable.
-fn drive(programs: &[String], threaded: bool) -> Report {
+fn drive(programs: &[String], fast: bool) -> Report {
+    drive_tripped(programs, fast, usize::MAX, FULL_BUDGET)
+}
+
+/// [`drive`], with program `k` alone run under `budget`.
+fn drive_tripped(programs: &[String], fast: bool, k: usize, budget: u64) -> Report {
     let mut interner = Interner::new();
     let empty = compile_program("nil", &mut interner).expect("the empty program compiles");
     let mut vm = Vm::new(empty, backend());
     let mut replies = Vec::new();
-    for src in programs {
+    for (n, src) in programs.iter().enumerate() {
         let forms = match parse_all(src, &mut interner) {
             Ok(f) => f,
             Err(e) => {
@@ -83,12 +96,8 @@ fn drive(programs: &[String], threaded: bool) -> Report {
             }
         };
         vm.load_program(program);
-        vm.set_budget(50_000_000);
-        let result = if threaded {
-            vm.run_threaded()
-        } else {
-            vm.run_reference()
-        };
+        vm.set_budget(if n == k { budget } else { FULL_BUDGET });
+        let result = if fast { vm.run() } else { vm.run_reference() };
         match result {
             Ok(v) => {
                 match vm.backend.try_write_out(&v) {
@@ -127,13 +136,13 @@ fn drive(programs: &[String], threaded: bool) -> Report {
     }
 }
 
-/// One-shot program with the library prepended, both backends, every
+/// One-shot program with the library prepended, both loops, every
 /// observable compared.
 fn assert_backends_agree(src: &str) {
     let program = vec![format!("{LIB}\n{src}")];
     let reference = drive(&program, false);
-    let threaded = drive(&program, true);
-    assert_eq!(reference, threaded, "dispatch divergence on {src}");
+    let fast = drive(&program, true);
+    assert_eq!(reference, fast, "dispatch divergence on {src}");
     assert_eq!(reference.occupancy, 0, "LPT leak running {src}");
 }
 
@@ -248,8 +257,12 @@ fn gen_mutation_program() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Generated programs per property: a release build holds the loops
+/// to many more.
+const DISPATCH_CASES: u32 = if cfg!(debug_assertions) { 96 } else { 2000 };
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(DISPATCH_CASES))]
 
     #[test]
     fn dispatch_backends_agree(src in arb_program()) {
@@ -272,9 +285,9 @@ fn soak_templates_agree_across_dispatch_backends() {
         for client in 0..3u64 {
             let programs = programs_for(seed, client, 32);
             let reference = drive(&programs, false);
-            let threaded = drive(&programs, true);
+            let fast = drive(&programs, true);
             assert_eq!(
-                reference, threaded,
+                reference, fast,
                 "dispatch divergence on seed {seed} client {client}"
             );
             assert_eq!(
@@ -283,6 +296,53 @@ fn soak_templates_agree_across_dispatch_backends() {
             );
         }
     }
+}
+
+/// Raise program `k`'s budget from 1 by `next` until it no longer trips
+/// `StepBudget`, holding both loops to the same observables at every
+/// budget: the same error at the same instruction, the same machine and
+/// LP ledgers, and, after `recover`, the same replies from the programs
+/// that follow. Returns the number of budgets that tripped.
+fn sweep_budgets(session: &[String], k: usize, next: impl Fn(u64) -> u64) -> usize {
+    let mut trips = 0;
+    let mut budget = 1;
+    loop {
+        let reference = drive_tripped(session, false, k, budget);
+        let fast = drive_tripped(session, true, k, budget);
+        assert_eq!(reference, fast, "budget {budget} on program {k}");
+        if reference.replies[k] != "vm:StepBudget" {
+            return trips;
+        }
+        trips += 1;
+        budget = next(budget);
+    }
+}
+
+/// Budgets too small to finish trip `StepBudget` at the same
+/// instruction in both loops. The library programs trip at every
+/// instruction in turn (inside calls, list operations and the
+/// unbinding returns), each followed by a second program that must run
+/// on from the recovered machine; the soak templates trip at a sweep
+/// of points in every program of a session, with the session's later
+/// programs run after `recover`.
+#[test]
+fn step_budget_trips_identically_in_both_loops() {
+    let mut trips = 0;
+    for src in [
+        "(append '(1 2) (reverse '(3 4 5)))",
+        "(length (cons 1 (cdr '(2 3))))",
+        "(prog (m0) (setq m0 (cons 1 '(2 3))) (rplaca m0 4) (return (append m0 m0)))",
+    ] {
+        let session = [format!("{LIB}\n{src}"), format!("{LIB}\n(reverse '(6 7))")];
+        trips += sweep_budgets(&session, 0, |b| b + 1);
+    }
+    for client in 0..2 {
+        let session = programs_for(PINNED_SEEDS[0], client, 8);
+        for k in 0..session.len() {
+            trips += sweep_budgets(&session, k, |b| if b < 48 { b + 1 } else { b + b / 4 });
+        }
+    }
+    assert!(trips > 300, "only {trips} budgets tripped");
 }
 
 /// Integers outside the fixnum range — literals, quoted data and
@@ -305,8 +365,8 @@ fn fixnum_overflow_agrees_across_dispatch_backends() {
     .map(String::from)
     .to_vec();
     let reference = drive(&programs, false);
-    let threaded = drive(&programs, true);
-    assert_eq!(reference, threaded);
+    let fast = drive(&programs, true);
+    assert_eq!(reference, fast);
     assert_eq!(reference.occupancy, 0);
     let overflows = reference
         .replies
@@ -317,8 +377,8 @@ fn fixnum_overflow_agrees_across_dispatch_backends() {
 }
 
 /// A mixed session whose programs alternate between the two dispatch
-/// backends *on the same machine* must still agree with a pure run of
-/// either: the decoded-program cache and the reference loop share all
+/// loops *on the same machine* must still agree with a pure run of
+/// either: the ops resolved at load and the reference loop share all
 /// machine state, so interleaving them cannot skew any observable.
 #[test]
 fn interleaved_backends_match_pure_runs() {
@@ -333,9 +393,9 @@ fn interleaved_backends_match_pure_runs() {
         let forms = parse_all(src, &mut interner).expect("soak templates parse");
         let program = compile_forms(&forms, &mut interner).expect("soak templates compile");
         vm.load_program(program);
-        vm.set_budget(50_000_000);
+        vm.set_budget(FULL_BUDGET);
         let result = if k % 2 == 0 {
-            vm.run_threaded()
+            vm.run()
         } else {
             vm.run_reference()
         };
