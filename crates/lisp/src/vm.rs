@@ -819,7 +819,10 @@ impl<B: ListBackend> Vm<B> {
         self.stats.list_ops += 1;
         let v = self.pop()?;
         let out = match &v {
-            VmValue::List(r) => self.backend.car(r)?,
+            VmValue::List(r) => match self.backend.car(r) {
+                Ok(out) => out,
+                Err(e) => return self.fail(e, [v]),
+            },
             VmValue::Nil => VmValue::Nil,
             _ => return Err(VmError::TypeError("car")),
         };
@@ -833,7 +836,10 @@ impl<B: ListBackend> Vm<B> {
         self.stats.list_ops += 1;
         let v = self.pop()?;
         let out = match &v {
-            VmValue::List(r) => self.backend.cdr(r)?,
+            VmValue::List(r) => match self.backend.cdr(r) {
+                Ok(out) => out,
+                Err(e) => return self.fail(e, [v]),
+            },
             VmValue::Nil => VmValue::Nil,
             _ => return Err(VmError::TypeError("cdr")),
         };
@@ -847,7 +853,10 @@ impl<B: ListBackend> Vm<B> {
         self.stats.list_ops += 1;
         let cdr = self.pop()?;
         let car = self.pop()?;
-        let r = self.backend.cons(car.clone(), cdr.clone())?;
+        let r = match self.backend.cons(car.clone(), cdr.clone()) {
+            Ok(r) => r,
+            Err(e) => return self.fail(e, [car, cdr]),
+        };
         self.release_value(&car);
         self.release_value(&cdr);
         self.stack.push(VmValue::List(r));
@@ -860,8 +869,12 @@ impl<B: ListBackend> Vm<B> {
         let v = self.pop()?;
         let target = self.pop()?;
         match &target {
-            VmValue::List(r) => self.backend.rplaca(r, v.clone())?,
-            _ => return Err(VmError::TypeError("rplaca")),
+            VmValue::List(r) => {
+                if let Err(e) = self.backend.rplaca(r, v.clone()) {
+                    return self.fail(e, [v, target]);
+                }
+            }
+            _ => return self.fail(VmError::TypeError("rplaca"), [v, target]),
         }
         self.release_value(&v);
         self.stack.push(target);
@@ -874,8 +887,12 @@ impl<B: ListBackend> Vm<B> {
         let v = self.pop()?;
         let target = self.pop()?;
         match &target {
-            VmValue::List(r) => self.backend.rplacd(r, v.clone())?,
-            _ => return Err(VmError::TypeError("rplacd")),
+            VmValue::List(r) => {
+                if let Err(e) = self.backend.rplacd(r, v.clone()) {
+                    return self.fail(e, [v, target]);
+                }
+            }
+            _ => return self.fail(VmError::TypeError("rplacd"), [v, target]),
         }
         self.release_value(&v);
         self.stack.push(target);
@@ -969,8 +986,23 @@ impl<B: ListBackend> Vm<B> {
         let a = self.pop()?;
         match (a, b) {
             (VmValue::Int(x), VmValue::Int(y)) => Ok((x, y)),
-            _ => Err(VmError::TypeError("integer comparison")),
+            (a, b) => self.fail(VmError::TypeError("integer comparison"), [a, b]),
         }
+    }
+
+    /// Fail with `e`, releasing the operands the failing operation had
+    /// popped: nothing else holds their references any more.
+    #[cold]
+    #[inline(never)]
+    fn fail<T, const N: usize>(
+        &mut self,
+        e: VmError,
+        popped: [VmValue<B::Ref>; N],
+    ) -> Result<T, VmError> {
+        for v in &popped {
+            self.release_value(v);
+        }
+        Err(e)
     }
 
     fn arith(&mut self, f: impl Fn(i64, i64) -> Result<i64, VmError>) -> Result<(), VmError> {

@@ -28,17 +28,26 @@ pub struct FrameError {
 /// payload size the caller expects, so the frame is built in one
 /// allocation with no copy.
 pub fn encode(capacity: usize, write: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER + capacity);
+    encode_into(&mut frame, write);
+    frame
+}
+
+/// Append one frame whose payload `write` appends to `out`, which may
+/// already hold other frames.
+pub fn encode_into(out: &mut Vec<u8>, write: impl FnOnce(&mut ByteWriter)) {
+    let start = out.len();
     let mut w = ByteWriter {
-        buf: Vec::with_capacity(HEADER + capacity),
+        buf: std::mem::take(out),
     };
     w.put_u64(0); // the header, sealed once the payload is known
     write(&mut w);
-    let mut frame = w.finish();
-    let len = u32::try_from(frame.len() - HEADER).expect("frame payload exceeds u32::MAX bytes");
-    let crc = crc32(&frame[HEADER..]);
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4..HEADER].copy_from_slice(&crc.to_le_bytes());
-    frame
+    *out = w.finish();
+    let payload = &out[start + HEADER..];
+    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
+    let crc = crc32(payload);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Walk the frames concatenated in `bytes`, decoding each payload with

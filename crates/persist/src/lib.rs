@@ -64,6 +64,9 @@
 //! array length. Encoding always writes the current version.
 
 pub mod frame;
+mod lz;
+
+pub use lz::{compress, decompress};
 
 use small_core::{EntryImage, FieldImage, LpImage, LptStats};
 use small_heap::ControllerImage;

@@ -10,6 +10,13 @@
 //! shipped: the standby can never be missing state a client has seen
 //! confirmed.
 //!
+//! The log keeps its frames in blocks ([`Wal`]): one open block of raw
+//! frames takes the appends, and a full block is sealed by compressing
+//! it with [`small_persist::compress`]. The records repeat each other,
+//! so a sealed block keeps about a third of its bytes. Pulls return
+//! the appended frames byte for byte, decompressing only the sealed
+//! blocks they touch.
+//!
 //! A standby connects with a `(hello <version> replica)` handshake and
 //! pulls frames with `(pull <lsn>)`, receiving `(ok frames <next>
 //! <h-hex>)` batches. It replays each record through its own
@@ -104,28 +111,41 @@ pub struct WalRecord {
     pub reply_digest: u64,
 }
 
-/// Record tags: 0 `open`, 1 `eval`, 2 `close`; plus 3 when the
-/// optional token or seq follows the tag.
-fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let (tag, opt, src) = match &rec.op {
-        WalOp::Open { token } => (0, *token, None),
-        WalOp::Eval { seq, src } => (1, *seq, Some(src)),
-        WalOp::Close { seq } => (2, *seq, None),
-    };
-    // The exact payload size: the log retains every frame as built.
-    let len = 8 + 8 + 1 + opt.map_or(0, |_| 8) + src.map_or(0, |s| 8 + s.len()) + 8;
-    frame::encode(len, |w| {
-        w.put_u64(rec.lsn);
-        w.put_u64(rec.session);
-        w.put_u8(tag + if opt.is_some() { 3 } else { 0 });
-        if let Some(v) = opt {
-            w.put_u64(v);
-        }
-        if let Some(s) = src {
-            w.put_str(s);
-        }
-        w.put_u64(rec.reply_digest);
-    })
+impl WalRecord {
+    /// The record's tag, optional word and program text. Tags: 0
+    /// `open`, 1 `eval`, 2 `close`; plus 3 when the optional token or
+    /// seq follows the tag.
+    fn parts(&self) -> (u8, Option<u64>, Option<&str>) {
+        let (tag, opt, src) = match &self.op {
+            WalOp::Open { token } => (0, *token, None),
+            WalOp::Eval { seq, src } => (1, *seq, Some(src.as_str())),
+            WalOp::Close { seq } => (2, *seq, None),
+        };
+        (tag + if opt.is_some() { 3 } else { 0 }, opt, src)
+    }
+
+    /// Bytes of the record's frame, header included.
+    fn frame_len(&self) -> usize {
+        let (_, opt, src) = self.parts();
+        frame::HEADER + 8 + 8 + 1 + opt.map_or(0, |_| 8) + src.map_or(0, |s| 8 + s.len()) + 8
+    }
+
+    /// Append the record's frame to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let (tag, opt, src) = self.parts();
+        frame::encode_into(out, |w| {
+            w.put_u64(self.lsn);
+            w.put_u64(self.session);
+            w.put_u8(tag);
+            if let Some(v) = opt {
+                w.put_u64(v);
+            }
+            if let Some(s) = src {
+                w.put_str(s);
+            }
+            w.put_u64(self.reply_digest);
+        });
+    }
 }
 
 fn decode_record(payload: &[u8]) -> Result<WalRecord, &'static str> {
@@ -216,29 +236,82 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<WalRecord>, ReplError> {
         .map_err(|FrameError { offset, reason }| ReplError::BadFrame { offset, reason })
 }
 
-/// The primary's in-memory write-ahead log: encoded frames indexed by
-/// LSN. Shards append under a brief mutex held only for the push (the
-/// server wraps this in `Arc<Mutex<Wal>>`).
-#[derive(Default)]
+/// Raw frame bytes from which the [`Wal`]'s open block is due to be
+/// sealed by [`Wal::seal_full`]. A seal compresses the block under the
+/// WAL mutex, so this size also sets how long a seal holds it.
+const BLOCK_BYTES: usize = 16 * 1024;
+
+/// The open block's limit: an append that would take it past this
+/// seals it first, so a log that nobody calls [`Wal::seal_full`] on
+/// (a busy server, an in-process standby) still seals.
+const OPEN_LIMIT: usize = 2 * BLOCK_BYTES;
+
+/// A sealed block of the [`Wal`]: consecutive frames, compressed.
+struct SealedBlock {
+    /// LSN of the block's first frame. The block holds the records up
+    /// to the next block's first LSN.
+    first_lsn: u64,
+    /// Bytes of the frames before compression.
+    raw_len: usize,
+    /// The frames, compressed by [`small_persist::compress`].
+    bytes: Box<[u8]>,
+}
+
+/// The in-memory write-ahead log: encoded frames indexed by LSN, kept
+/// in blocks. Shards append under a brief mutex (the server wraps this
+/// in `Mutex<Wal>`).
+///
+/// Appends encode each frame straight into one open block of raw
+/// frames. Sealing LZ-compresses the open block into an exactly sized
+/// buffer, and an index entry keeps its first LSN. A server shard seals
+/// a full block ([`BLOCK_BYTES`]) in an idle pass, so the compression
+/// delays no reply; an append that would take the open block past
+/// [`OPEN_LIMIT`] seals it first. The log's records repeat each other
+/// (the same programs, sessions and libraries), so a sealed block keeps
+/// about a third of its raw bytes. [`Wal::frames_from`]
+/// binary-searches the index and decompresses only the sealed blocks a
+/// pull touches; it reads the open block raw, so a caught-up replica
+/// never runs the codec.
 pub struct Wal {
-    frames: Vec<Vec<u8>>,
+    /// Sealed blocks in LSN order: the sparse index and the bytes.
+    sealed: Vec<SealedBlock>,
+    /// Compressed bytes over all sealed blocks.
+    sealed_bytes: usize,
+    /// Raw frames of the open block.
+    open: Vec<u8>,
+    /// LSN of the open block's first frame.
+    open_first: u64,
+    /// The LSN the next append gets.
+    next: u64,
+}
+
+impl Default for Wal {
+    fn default() -> Wal {
+        Wal::new()
+    }
 }
 
 impl Wal {
     /// An empty log.
     pub fn new() -> Wal {
-        Wal::default()
+        Wal {
+            sealed: Vec::new(),
+            sealed_bytes: 0,
+            open: Vec::with_capacity(OPEN_LIMIT),
+            open_first: 0,
+            next: 0,
+        }
     }
 
     /// Append one record; assigns and returns its LSN.
     pub fn append(&mut self, session: u64, op: WalOp, reply_digest: u64) -> u64 {
-        let lsn = self.frames.len() as u64;
-        self.frames.push(encode_record(&WalRecord {
+        let lsn = self.next;
+        self.push(&WalRecord {
             lsn,
             session,
             op,
             reply_digest,
-        }));
+        });
         lsn
     }
 
@@ -246,13 +319,53 @@ impl Wal {
     /// retention path). The encoding is canonical, so the retained
     /// frame is byte-identical to the one the upstream shipped.
     pub fn append_record(&mut self, rec: &WalRecord) {
-        debug_assert_eq!(rec.lsn, self.frames.len() as u64, "retention gap");
-        self.frames.push(encode_record(rec));
+        debug_assert_eq!(rec.lsn, self.next, "retention gap");
+        self.push(rec);
+    }
+
+    fn push(&mut self, rec: &WalRecord) {
+        if !self.open.is_empty() && self.open.len() + rec.frame_len() > OPEN_LIMIT {
+            self.seal();
+        }
+        rec.encode_into(&mut self.open);
+        self.next += 1;
+    }
+
+    /// Seal the open block if it holds at least [`BLOCK_BYTES`]. A
+    /// server shard calls this in its idle passes.
+    pub fn seal_full(&mut self) {
+        if self.open.len() >= BLOCK_BYTES {
+            self.seal();
+        }
+    }
+
+    /// Compress the open block into the sealed index and start an
+    /// empty one.
+    fn seal(&mut self) {
+        let bytes = small_persist::compress(&self.open).into_boxed_slice();
+        self.sealed_bytes += bytes.len();
+        self.sealed.push(SealedBlock {
+            first_lsn: self.open_first,
+            raw_len: self.open.len(),
+            bytes,
+        });
+        self.open_first = self.next;
+        self.open.clear();
+        // A frame larger than the limit grew the buffer; give that back.
+        self.open.shrink_to(OPEN_LIMIT);
     }
 
     /// The LSN the next append will get (== records logged so far).
     pub fn next_lsn(&self) -> u64 {
-        self.frames.len() as u64
+        self.next
+    }
+
+    /// Bytes the log keeps in memory: the sealed blocks, the open
+    /// block's buffer and the index.
+    pub fn resident_bytes(&self) -> usize {
+        self.sealed_bytes
+            + self.open.capacity()
+            + self.sealed.capacity() * std::mem::size_of::<SealedBlock>()
     }
 
     /// Concatenated frames starting at `from`, bounded by `max_bytes`
@@ -261,16 +374,59 @@ impl Wal {
     pub fn frames_from(&self, from: u64, max_bytes: usize) -> (Vec<u8>, u64) {
         let mut out = Vec::new();
         let mut next = from;
-        while (next as usize) < self.frames.len() {
-            let frame = &self.frames[next as usize];
-            if !out.is_empty() && out.len() + frame.len() > max_bytes {
-                break;
-            }
-            out.extend_from_slice(frame);
-            next += 1;
+        if from >= self.next {
+            return (out, next);
         }
+        let mut block = self.sealed.partition_point(|b| b.first_lsn <= from);
+        while next < self.open_first {
+            if !out.is_empty() && out.len() >= max_bytes {
+                return (out, next); // not even a header fits
+            }
+            let b = &self.sealed[block - 1];
+            let raw = small_persist::decompress(&b.bytes, b.raw_len)
+                .expect("a sealed block decompresses to its frames");
+            if !copy_frames(&raw, b.first_lsn, &mut next, &mut out, max_bytes) {
+                return (out, next);
+            }
+            block += 1;
+        }
+        copy_frames(&self.open, self.open_first, &mut next, &mut out, max_bytes);
         (out, next)
     }
+}
+
+/// Append to `out` the frames of `block`, whose first frame has LSN
+/// `first`, from LSN `*next` on, while `max_bytes` allows (and at least
+/// one frame while `out` is empty), advancing `*next` past them.
+/// Returns whether the rest of the block fit.
+fn copy_frames(
+    block: &[u8],
+    first: u64,
+    next: &mut u64,
+    out: &mut Vec<u8>,
+    max_bytes: usize,
+) -> bool {
+    let frame_end = |at: usize| {
+        let len = u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]]);
+        at + frame::HEADER + len as usize
+    };
+    let mut start = 0;
+    for _ in first..*next {
+        start = frame_end(start);
+    }
+    let (mut end, mut fits) = (start, true);
+    while end < block.len() {
+        let after = frame_end(end);
+        let taken = out.len() + (end - start);
+        if taken > 0 && taken + (after - end) > max_bytes {
+            fits = false;
+            break;
+        }
+        end = after;
+        *next += 1;
+    }
+    out.extend_from_slice(&block[start..end]);
+    fits
 }
 
 /// Answer a replica's `(pull <from>)` from `wal` and count the shipped
@@ -616,6 +772,44 @@ mod tests {
         assert_eq!(seen, 10);
     }
 
+    /// The gen mix as a primary logs it: `sessions` clients taking
+    /// turns, each running `programs_for(seed, client, n)` seq'd.
+    fn gen_mix_log(seed: u64, sessions: u64, n: usize) -> Wal {
+        let mut store = SessionStore::new(ServeConfig::default());
+        let mut wal = Wal::new();
+        let scripts: Vec<_> = (0..sessions)
+            .map(|c| crate::gen::programs_for(seed, c, n))
+            .collect();
+        for id in 0..sessions {
+            primary_run(&mut store, &mut wal, id, WalOp::Open { token: None });
+        }
+        for k in 0..scripts[0].len() {
+            for (id, script) in scripts.iter().enumerate() {
+                primary_run(&mut store, &mut wal, id as u64, seval(k as u64, &script[k]));
+                // As a shard seals: in the idle pass after the reply.
+                wal.seal_full();
+            }
+        }
+        wal
+    }
+
+    #[test]
+    fn gen_mix_log_keeps_under_two_fifths_of_its_frame_bytes() {
+        let wal = gen_mix_log(11, 24, 300);
+        let (frames, next) = wal.frames_from(0, usize::MAX);
+        assert_eq!(next, wal.next_lsn());
+        assert_eq!(decode_frames(&frames).map(|r| r.len() as u64), Ok(next));
+        let resident = wal.resident_bytes();
+        assert!(
+            resident * 5 <= frames.len() * 2,
+            "{resident} resident bytes for {} frame bytes",
+            frames.len()
+        );
+        // Deterministic: the log, its blocks and their codec output
+        // are pure functions of the programs.
+        assert_eq!((next, frames.len(), resident), (7728, 806_907, 307_319));
+    }
+
     #[test]
     fn duplicated_pulls_are_idempotent() {
         let (_, wal, _) = sequenced_log(9);
@@ -731,6 +925,11 @@ mod tests {
         }
         let caught_up = volatile(&mut c);
         assert!(caught_up.contains("\"relay_lag\":0"), "{caught_up}");
+        // Three records sit in the open block; nothing is sealed.
+        assert!(
+            caught_up.contains("\"resident_bytes\":32768"),
+            "{caught_up}"
+        );
 
         // S2: a downstream standby catching up over the wire — the
         // second hop of the chain.
@@ -847,6 +1046,106 @@ mod tests {
         );
         drop(held);
         node.shutdown();
+    }
+
+    mod wal_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const WAL_CASES: u32 = if cfg!(debug_assertions) { 6 } else { 300 };
+
+        /// Records whose program texts repeat fragments, long enough
+        /// that a few hundred of them seal several blocks.
+        fn records() -> impl Strategy<Value = Vec<(u64, WalOp, u64)>> {
+            let op = (0u8..6, any::<u64>(), "[a-d() ]{0,60}", 0usize..12).prop_map(
+                |(kind, n, piece, times)| {
+                    let src = piece.repeat(times);
+                    match kind {
+                        0 => WalOp::Open { token: None },
+                        1 => WalOp::Open { token: Some(n) },
+                        2 => WalOp::Eval { seq: None, src },
+                        3 => WalOp::Eval { seq: Some(n), src },
+                        4 => WalOp::Close { seq: None },
+                        _ => WalOp::Close { seq: Some(n) },
+                    }
+                },
+            );
+            prop::collection::vec((0u64..40, op, any::<u64>()), 900..1300)
+        }
+
+        /// The log as one frame per record: what `frames_from` must
+        /// return, byte for byte.
+        fn model_pull(frames: &[Vec<u8>], from: u64, max_bytes: usize) -> (Vec<u8>, u64) {
+            let mut out = Vec::new();
+            let mut next = from;
+            while let Some(frame) = frames.get(next as usize) {
+                if !out.is_empty() && out.len() + frame.len() > max_bytes {
+                    break;
+                }
+                out.extend_from_slice(frame);
+                next += 1;
+            }
+            (out, next)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(WAL_CASES))]
+
+            /// Block storage is invisible to readers: every pull, from
+            /// any LSN (past the end too) under any byte budget (zero
+            /// too), equals the pull from a frame-per-record log, for
+            /// appends and for a standby's verbatim retention alike.
+            #[test]
+            fn wal_props_pulls_match_a_frame_per_record_log(
+                recs in records(),
+                retain in any::<bool>(),
+                idle in prop::collection::vec(0u8..8, 1300..1301),
+                pulls in prop::collection::vec((any::<u64>(), 0usize..4, 0usize..20_000), 1..32),
+            ) {
+                let mut wal = Wal::new();
+                let mut frames = Vec::new();
+                for (lsn, (session, op, reply_digest)) in recs.into_iter().enumerate() {
+                    let rec = WalRecord { lsn: lsn as u64, session, op, reply_digest };
+                    if retain {
+                        wal.append_record(&rec);
+                    } else {
+                        let got = wal.append(session, rec.op.clone(), reply_digest);
+                        prop_assert_eq!(got, rec.lsn);
+                    }
+                    let mut frame = Vec::new();
+                    rec.encode_into(&mut frame);
+                    prop_assert_eq!(frame.len(), rec.frame_len());
+                    frames.push(frame);
+                    prop_assert_eq!(wal.next_lsn(), frames.len() as u64);
+                    // Some appends are followed by an idle pass that
+                    // seals a full block; the others fill toward the limit.
+                    if idle[lsn] == 0 {
+                        wal.seal_full();
+                    }
+                }
+                prop_assert!(wal.sealed.len() >= 3, "{} sealed blocks", wal.sealed.len());
+                let n = frames.len() as u64;
+                for (from, kind, budget) in pulls {
+                    let from = from % (n + 3);
+                    // A budget that some run of frames fills exactly.
+                    let exact = frames.iter().skip(from as usize).take(budget % 400);
+                    let exact = exact.map(Vec::len).sum();
+                    let max_bytes = [0, budget, usize::MAX, exact][kind];
+                    prop_assert_eq!(wal.frames_from(from, max_bytes), model_pull(&frames, from, max_bytes));
+                }
+                for from in [0, n - 1, n, n + 1] {
+                    prop_assert_eq!(wal.frames_from(from, 0), model_pull(&frames, from, 0));
+                }
+                // A replica pulling batch after batch sees the whole log.
+                let (mut at, mut all) = (0, Vec::new());
+                while at < n {
+                    let (batch, next) = wal.frames_from(at, PULL_BATCH_BYTES);
+                    all.extend_from_slice(&batch);
+                    at = next;
+                }
+                prop_assert_eq!(all, frames.concat());
+            }
+        }
     }
 
     mod lease_props {

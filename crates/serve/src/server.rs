@@ -406,12 +406,13 @@ impl ServerHandle {
             .into_iter()
             .map(|h| h.join().expect("shard thread panicked"))
             .collect();
-        let volatile = self
+        let mut volatile: Vec<VolatileMetrics> = self
             .shared
             .volatile
             .iter()
             .map(|cell| cell.lock().unwrap_or_else(|e| e.into_inner()).clone())
             .collect();
+        self.shared.note_wal_resident(&mut volatile[0]);
         DrainOutcome {
             stores,
             volatile,

@@ -533,6 +533,49 @@ mod tests {
     }
 
     #[test]
+    fn failed_list_operations_release_their_operands() {
+        // A type error after popping a list operand used to drop it:
+        // the close left one entry behind.
+        for (src, want) in [
+            (
+                "(add (cons 1 nil) 1)",
+                "(err vm type-error integer comparison)",
+            ),
+            (
+                "(lessp 1 (cons 1 nil))",
+                "(err vm type-error integer comparison)",
+            ),
+            ("(rplaca 5 (cons 1 nil))", "(err vm type-error rplaca)"),
+            ("(rplacd 5 (cons 1 nil))", "(err vm type-error rplacd)"),
+        ] {
+            let mut s = Session::new(0, &ServeConfig::default());
+            assert_eq!(s.eval(src).encode(), want);
+            assert_eq!(s.close().0, 0, "{src}");
+        }
+        // A list operation the table cannot hold fails in the backend
+        // with list operands popped: reversing a session-global list of
+        // 270 cells true-overflows, and once the lists are dropped the
+        // close used to leave 255 entries.
+        for n in [270, 300] {
+            let mut s = Session::new(0, &ServeConfig::default());
+            let lib = "(def rev (lambda (a acc) (cond ((null a) acc) \
+                       (t (rev (cdr a) (cons (car a) acc)))))) \
+                       (def iota (lambda (n acc) (cond ((lessp n 1) acc) \
+                       (t (iota (sub n 1) (cons n acc))))))";
+            assert!(!s.eval(&format!("{lib} (setq a (iota {n} nil))")).is_err());
+            assert_eq!(
+                s.eval(&format!("{lib} (setq b (rev a nil))")).encode(),
+                "(err lp true-overflow)"
+            );
+            assert_eq!(
+                s.eval("(progn (setq a nil) (setq b nil))").encode(),
+                "(ok value nil)"
+            );
+            assert_eq!(s.close().0, 0, "n = {n}");
+        }
+    }
+
+    #[test]
     fn cyclic_result_is_a_typed_reply_not_a_panic() {
         let mut s = Session::new(0, &cfg());
         let cyc = "(prog (x) (setq x (cons 1 (cons 2 nil))) (rplacd (cdr x) x) (return x))";

@@ -230,7 +230,16 @@ impl SharedState {
         for cell in &self.volatile {
             vol.merge(&cell.lock().unwrap_or_else(|e| e.into_inner()));
         }
+        self.note_wal_resident(&mut vol);
         (reqs, vol)
+    }
+
+    /// Copy the WAL's resident bytes into `vol`, when there is a WAL.
+    pub fn note_wal_resident(&self, vol: &mut VolatileMetrics) {
+        if let Some(wal) = &self.wal {
+            let wal = wal.lock().unwrap_or_else(|e| e.into_inner());
+            vol.note_wal_resident(wal.resident_bytes());
+        }
     }
 
     /// The `(ok metrics …)` reply: both JSON sections from the merged
@@ -587,7 +596,15 @@ pub fn shard_loop(
         }
 
         if worked == 0 {
-            std::thread::sleep(IDLE_SLEEP);
+            let mut sleep = IDLE_SLEEP;
+            if let Some(wal) = &shared.wal {
+                // An idle pass seals a full WAL block inside the sleep
+                // it takes anyway, so the compression delays no reply.
+                let t0 = Instant::now();
+                wal.lock().unwrap_or_else(|e| e.into_inner()).seal_full();
+                sleep = sleep.saturating_sub(t0.elapsed());
+            }
+            std::thread::sleep(sleep);
         }
     }
 }

@@ -265,6 +265,10 @@ pub struct VolatileMetrics {
     /// Relay hop: the LSN this node has applied (and can therefore
     /// serve downstream). Max-merged high-water mark; 0 on a primary.
     relay_applied: u64,
+    /// Bytes the node's WAL keeps in memory
+    /// ([`crate::repl::Wal::resident_bytes`]), read when a snapshot is
+    /// taken; 0 without a WAL.
+    wal_resident_bytes: u64,
 }
 
 impl VolatileMetrics {
@@ -279,6 +283,7 @@ impl VolatileMetrics {
         self.wal_applied = self.wal_applied.max(other.wal_applied);
         self.relay_upstream = self.relay_upstream.max(other.relay_upstream);
         self.relay_applied = self.relay_applied.max(other.relay_applied);
+        self.wal_resident_bytes = self.wal_resident_bytes.max(other.wal_resident_bytes);
     }
 
     /// Record a replica's applied-LSN high-water mark (from the `from`
@@ -307,6 +312,11 @@ impl VolatileMetrics {
     /// Record the LSN a chained standby has applied and can relay.
     pub fn note_relay_applied(&mut self, lsn: u64) {
         self.relay_applied = self.relay_applied.max(lsn);
+    }
+
+    /// Record the WAL's resident bytes at snapshot time.
+    pub fn note_wal_resident(&mut self, bytes: usize) {
+        self.wal_resident_bytes = bytes as u64;
     }
 
     /// Per-hop relay lag: records the upstream has logged that this
@@ -338,6 +348,7 @@ impl VolatileMetrics {
         wal.field_u64("relay_upstream", self.relay_upstream);
         wal.field_u64("relay_applied", self.relay_applied);
         wal.field_u64("relay_lag", self.relay_lag());
+        wal.field_u64("resident_bytes", self.wal_resident_bytes);
         root.field_raw("wal", &wal.finish());
         root.field_raw("wall_us", &reqs.wall_json());
         root.finish()
@@ -432,6 +443,11 @@ pub fn prometheus_text(reqs: &ShardMetrics, vol: &VolatileMetrics) -> String {
     out.push_str(&format!("small_relay_applied {}\n", vol.relay_applied));
     out.push_str("# TYPE small_relay_lag gauge\n");
     out.push_str(&format!("small_relay_lag {}\n", vol.relay_lag()));
+    out.push_str("# TYPE small_wal_resident_bytes gauge\n");
+    out.push_str(&format!(
+        "small_wal_resident_bytes {}\n",
+        vol.wal_resident_bytes
+    ));
     out
 }
 
@@ -621,6 +637,8 @@ mod tests {
         v.wal_appended.add(10);
         v.wal_shipped.add(7);
         v.note_wal_applied(5);
+        v.note_wal_resident(4096);
+        assert!(v.json(&m).contains("\"resident_bytes\":4096"));
         let text = prometheus_text(&m, &v);
         assert!(text.contains("small_requests_total{kind=\"eval\"} 1"));
         assert!(text.contains("small_request_cycles{kind=\"eval\",quantile=\"0.5\"} 512"));
@@ -629,6 +647,7 @@ mod tests {
         assert!(text.contains("small_wal_lag 3"));
         assert!(text.contains("small_wal_applied 5"));
         assert!(text.contains("small_wal_applied_lag 2"));
+        assert!(text.contains("small_wal_resident_bytes 4096"));
     }
 
     #[test]
