@@ -94,10 +94,11 @@ fn bench_free_discipline(c: &mut Criterion) {
                 for k in 0..2000i64 {
                     let a = lp
                         .cons(LpValue::Atom(Word::int(k)), LpValue::Atom(Word::NIL))
+                        .map(LpValue::Obj)
                         .unwrap();
                     let b2 = lp.cons(a, LpValue::Atom(Word::NIL)).unwrap();
                     lp.unroot(a, RootKind::Binding);
-                    lp.unroot(b2, RootKind::Binding);
+                    lp.unroot(LpValue::Obj(b2), RootKind::Binding);
                 }
                 black_box(lp.stats().gets)
             })

@@ -58,13 +58,13 @@ fn bench_lp_primitives(c: &mut Criterion) {
         let backend = SmallBackend::new(1 << 16, LpConfig::default());
         let mut lp = backend.lp;
         b.iter(|| {
-            let v = lp
+            let id = lp
                 .cons(
                     LpValue::Atom(small_heap::Word::int(1)),
                     LpValue::Atom(small_heap::Word::NIL),
                 )
                 .unwrap();
-            lp.unroot(v, RootKind::Binding);
+            lp.unroot(LpValue::Obj(id), RootKind::Binding);
             black_box(lp.occupancy())
         })
     });
@@ -96,15 +96,14 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     fn workload<S: EventSink>(lp: &mut ListProcessor<TwoPointerController, S>) -> usize {
         let mut last = 0;
         for k in 0..64 {
-            let v = lp
+            let id = lp
                 .cons(
                     LpValue::Atom(small_heap::Word::int(k)),
                     LpValue::Atom(small_heap::Word::NIL),
                 )
                 .unwrap();
-            let id = v.obj().unwrap();
             let _ = lp.car(id).unwrap();
-            lp.unroot(v, RootKind::Binding);
+            lp.unroot(LpValue::Obj(id), RootKind::Binding);
             last = lp.occupancy();
         }
         last
@@ -155,15 +154,14 @@ fn bench_fault_injection_overhead(c: &mut Criterion) {
     fn workload<C: HeapController>(lp: &mut ListProcessor<C>) -> usize {
         let mut last = 0;
         for k in 0..64 {
-            let v = lp
+            let id = lp
                 .cons(
                     LpValue::Atom(small_heap::Word::int(k)),
                     LpValue::Atom(small_heap::Word::NIL),
                 )
                 .unwrap();
-            let id = v.obj().unwrap();
             let _ = lp.car(id).unwrap();
-            lp.unroot(v, RootKind::Binding);
+            lp.unroot(LpValue::Obj(id), RootKind::Binding);
             last = lp.occupancy();
         }
         last

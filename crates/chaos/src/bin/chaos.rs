@@ -4,11 +4,11 @@
 //! chaos [--seeds 11,23,47] [--count N] [--aggressive] [--prims P] [--out PATH]
 //! ```
 //!
-//! Each seed drives one case at each of the two presets (mid-sized
-//! abort-policy table, tiny degrade-policy table); the report is
-//! written as deterministic JSON (byte-identical across runs for the
-//! same arguments) and the process exits nonzero if any case violated
-//! the robustness contract.
+//! Each seed drives one case at each of the two presets (a mid-sized
+//! 512-entry table, a tight 16-entry table that true-overflows); the
+//! report is written as deterministic JSON (byte-identical across runs
+//! for the same arguments) and the process exits nonzero if any case
+//! violated the robustness contract.
 
 use small_chaos::{run_campaign, Severity};
 use small_workloads::synthetic;
@@ -86,17 +86,17 @@ fn main() -> ExitCode {
     p.functions = (args.prims / 4).max(8);
     let trace = synthetic::generate(&p);
 
-    let (abort, degrade) = small_chaos::preset_params();
-    let abort_r = run_campaign(&trace, abort, &args.seeds, args.severity);
-    let degrade_r = run_campaign(&trace, degrade, &args.seeds, args.severity);
+    let (mid, tight) = small_chaos::preset_params();
+    let mid_r = run_campaign(&trace, mid, &args.seeds, args.severity);
+    let tight_r = run_campaign(&trace, tight, &args.seeds, args.severity);
 
-    print!("{}", abort_r.summary_table());
-    print!("{}", degrade_r.summary_table());
+    print!("{}", mid_r.summary_table());
+    print!("{}", tight_r.summary_table());
 
     let json = format!(
-        "{{\"abort\":{},\"degrade\":{}}}\n",
-        abort_r.to_json(),
-        degrade_r.to_json()
+        "{{\"mid\":{},\"tight\":{}}}\n",
+        mid_r.to_json(),
+        tight_r.to_json()
     );
     if let Some(dir) = std::path::Path::new(&args.out).parent() {
         if !dir.as_os_str().is_empty() {
@@ -112,7 +112,7 @@ fn main() -> ExitCode {
     }
     println!("report written to {}", args.out);
 
-    if abort_r.all_pass() && degrade_r.all_pass() {
+    if mid_r.all_pass() && tight_r.all_pass() {
         ExitCode::SUCCESS
     } else {
         eprintln!("chaos contract violated — see report");

@@ -8,7 +8,7 @@
 //!
 //! * the faulted run **never panics**: it either completes with the
 //!   same observable outcome as the fault-free run, or ends in a typed
-//!   degraded state (`true_overflow` or a reported [`SimResult::failure`]);
+//!   error (`true_overflow` or a reported [`SimResult::failure`]);
 //! * the fault ledger **reconciles exactly**: every transient failure
 //!   the schedule injected was detected by the LP's retry machinery,
 //!   and a run that completed recovered every one of them;
@@ -26,7 +26,6 @@
 
 pub mod crash;
 
-use small_core::OverflowPolicy;
 use small_heap::controller::TwoPointerController;
 use small_heap::{FaultPlan, FaultyController};
 use small_metrics::{JsonObject, NoopSink};
@@ -68,8 +67,6 @@ pub struct RunSummary {
     pub true_overflow: bool,
     /// A typed failure that ended the run early, if any.
     pub failure: Option<String>,
-    /// Whether the LP entered §4.3.2.3 heap-direct overflow mode.
-    pub degraded: bool,
 }
 
 impl RunSummary {
@@ -78,7 +75,6 @@ impl RunSummary {
             prims_executed: r.prims_executed,
             true_overflow: r.true_overflow,
             failure: r.failure.clone(),
-            degraded: r.lpt.overflow_entries > 0,
         }
     }
 }
@@ -111,20 +107,19 @@ pub struct CaseOutcome {
 impl CaseOutcome {
     /// The faulted run reproduced the fault-free outcome exactly —
     /// including the case where the fault-free run itself ended in a
-    /// typed failure (e.g. snapshotting a cyclic structure while
-    /// degraded) and the faulted run reports the identical one.
+    /// true overflow or a typed failure and the faulted run reports the
+    /// identical one.
     pub fn matches_clean(&self) -> bool {
         self.faulty.prims_executed == self.clean.prims_executed
             && self.faulty.true_overflow == self.clean.true_overflow
             && self.faulty.failure == self.clean.failure
     }
 
-    /// The faulted run ended in an *accepted* typed degraded state:
-    /// a reported true overflow, a typed failure, or heap-direct
-    /// overflow-mode operation — never a panic, never silent
+    /// The faulted run ended in an *accepted* typed error: a reported
+    /// true overflow or a typed failure — never a panic, never silent
     /// divergence.
-    pub fn degraded_through_typed_errors(&self) -> bool {
-        self.faulty.true_overflow || self.faulty.failure.is_some() || self.faulty.degraded
+    pub fn ended_in_typed_error(&self) -> bool {
+        self.faulty.true_overflow || self.faulty.failure.is_some()
     }
 
     /// Injected/detected/recovered reconcile exactly: every injected
@@ -139,7 +134,7 @@ impl CaseOutcome {
 
     /// The whole robustness contract for this case.
     pub fn pass(&self) -> bool {
-        (self.matches_clean() || self.degraded_through_typed_errors()) && self.counters_reconcile()
+        (self.matches_clean() || self.ended_in_typed_error()) && self.counters_reconcile()
     }
 
     fn to_json(&self) -> String {
@@ -151,7 +146,6 @@ impl CaseOutcome {
         o.field_bool("clean_true_overflow", self.clean.true_overflow);
         o.field_bool("faulty_true_overflow", self.faulty.true_overflow);
         o.field_str("failure", self.faulty.failure.as_deref().unwrap_or(""));
-        o.field_bool("degraded", self.faulty.degraded);
         o.field_u64("injected", self.injected);
         o.field_u64("detected", self.detected);
         o.field_u64("recovered", self.recovered);
@@ -243,8 +237,6 @@ impl ChaosReport {
                 format!("typed-failure: {f}")
             } else if c.faulty.true_overflow {
                 "true-overflow".to_string()
-            } else if c.faulty.degraded {
-                "degraded".to_string()
             } else {
                 "DIVERGED".to_string()
             };
@@ -283,15 +275,13 @@ pub fn run_campaign(
 }
 
 /// The campaign parameter presets the `chaos` binary (and the CI smoke
-/// job) use: a mid-sized table under the abort policy, and a deliberately
-/// small table under [`OverflowPolicy::Degrade`] so the §4.3.2.3
-/// heap-direct path is exercised under faults too.
+/// job) use: a mid-sized 512-entry table, and a deliberately tight
+/// 16-entry table that true-overflows, so the overflow path is
+/// exercised under faults too.
 pub fn preset_params() -> (SimParams, SimParams) {
-    let abort = SimParams::default().with_table(512);
-    let degrade = SimParams::default()
-        .with_table(16)
-        .with_overflow(OverflowPolicy::Degrade);
-    (abort, degrade)
+    let mid = SimParams::default().with_table(512);
+    let tight = SimParams::default().with_table(16);
+    (mid, tight)
 }
 
 #[cfg(test)]
@@ -318,39 +308,43 @@ mod tests {
     #[test]
     fn report_json_is_deterministic() {
         let t = trace(200);
-        let (abort, _) = preset_params();
-        let a = run_campaign(&t, abort, &[1, 2, 3], Severity::Standard);
-        let b = run_campaign(&t, abort, &[1, 2, 3], Severity::Standard);
+        let (mid, _) = preset_params();
+        let a = run_campaign(&t, mid, &[1, 2, 3], Severity::Standard);
+        let b = run_campaign(&t, mid, &[1, 2, 3], Severity::Standard);
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.all_pass(), "{}", a.summary_table());
     }
 
+    /// The tight preset over the `chaos` binary's pinned seeds and
+    /// trace: some clean run ends in a true overflow, and its faulted
+    /// twin ends identically with the fault ledger reconciled.
     #[test]
-    fn degrade_preset_exercises_overflow_mode() {
-        let t = trace(600);
-        let (_, degrade) = preset_params();
-        let r = run_campaign(&t, degrade, &[1, 2, 3, 4, 5, 6, 7, 8], Severity::Aggressive);
+    fn tight_preset_true_overflows_identically_under_faults() {
+        let t = trace(2_000);
+        let (_, tight) = preset_params();
+        let r = run_campaign(&t, tight, &[11, 23, 47], Severity::Standard);
         assert!(r.all_pass(), "{}", r.summary_table());
         assert!(
-            r.cases
-                .iter()
-                .any(|c| c.faulty.degraded || c.clean.degraded),
-            "a 48-entry table over this trace must hit overflow mode:\n{}",
+            r.cases.iter().any(|c| c.clean.true_overflow
+                && c.injected > 0
+                && c.matches_clean()
+                && c.counters_reconcile()),
+            "a 16-entry table over this trace must true-overflow under faults:\n{}",
             r.summary_table()
         );
     }
 
     /// The acceptance gate: 100 seeded fault schedules, zero panics,
     /// every run matching the fault-free output or ending in a typed
-    /// degraded state, and the fault ledger reconciling exactly.
+    /// error, and the fault ledger reconciling exactly.
     #[test]
     fn hundred_seeded_schedules_uphold_the_contract() {
         let t = trace(150);
         let seeds: Vec<u64> = (1..=50).collect();
-        let (abort, degrade) = preset_params();
-        let std_r = run_campaign(&t, abort, &seeds, Severity::Standard);
+        let (mid, tight) = preset_params();
+        let std_r = run_campaign(&t, mid, &seeds, Severity::Standard);
         assert!(std_r.all_pass(), "{}", std_r.summary_table());
-        let agg_r = run_campaign(&t, degrade, &seeds, Severity::Aggressive);
+        let agg_r = run_campaign(&t, tight, &seeds, Severity::Aggressive);
         assert!(agg_r.all_pass(), "{}", agg_r.summary_table());
         assert!(
             std_r.cases.iter().map(|c| c.injected).sum::<u64>() > 0,

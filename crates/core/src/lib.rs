@@ -25,7 +25,7 @@ pub mod timing;
 
 pub use lp::{
     AuditReport, CompressPolicy, DecrementPolicy, EntryImage, FieldImage, FreeDiscipline, Id,
-    ListProcessor, LpConfig, LpError, LpImage, LpValue, LptCacheStats, LptStats, OverflowPolicy,
-    Perturbation, ReconcileStats, RefcountMode, RootKind, Violation, TRANSIENT_RETRY_LIMIT,
+    ListProcessor, LpConfig, LpError, LpImage, LpValue, LptCacheStats, LptStats, Perturbation,
+    ReconcileStats, RefcountMode, RootKind, Violation, TRANSIENT_RETRY_LIMIT,
 };
 pub use machine::SmallBackend;

@@ -35,7 +35,6 @@ impl From<LpError> for BackendError {
             LpError::Heap(h) => BackendError::Heap(h),
             LpError::NotAList => BackendError::NotAList,
             LpError::UnexpectedTag(t) => BackendError::UnexpectedTag(t),
-            LpError::Degraded(what) => BackendError::Degraded(what),
             LpError::Cyclic => BackendError::Cyclic,
         }
     }
@@ -185,15 +184,10 @@ impl<C: HeapController, S: EventSink> ListBackend for SmallBackend<C, S> {
 
     fn cons(&mut self, car: VmValue<Id>, cdr: VmValue<Id>) -> Result<Id, VmError> {
         let (a, d) = (Self::to_lp(&car), Self::to_lp(&cdr));
-        let v = self.lp.retrying(|lp| lp.cons(a, d)).map_err(Self::lp_err)?;
         // The operand-stack references the VM holds on `car`/`cdr` are
         // released by the VM itself after this call; the cons's internal
-        // references were taken by the LP. In heap-direct overflow mode
-        // the result is an address the VM's reference type cannot name,
-        // so it crosses the boundary as a typed degraded condition.
-        v.obj().ok_or(VmError::Backend(BackendError::Degraded(
-            "a table-backed cons result",
-        )))
+        // references were taken by the LP.
+        self.lp.retrying(|lp| lp.cons(a, d)).map_err(Self::lp_err)
     }
 
     fn rplaca(&mut self, r: &Id, v: VmValue<Id>) -> Result<(), VmError> {

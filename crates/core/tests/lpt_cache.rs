@@ -6,14 +6,11 @@
 //! per-kind event counts, and exported checkpoint images. Each test
 //! drives twin processors (cache on / cache off) through the same
 //! scripted workload, crossing every invalidation boundary the cache
-//! must survive: compression, cycle breaking, field replacement,
-//! degrade-mode entry and exit, and checkpoint/resume — all *between*
-//! cached accesses, so a stale line would be served if invalidation
-//! missed a site.
+//! must survive: compression, cycle breaking, field replacement, and
+//! checkpoint/resume — all *between* cached accesses, so a stale line
+//! would be served if invalidation missed a site.
 
-use small_core::{
-    ListProcessor, LpConfig, LpValue, LptCacheStats, OverflowPolicy, RefcountMode, RootKind,
-};
+use small_core::{ListProcessor, LpConfig, LpValue, LptCacheStats, RefcountMode, RootKind};
 use small_heap::controller::TwoPointerController;
 use small_heap::PersistableController;
 use small_metrics::{CountingSink, EventSink};
@@ -21,12 +18,11 @@ use small_sexpr::{parse, print, Interner};
 
 type Lp = ListProcessor<TwoPointerController, CountingSink>;
 
-fn make(table: usize, overflow: OverflowPolicy, cache: bool) -> Lp {
+fn make(table: usize, cache: bool) -> Lp {
     let mut lp = ListProcessor::with_sink(
         TwoPointerController::new(65536, 64),
         LpConfig {
             table_size: table,
-            overflow,
             ..LpConfig::default()
         },
         CountingSink::default(),
@@ -153,8 +149,8 @@ fn churn_with_compression_and_cycles_is_bit_identical() {
     // table, so compression (and the cycle breaker, once the dropped
     // self-cycle is the only reclaimable garbage) interleaves with
     // cached accesses.
-    let mut on = make(40, OverflowPolicy::Abort, true);
-    let mut off = make(40, OverflowPolicy::Abort, false);
+    let mut on = make(40, true);
+    let mut off = make(40, false);
     let mut i_on = Interner::new();
     let mut i_off = Interner::new();
     let out_on = drive_churn(&mut on, &mut i_on);
@@ -195,56 +191,9 @@ fn split_refcounts_with_queue_discipline_agree() {
 }
 
 #[test]
-fn degrade_entry_and_exit_between_cached_accesses() {
-    let drive = |lp: &mut Lp, i: &mut Interner| -> Vec<String> {
-        let mut out = Vec::new();
-        // Warm the cache on a small rooted list.
-        let keep = read(lp, i, "(a b c)");
-        lp.root_binding(keep);
-        release(lp, keep);
-        walk(lp, keep);
-        walk(lp, keep);
-        // Blow past the table: degrade-mode entry clears the cache.
-        let big = read(lp, i, "(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18)");
-        lp.root_binding(big);
-        release(lp, big);
-        walk(lp, big);
-        out.push(format!("degraded={}", lp.degraded()));
-        out.push(print(&lp.writelist(big).unwrap(), i));
-        // Release the big list; occupancy recovery exits degraded mode
-        // at the next operation boundary — another cache clear.
-        lp.unroot(big, RootKind::Binding);
-        lp.drain_unroots();
-        lp.drain_lazy();
-        walk(lp, keep);
-        out.push(format!("degraded={}", lp.degraded()));
-        out.push(print(&lp.writelist(keep).unwrap(), i));
-        lp.unroot(keep, RootKind::Binding);
-        lp.drain_unroots();
-        out
-    };
-    let mut on = make(16, OverflowPolicy::Degrade, true);
-    let mut off = make(16, OverflowPolicy::Degrade, false);
-    let mut i_on = Interner::new();
-    let mut i_off = Interner::new();
-    let out_on = drive(&mut on, &mut i_on);
-    let out_off = drive(&mut off, &mut i_off);
-    assert_eq!(
-        on.stats().overflow_entries,
-        1,
-        "script must enter degraded mode"
-    );
-    assert!(
-        on.stats().overflow_exits >= 1,
-        "script must exit degraded mode"
-    );
-    assert_twins_agree(&on, &off, &out_on, &out_off);
-}
-
-#[test]
 fn rplaca_between_cached_accesses_never_serves_stale_car() {
     let mut i = Interner::new();
-    let mut lp = make(512, OverflowPolicy::Abort, true);
+    let mut lp = make(512, true);
     let v = read(&mut lp, &mut i, "(old rest)");
     let id = v.obj().unwrap();
     // Two reads: the second is served by the inline cache.
@@ -272,8 +221,8 @@ fn rplaca_between_cached_accesses_never_serves_stale_car() {
 #[test]
 fn checkpoint_resume_between_cached_accesses() {
     let mut i = Interner::new();
-    let mut on = make(64, OverflowPolicy::Abort, true);
-    let mut off = make(64, OverflowPolicy::Abort, false);
+    let mut on = make(64, true);
+    let mut off = make(64, false);
     let (v_on, v_off) = (
         read(&mut on, &mut i, "(a (b c) d e)"),
         read(&mut off, &mut i, "(a (b c) d e)"),

@@ -50,7 +50,6 @@ fn arb_config() -> impl Strategy<Value = LpConfig> {
                 decrement,
                 refcounts,
                 free_discipline,
-                ..LpConfig::default()
             },
         )
 }
@@ -122,8 +121,7 @@ proptest! {
         let mut lp = backend.lp;
         let a = lp.readlist(None, &ae).unwrap();
         let b = lp.readlist(None, &be).unwrap();
-        let c = lp.cons(a, b).unwrap();
-        let id = c.obj().unwrap();
+        let id = lp.cons(a, b).unwrap();
         // car(cons(a, b)) = a and cdr(cons(a, b)) = b, by identifier.
         prop_assert_eq!(lp.car(id).unwrap(), a);
         prop_assert_eq!(lp.cdr(id).unwrap(), b);
@@ -168,7 +166,7 @@ proptest! {
                 2 => {
                     let w = held[(step + 1) % n];
                     let c = lp.cons(v, w).unwrap();
-                    held.push(c);
+                    held.push(small_core::LpValue::Obj(c));
                 }
                 3 => {
                     if let Some(id) = v.obj() {

@@ -75,8 +75,7 @@ pub enum VmError {
 /// sites can match on the cause instead of parsing strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendError {
-    /// The LPT overflowed and no space could be recovered: the machine
-    /// would degrade to overflow mode (§4.3.2.3).
+    /// The LPT overflowed and no space could be recovered.
     TrueOverflow,
     /// The backing heap failed (exhaustion, bad operand).
     Heap(HeapError),
@@ -86,10 +85,6 @@ pub enum BackendError {
     /// interpret — memory corruption, never reachable for well-formed
     /// programs.
     UnexpectedTag(Tag),
-    /// The backend refused the operation because it is running in
-    /// degraded (heap-direct overflow) mode; the payload names the
-    /// refused operation.
-    Degraded(&'static str),
     /// Printing or comparing met a cycle built by `rplaca`/`rplacd`: the
     /// structure has no finite s-expression.
     Cyclic,
@@ -102,9 +97,6 @@ impl fmt::Display for BackendError {
             BackendError::Heap(e) => write!(f, "heap: {e}"),
             BackendError::NotAList => write!(f, "operand is not a list object"),
             BackendError::UnexpectedTag(t) => write!(f, "unexpected word tag {t:?}"),
-            BackendError::Degraded(what) => {
-                write!(f, "{what} is unsupported in degraded overflow mode")
-            }
             BackendError::Cyclic => write!(f, "cyclic list structure has no finite s-expression"),
         }
     }
@@ -986,7 +978,7 @@ impl<B: ListBackend> Vm<B> {
         let a = self.pop()?;
         match (a, b) {
             (VmValue::Int(x), VmValue::Int(y)) => Ok((x, y)),
-            (a, b) => self.fail(VmError::TypeError("integer comparison"), [a, b]),
+            (a, b) => self.fail(VmError::TypeError("integer-comparison"), [a, b]),
         }
     }
 

@@ -242,7 +242,7 @@ pub enum Event {
         reclaimed: u32,
     },
     /// Allocation failed even after compression and cycle breaking; the
-    /// machine degrades to overflow mode.
+    /// request fails with a typed error.
     TrueOverflow,
     /// The heap controller split an object into the LPT.
     HeapSplit,
@@ -264,12 +264,6 @@ pub enum Event {
     /// A detected transient fault was recovered from (a retry
     /// succeeded, or compression abandoned the merge and carried on).
     HeapFaultRecovered,
-    /// The LP entered §4.3.2.3 overflow mode: the table is full beyond
-    /// recovery and new structure degrades to heap-direct operation.
-    OverflowModeEntered,
-    /// The LP left overflow mode: occupancy recovered and allocation
-    /// re-entered the table.
-    OverflowModeExited,
 }
 
 impl Event {
@@ -294,8 +288,6 @@ impl Event {
             Event::Occupancy { .. } => "occupancy",
             Event::HeapFaultDetected => "heap_fault_detected",
             Event::HeapFaultRecovered => "heap_fault_recovered",
-            Event::OverflowModeEntered => "overflow_mode_entered",
-            Event::OverflowModeExited => "overflow_mode_exited",
         }
     }
 }
@@ -469,10 +461,6 @@ pub struct EventCounts {
     pub heap_faults_detected: Counter,
     /// Transient heap faults recovered from.
     pub heap_faults_recovered: Counter,
-    /// Times the LP entered overflow (heap-direct) mode.
-    pub overflow_mode_entries: Counter,
-    /// Times the LP re-entered table mode after overflow.
-    pub overflow_mode_exits: Counter,
 }
 
 impl EventCounts {
@@ -507,8 +495,6 @@ impl EventCounts {
             Event::Occupancy { .. } => self.occupancy_samples.inc(),
             Event::HeapFaultDetected => self.heap_faults_detected.inc(),
             Event::HeapFaultRecovered => self.heap_faults_recovered.inc(),
-            Event::OverflowModeEntered => self.overflow_mode_entries.inc(),
-            Event::OverflowModeExited => self.overflow_mode_exits.inc(),
         }
     }
 
@@ -535,13 +521,12 @@ impl EventCounts {
         self.heap_faults_detected.merge(other.heap_faults_detected);
         self.heap_faults_recovered
             .merge(other.heap_faults_recovered);
-        self.overflow_mode_entries
-            .merge(other.overflow_mode_entries);
-        self.overflow_mode_exits.merge(other.overflow_mode_exits);
     }
 
     /// Field names matching [`EventCounts::to_words`] order, for
-    /// labeling flattened word vectors.
+    /// labeling flattened word vectors. The last two name retired words
+    /// (they counted the removed §4.3.2.3 overflow mode), which are
+    /// always zero.
     pub const WORD_NAMES: [&'static str; 22] = [
         "lpt_hits",
         "lpt_misses",
@@ -571,6 +556,7 @@ impl EventCounts {
     /// field order as the JSON serialization). The inverse is
     /// [`EventCounts::from_words`]; persistence layers use the pair to
     /// carry per-session sink state through suspend/resume images.
+    /// Words 20 and 21 are retired and written as zero.
     pub fn to_words(&self) -> [u64; 22] {
         [
             self.lpt_hits.get(),
@@ -593,13 +579,17 @@ impl EventCounts {
             self.occupancy_samples.get(),
             self.heap_faults_detected.get(),
             self.heap_faults_recovered.get(),
-            self.overflow_mode_entries.get(),
-            self.overflow_mode_exits.get(),
+            0,
+            0,
         ]
     }
 
     /// Rebuild from a word vector produced by [`EventCounts::to_words`].
-    pub fn from_words(w: &[u64; 22]) -> EventCounts {
+    /// `None` when a retired word is non-zero.
+    pub fn from_words(w: &[u64; 22]) -> Option<EventCounts> {
+        if w[20..].iter().any(|&v| v != 0) {
+            return None;
+        }
         let mut c = EventCounts::default();
         c.lpt_hits.add(w[0]);
         c.lpt_misses.add(w[1]);
@@ -621,9 +611,7 @@ impl EventCounts {
         c.occupancy_samples.add(w[17]);
         c.heap_faults_detected.add(w[18]);
         c.heap_faults_recovered.add(w[19]);
-        c.overflow_mode_entries.add(w[20]);
-        c.overflow_mode_exits.add(w[21]);
-        c
+        Some(c)
     }
 
     fn json_fields(&self, out: &mut JsonObject) {
@@ -647,8 +635,9 @@ impl EventCounts {
         out.field_u64("occupancy_samples", self.occupancy_samples.get());
         out.field_u64("heap_faults_detected", self.heap_faults_detected.get());
         out.field_u64("heap_faults_recovered", self.heap_faults_recovered.get());
-        out.field_u64("overflow_mode_entries", self.overflow_mode_entries.get());
-        out.field_u64("overflow_mode_exits", self.overflow_mode_exits.get());
+        // The two retired words keep their names and read zero.
+        out.field_u64("overflow_mode_entries", 0);
+        out.field_u64("overflow_mode_exits", 0);
     }
 }
 

@@ -10,8 +10,8 @@
 //! * **Checkpoints** ([`encode_checkpoint`] / [`decode_checkpoint`]) — a
 //!   versioned, CRC-guarded binary snapshot of full machine state: the
 //!   complete LPT image ([`small_core::LpImage`], including free-stack
-//!   threading, pending lazy decrements, split counts, and the
-//!   degraded-mode flag), the heap-controller image
+//!   threading, pending lazy decrements and split counts), the
+//!   heap-controller image
 //!   ([`small_heap::ControllerImage`], covering all three list
 //!   representations), an opaque driver section the simulator owns
 //!   (frames, bindings, RNG state), and a progress marker. Equal states
@@ -491,7 +491,7 @@ fn get_stats(r: &mut ByteReader) -> Result<LptStats, &'static str> {
     for slot in &mut v {
         *slot = r.counter()?;
     }
-    LptStats::from_words(&v).ok_or("stats field overflow")
+    LptStats::from_words(&v).ok_or("stats field overflow or retired word set")
 }
 
 /// Encoded bytes of one LPT entry: two fields, `rc`, `addr`,
@@ -512,7 +512,8 @@ fn put_lp_image(w: &mut ByteWriter, lp: &LpImage) {
     w.put_opt_u32(lp.free_head);
     w.put_opt_u32(lp.free_tail);
     w.put_u64(lp.live as u64);
-    w.put_bool(lp.degraded);
+    // Retired: the §4.3.2.3 overflow-mode flag, always written as 0.
+    w.put_bool(false);
     w.put_u64(lp.ep_counts.len() as u64);
     for &(id, c) in &lp.ep_counts {
         w.put_u32(id);
@@ -553,7 +554,9 @@ fn get_lp_image(r: &mut ByteReader) -> Result<LpImage, &'static str> {
     let free_head = r.opt_u32()?;
     let free_tail = r.opt_u32()?;
     let live = r.u64()? as usize;
-    let degraded = r.bool()?;
+    if r.bool()? {
+        return Err("image taken in the removed overflow mode");
+    }
     let n = r.count(8)?;
     let mut ep_counts = Vec::with_capacity(n);
     for _ in 0..n {
@@ -573,7 +576,6 @@ fn get_lp_image(r: &mut ByteReader) -> Result<LpImage, &'static str> {
         free_head,
         free_tail,
         live,
-        degraded,
         ep_counts,
         recent_overflows,
         stats,
@@ -617,7 +619,8 @@ const CHECKPOINT_HEADER: usize = CHECKPOINT_MAGIC.len() + 16;
 fn checkpoint_payload_len(ckpt: &Checkpoint) -> usize {
     let lp = &ckpt.lp;
     // Table size and entry count, the entries, free head and tail plus
-    // `live` and `degraded`, two counted vectors, and the 20 stats.
+    // `live` and the retired overflow-mode byte, two counted vectors,
+    // and the 20 stats.
     let lp_len = 16
         + ENTRY_BYTES * lp.entries.len()
         + 17
@@ -836,8 +839,8 @@ fn event_code(e: Event) -> (u8, u64) {
         Event::Occupancy { live } => (14, u64::from(live)),
         Event::HeapFaultDetected => (15, 0),
         Event::HeapFaultRecovered => (16, 0),
-        Event::OverflowModeEntered => (17, 0),
-        Event::OverflowModeExited => (18, 0),
+        // Codes 17 and 18 stay reserved: they named the removed
+        // §4.3.2.3 overflow-mode events, so no later event reuses them.
     }
 }
 
@@ -1167,7 +1170,6 @@ mod tests {
             free_head: Some(2),
             free_tail: Some(3),
             live: 2,
-            degraded: false,
             ep_counts: vec![(1, 3)],
             recent_overflows: vec![17, 99],
             stats: LptStats {

@@ -1,7 +1,5 @@
 //! Checkpoint round-trip matrix: every RefcountMode × FreeDiscipline
-//! combination over all three heap representations, plus a
-//! mid-degrade snapshot that restores *into* §4.3.2.3 heap-direct mode
-//! and later re-enters table mode.
+//! combination over all three heap representations.
 //!
 //! Each cell drives a real workload, snapshots the full machine
 //! through the versioned checkpoint codec, restores it into a fresh
@@ -10,12 +8,10 @@
 //! observably identical behavior when the original and the restored
 //! machine keep executing the same operations.
 
-use small_core::{
-    FreeDiscipline, ListProcessor, LpConfig, LpValue, OverflowPolicy, RefcountMode, RootKind,
-};
+use small_core::{FreeDiscipline, ListProcessor, LpConfig, LpValue, RefcountMode, RootKind};
 use small_heap::{
     CdrCodedController, HeapController, PersistableController, StructureCodedController,
-    TwoPointerController, Word,
+    TwoPointerController,
 };
 use small_metrics::NoopSink;
 use small_persist::{decode_checkpoint, encode_checkpoint, Checkpoint};
@@ -47,7 +43,7 @@ fn work<C: HeapController>(lp: &mut ListProcessor<C, NoopSink>, i: &mut Interner
     let keep = read(lp, i, "(alpha (beta gamma) delta)");
     let tmp = read(lp, i, "((a b) (c d) e)");
     let pair = lp.cons(keep, tmp).unwrap();
-    let kar = lp.car_of(pair).unwrap();
+    let kar = lp.car(pair).unwrap();
     lp.root_binding(kar);
     lp.rplaca_of(tmp, kar).unwrap();
     // Drop the direct reference to `tmp`: its spine survives only
@@ -56,7 +52,7 @@ fn work<C: HeapController>(lp: &mut ListProcessor<C, NoopSink>, i: &mut Interner
     let dead = read(lp, i, "(x (y) z)");
     lp.unroot(dead, RootKind::Binding);
     lp.drain_unroots();
-    vec![keep, pair, kar]
+    vec![keep, LpValue::Obj(pair), kar]
 }
 
 fn snapshot<C: HeapController + PersistableController>(
@@ -103,10 +99,10 @@ where
     for lp in [&mut lp, &mut restored] {
         let extra = read(lp, &mut j, "(p (q r) s)");
         let joined = lp.cons(extra, values[0]).unwrap();
-        let kdr = lp.cdr_of(joined).unwrap();
+        let kdr = lp.cdr(joined).unwrap();
         lp.root_binding(kdr);
         lp.unroot(extra, RootKind::Binding);
-        lp.unroot(joined, RootKind::Binding);
+        lp.unroot(LpValue::Obj(joined), RootKind::Binding);
         lp.unroot(kdr, RootKind::Binding);
         lp.drain_unroots();
     }
@@ -134,71 +130,4 @@ fn matrix_round_trips_identically() {
             round_trip_cell(StructureCodedController::new, refcounts, free_discipline);
         }
     }
-}
-
-/// A snapshot taken while the LP is degraded to heap-direct overflow
-/// mode must restore *into* degraded mode, keep operating there, and
-/// re-enter table mode at the same point as the original.
-#[test]
-fn mid_degrade_snapshot_restores_and_reenters_table_mode() {
-    let cfg = LpConfig {
-        table_size: 8,
-        overflow: OverflowPolicy::Degrade,
-        ..LpConfig::default()
-    };
-    let mut lp = ListProcessor::with_sink(TwoPointerController::new(4096, 64), cfg, NoopSink);
-    // Fill the table with EP-rooted, incompressible pairs; the next
-    // cons true-overflows and the LP degrades to §4.3.2.3 heap-direct
-    // operation.
-    let mut held = Vec::new();
-    for k in 0..8 {
-        let v = lp
-            .cons(LpValue::Atom(Word::int(k)), LpValue::Atom(Word::NIL))
-            .unwrap();
-        held.push(v);
-    }
-    assert!(!lp.degraded());
-    let d = lp
-        .cons(LpValue::Atom(Word::int(99)), LpValue::Atom(Word::NIL))
-        .unwrap();
-    held.push(d);
-    assert!(lp.degraded(), "the 9th pair must push the table over");
-    assert!(d.is_heap_direct());
-    assert!(lp.stats().overflow_entries > 0);
-
-    // Snapshot mid-degrade and restore.
-    let ckpt = snapshot(&lp);
-    let decoded = decode_checkpoint(&encode_checkpoint(&ckpt)).unwrap();
-    let controller = TwoPointerController::import_image(&decoded.controller).unwrap();
-    let mut restored = ListProcessor::from_image(controller, cfg, &decoded.lp, NoopSink).unwrap();
-    assert!(
-        restored.degraded(),
-        "snapshot must restore into degraded mode"
-    );
-    assert_eq!(restored.export_image(), ckpt.lp);
-    // Heap-direct traversal works identically on the restored machine.
-    assert_eq!(restored.car_of(d).unwrap(), LpValue::Atom(Word::int(99)));
-    assert_eq!(lp.car_of(d).unwrap(), LpValue::Atom(Word::int(99)));
-
-    // Release everything on both sides: occupancy falls to half the
-    // table and the next operation boundary re-enters table mode on
-    // both machines in lockstep.
-    for &v in &held {
-        lp.unroot(v, RootKind::Binding);
-        restored.unroot(v, RootKind::Binding);
-    }
-    lp.drain_unroots();
-    restored.drain_unroots();
-    let a = lp
-        .cons(LpValue::Atom(Word::int(7)), LpValue::Atom(Word::NIL))
-        .unwrap();
-    let b = restored
-        .cons(LpValue::Atom(Word::int(7)), LpValue::Atom(Word::NIL))
-        .unwrap();
-    assert_eq!(a, b, "post-degrade allocation diverged");
-    assert!(matches!(a, LpValue::Obj(_)), "must allocate in the table");
-    assert!(!lp.degraded() && !restored.degraded(), "both must re-enter");
-    assert!(lp.stats().overflow_exits > 0);
-    assert_eq!(lp.export_image(), restored.export_image());
-    assert!(lp.audit().is_clean() && restored.audit().is_clean());
 }

@@ -635,10 +635,9 @@ mod tests {
         let id = v.obj().unwrap();
         let car = lp.car(id).unwrap(); // miss (split)
         let cdr = lp.cdr(id).unwrap(); // hit
-        let c = lp.cons(car, cdr).unwrap();
-        lp.rplaca(id, c).unwrap();
+        let cid = lp.cons(car, cdr).unwrap();
+        lp.rplaca(id, small_core::LpValue::Obj(cid)).unwrap();
         let _ = lp.car(id).unwrap(); // hit
-        let cid = c.obj().unwrap();
         let _ = lp.cdr(cid).unwrap(); // hit
         lp.rplacd(cid, small_core::LpValue::Atom(small_heap::Word::NIL))
             .unwrap();

@@ -621,7 +621,10 @@ pub enum Reply {
 }
 
 /// The ledger field names, in `LptStats` declaration order — shared by
-/// the encoder, the decoder, and anything formatting ledgers.
+/// the encoder, the decoder, and anything formatting ledgers. The last
+/// three name retired words (they counted the removed §4.3.2.3 overflow
+/// mode): always encoded as 0, and a reply carrying anything else does
+/// not decode.
 pub const LEDGER_FIELDS: [&str; 20] = [
     "refops",
     "ep-refops",
@@ -768,6 +771,8 @@ impl Reply {
                             let want = EventCounts::WORD_NAMES[k].replace('_', "-");
                             *slot = pair(6 + k, &want)?;
                         }
+                        // Refuses non-zero retired words.
+                        EventCounts::from_words(&counts)?;
                         Some(Reply::Stats(Box::new(StatsBody {
                             sessions,
                             evictions,
@@ -915,15 +920,14 @@ pub fn compile_error_reply(e: &CompileError) -> Reply {
     err("compile", code)
 }
 
-/// Typed reply for an LP failure (cyclic write-out, degraded-mode
-/// refusal, …) surfaced outside the VM's error chain.
+/// Typed reply for an LP failure (cyclic write-out, …) surfaced
+/// outside the VM's error chain.
 pub fn lp_error_reply(e: &LpError) -> Reply {
     match e {
         LpError::TrueOverflow => err("lp", "true-overflow"),
         LpError::Heap(h) => err_with("lp", "heap", &[heap_code(*h)]),
         LpError::NotAList => err("lp", "not-a-list"),
         LpError::UnexpectedTag(_) => err("lp", "unexpected-tag"),
-        LpError::Degraded(_) => err("lp", "degraded"),
         LpError::Cyclic => err("lp", "cyclic"),
     }
 }
@@ -945,7 +949,6 @@ pub fn vm_error_reply(e: &VmError) -> Reply {
             BackendError::Heap(h) => err_with("heap", "fault", &[heap_code(*h)]),
             BackendError::NotAList => err("lp", "not-a-list"),
             BackendError::UnexpectedTag(_) => err("lp", "unexpected-tag"),
-            BackendError::Degraded(_) => err("lp", "degraded"),
             BackendError::Cyclic => err("lp", "cyclic"),
         },
     }
@@ -971,6 +974,108 @@ pub fn persist_error_reply(e: &PersistError) -> Reply {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Every typed error reply the server can build decodes on the
+    /// client to the reply it was: each detail is one atom. The type
+    /// errors come from evaluating programs that raise each of them.
+    #[test]
+    fn every_error_reply_decodes_to_itself() {
+        use small_heap::controller::HeapError;
+        use small_heap::Tag;
+        let heap = [
+            HeapError::Exhausted,
+            HeapError::NotAnObject,
+            HeapError::BadAddress,
+            HeapError::Transient,
+        ];
+        let mut replies = Vec::new();
+        for lp in [
+            LpError::TrueOverflow,
+            LpError::NotAList,
+            LpError::UnexpectedTag(Tag::FreeLink),
+            LpError::Cyclic,
+        ]
+        .into_iter()
+        .chain(heap.map(LpError::Heap))
+        {
+            replies.push(lp_error_reply(&lp));
+        }
+        let backend = [
+            BackendError::TrueOverflow,
+            BackendError::NotAList,
+            BackendError::UnexpectedTag(Tag::FreeLink),
+            BackendError::Cyclic,
+        ]
+        .into_iter()
+        .chain(heap.map(BackendError::Heap));
+        for src in [
+            "(car 5)",
+            "(cdr 5)",
+            "(rplaca 5 nil)",
+            "(rplacd 5 nil)",
+            "(lessp 1 nil)",
+        ] {
+            let r = crate::session::Session::new(0, &crate::ServeConfig::default()).eval(src);
+            assert!(r.encode().starts_with("(err vm type-error"), "{src}");
+            replies.push(r);
+        }
+        for vm in [
+            VmError::Unbound("x".into()),
+            VmError::NoSuchFunction("f".into()),
+            VmError::DivideByZero,
+            VmError::FixnumOverflow,
+            VmError::StackUnderflow,
+            VmError::ReadEof,
+            VmError::StepBudget,
+        ]
+        .into_iter()
+        .chain(backend.map(VmError::Backend))
+        {
+            replies.push(vm_error_reply(&vm));
+        }
+        for c in [
+            CompileError::BadForm("(x".into()),
+            CompileError::NoSuchLabel("l".into()),
+            CompileError::BadCallHead,
+            CompileError::NestedDef,
+        ] {
+            replies.push(compile_error_reply(&c));
+        }
+        for p in [
+            PersistError::NoCheckpoint,
+            PersistError::CorruptCheckpoint("bad magic"),
+            PersistError::UnsupportedVersion(9),
+            PersistError::CorruptJournal {
+                offset: 3,
+                reason: "crc",
+            },
+            PersistError::ReplayDivergence {
+                seq: 1,
+                expected: 2,
+                actual: 3,
+            },
+            PersistError::MalformedImage(small_heap::ImageError::Malformed),
+            PersistError::Crash { appends: 4 },
+        ] {
+            replies.push(persist_error_reply(&p));
+        }
+        for e in [
+            ParseError::UnexpectedEof,
+            ParseError::UnbalancedClose(1),
+            ParseError::BadDot(2),
+            ParseError::TrailingInput(3),
+        ] {
+            replies.push(parse_error_reply(&e));
+        }
+        for r in replies {
+            assert_eq!(
+                Reply::decode(&r.encode()),
+                Some(r.clone()),
+                "{}",
+                r.encode()
+            );
+        }
+    }
 
     #[test]
     fn frame_round_trip() {
@@ -1228,9 +1333,10 @@ mod tests {
                 Just("(a (b . 7) c)".to_string()),
             ]
             .prop_map(|text| Reply::Value { text }),
-            prop::collection::vec(0u64..1_000_000, 20).prop_map(|v| {
+            // Words 17–19 are retired and stay zero.
+            prop::collection::vec(0u64..1_000_000, 17).prop_map(|v| {
                 let mut w = [0u64; 20];
-                w.copy_from_slice(&v);
+                w[..17].copy_from_slice(&v);
                 Reply::Ledger(Box::new(LptStats::from_words(&w).unwrap()))
             }),
             (
@@ -1238,11 +1344,12 @@ mod tests {
                 0u64..100,
                 0u64..100,
                 0u64..10_000,
-                prop::collection::vec(0u64..1_000_000, 22)
+                // Words 20–21 are retired and stay zero.
+                prop::collection::vec(0u64..1_000_000, 20)
             )
                 .prop_map(|(sessions, evictions, resumes, requests, v)| {
                     let mut counts = [0u64; 22];
-                    counts.copy_from_slice(&v);
+                    counts[..20].copy_from_slice(&v);
                     Reply::Stats(Box::new(StatsBody {
                         sessions,
                         evictions,

@@ -385,7 +385,9 @@ impl Session {
         if !symbols_known(&controller, &ckpt.lp, &globals, interner.len()) {
             return Err(corrupt("unknown symbol"));
         }
-        let sink = ServeSink::with_counts(EventCounts::from_words(&words));
+        let counts = EventCounts::from_words(&words)
+            .ok_or_else(|| corrupt("retired event-count word is non-zero"))?;
+        let sink = ServeSink::with_counts(counts);
         let lp = ListProcessor::from_image(controller, cfg.lp_config(), &ckpt.lp, sink)?;
         if !lp.audit().is_clean() {
             return Err(corrupt("restored session table fails audit"));
@@ -539,11 +541,11 @@ mod tests {
         for (src, want) in [
             (
                 "(add (cons 1 nil) 1)",
-                "(err vm type-error integer comparison)",
+                "(err vm type-error integer-comparison)",
             ),
             (
                 "(lessp 1 (cons 1 nil))",
-                "(err vm type-error integer comparison)",
+                "(err vm type-error integer-comparison)",
             ),
             ("(rplaca 5 (cons 1 nil))", "(err vm type-error rplaca)"),
             ("(rplacd 5 (cons 1 nil))", "(err vm type-error rplacd)"),

@@ -34,13 +34,18 @@ const REQUESTS: [&str; 15] = [
 
 /// One canonical text per reply shape.
 fn replies() -> Vec<String> {
+    // The retired words (ledger 17–19, event counts 20–21) are zero.
+    let mut counts = [5; 22];
+    counts[20..].fill(0);
     let stats = StatsBody {
         sessions: 3,
         evictions: 1,
         resumes: 2,
         requests: 40,
-        counts: [5; 22],
+        counts,
     };
+    let mut ledger = [7; 20];
+    ledger[17..].fill(0);
     [
         Reply::Hello {
             version: 3,
@@ -50,7 +55,7 @@ fn replies() -> Vec<String> {
         Reply::Value {
             text: "(a (b . 7) c)".to_string(),
         },
-        Reply::Ledger(Box::new(LptStats::from_words(&[7; 20]).unwrap())),
+        Reply::Ledger(Box::new(LptStats::from_words(&ledger).unwrap())),
         Reply::Digest { digest: u64::MAX },
         Reply::Stats(Box::new(stats)),
         Reply::Metrics {

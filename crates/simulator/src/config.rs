@@ -16,7 +16,7 @@
 //! The thesis's control setting is `0.6 / 0.3 / 0.01 / 0.01`; Table 5.5
 //! perturbs each.
 
-use small_core::{CompressPolicy, DecrementPolicy, LpConfig, OverflowPolicy, RefcountMode};
+use small_core::{CompressPolicy, DecrementPolicy, LpConfig, RefcountMode};
 
 /// Parameters of one simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -29,9 +29,6 @@ pub struct SimParams {
     pub decrement: DecrementPolicy,
     /// Unified vs split reference counts (Table 5.3).
     pub refcounts: RefcountMode,
-    /// What a true LPT overflow does: abort the run with a typed error,
-    /// or degrade to §4.3.2.3 heap-direct operation.
-    pub overflow: OverflowPolicy,
     /// P(operand is a function argument).
     pub arg_prob: f64,
     /// P(operand is a local variable).
@@ -59,7 +56,6 @@ impl Default for SimParams {
             compression: CompressPolicy::CompressOne,
             decrement: DecrementPolicy::Lazy,
             refcounts: RefcountMode::Unified,
-            overflow: OverflowPolicy::Abort,
             arg_prob: 0.6,
             loc_prob: 0.3,
             bind_prob: 0.01,
@@ -79,7 +75,6 @@ impl SimParams {
             compression: self.compression,
             decrement: self.decrement,
             refcounts: self.refcounts,
-            overflow: self.overflow,
             ..LpConfig::default()
         }
     }
@@ -126,11 +121,6 @@ impl SimParams {
     /// With a different LPT size.
     pub fn with_table(self, table_size: usize) -> Self {
         SimParams { table_size, ..self }
-    }
-
-    /// Replace the true-overflow policy.
-    pub fn with_overflow(self, overflow: OverflowPolicy) -> Self {
-        SimParams { overflow, ..self }
     }
 
     /// With a different seed.

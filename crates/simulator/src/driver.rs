@@ -550,9 +550,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
             Prim::Car | Prim::Cdr => {
                 let arg = self.operand(chained(0), true)?;
                 // Root the operand: selecting/re-reading other slots or
-                // replacing TOS must not free it while in use. Heap-direct
-                // operands (§4.3.2.3 overflow mode) carry no table
-                // reference; rooting them is a no-op.
+                // replacing TOS must not free it while in use.
                 self.root_operand(arg);
                 if let LpValue::Obj(id) = arg {
                     self.cache_access(id);
@@ -588,13 +586,12 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                 // the root reference keeps `a` alive.
                 let b = self.operand(chained(1), false)?;
                 self.root_operand(b);
-                let v = self.lp.retrying(|lp| lp.cons(a, b))?;
-                if let LpValue::Obj(id) = v {
-                    // A conventional machine would allocate one cell.
-                    let addr = self.next_addr;
-                    self.next_addr += 1;
-                    self.addrs.insert(id, addr);
-                }
+                let id = self.lp.retrying(|lp| lp.cons(a, b))?;
+                // A conventional machine would allocate one cell.
+                let addr = self.next_addr;
+                self.next_addr += 1;
+                self.addrs.insert(id, addr);
+                let v = LpValue::Obj(id);
                 self.set_tos(v);
                 self.maybe_bind(v);
             }
@@ -605,20 +602,13 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                 self.root_operand(v);
                 let before = self.lp.stats().misses;
                 let is_a = prim == Prim::Rplaca;
-                match self.lp.retrying(|lp| {
+                self.lp.retrying(|lp| {
                     if is_a {
                         lp.rplaca_of(target, v)
                     } else {
                         lp.rplacd_of(target, v)
                     }
-                }) {
-                    Ok(()) => {}
-                    // Heap-direct values are immutable in overflow
-                    // mode: the mutation is skipped and the run goes
-                    // on against the unmodified target.
-                    Err(LpError::Degraded(_)) => {}
-                    Err(e) => return Err(e),
-                }
+                })?;
                 if self.lp.stats().misses > before {
                     if let LpValue::Obj(id) = target {
                         self.place_children(id);

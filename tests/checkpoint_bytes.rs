@@ -18,12 +18,13 @@
 //! unchecked.
 
 use proptest::prelude::*;
-use small_repro::heap::{HeapAddr, Word};
+use small_repro::heap::{HeapAddr, ImageError, Word};
 use small_repro::persist::{
     crc32, decode_checkpoint, digest_bytes, encode_checkpoint, CrashPlan, CrashStore, PersistError,
     DIGEST_SEED,
 };
-use small_repro::serve::{ServeConfig, Session};
+use small_repro::serve::protocol::StatsBody;
+use small_repro::serve::{Reply, ServeConfig, Session};
 use small_repro::simulator::{run_sim_resumable, SimParams};
 use small_repro::workloads::synthetic;
 use std::sync::OnceLock;
@@ -236,6 +237,123 @@ fn simulator_inflated_heap_capacity_fails_closed() {
             "heap capacity differs from the run's parameters"
         ))
     );
+}
+
+/// Byte offsets, in an encoded checkpoint, of the retired overflow-mode
+/// byte and of the first LPT stats word: behind the 24-byte header come
+/// the two progress counters, the table size and entry count, the
+/// 31-byte entries, the free head and tail and `live`; behind the
+/// retired byte, the two counted vectors and then the 20 stats words.
+fn retired_offsets(bytes: &[u8]) -> (usize, usize) {
+    let lp = decode_checkpoint(bytes).unwrap().lp;
+    let retired = 24 + 16 + 16 + 31 * lp.entries.len() + 4 + 4 + 8;
+    let stats = retired + 1 + 8 + 8 * lp.ep_counts.len() + 8 + 8 * lp.recent_overflows.len();
+    (retired, stats)
+}
+
+/// The slots the removed §4.3.2.3 overflow mode used stay zero, and
+/// every decoder refuses a non-zero one with a typed error: the
+/// checkpoint's overflow-mode byte and stats words 17–19 (session and
+/// simulator images of both versions), the session's event-count words
+/// 20–21, an EP root that is a pointer atom, and the wire ledger's and
+/// stats reply's retired words.
+#[test]
+fn retired_overflow_mode_slots_fail_closed() {
+    let all = images();
+    for (session, image) in &all.images {
+        let (retired, stats) = retired_offsets(image);
+        assert_eq!(image[retired], 0);
+        let mut damaged = vec![image.clone()];
+        damaged[0][retired] = 1;
+        for k in 17..20 {
+            let at = stats + 8 * k;
+            assert_eq!(image[at..at + 8], [0; 8]);
+            let mut m = image.clone();
+            m[at] = 1;
+            damaged.push(m);
+        }
+        for (k, mut m) in damaged.into_iter().enumerate() {
+            reseal(&mut m);
+            let want = if k == 0 {
+                "image taken in the removed overflow mode"
+            } else {
+                "stats field overflow or retired word set"
+            };
+            let err = Some(PersistError::CorruptCheckpoint(want));
+            assert_eq!(decode_checkpoint(&m).err(), err);
+            if *session {
+                let cfg = ServeConfig::default();
+                assert_eq!(Session::resume(3, &cfg, &m).err(), err);
+            } else {
+                let mut store = CrashStore::new();
+                store.install_checkpoint(m);
+                let r = run_sim_resumable(&all.trace, all.params, &mut store);
+                assert_eq!(r.err(), err);
+            }
+        }
+    }
+
+    // A session's driver section carries two progress words, then the
+    // 22 event-count words.
+    let session = &all.images[1].1;
+    for k in 20..22 {
+        let mut ckpt = decode_checkpoint(session).unwrap();
+        let at = 16 + 8 * k;
+        assert_eq!(ckpt.driver[at..at + 8], [0; 8]);
+        ckpt.driver[at] = 1;
+        let r = Session::resume(3, &ServeConfig::default(), &encode_checkpoint(&ckpt));
+        assert_eq!(
+            r.err(),
+            Some(PersistError::CorruptCheckpoint(
+                "retired event-count word is non-zero"
+            ))
+        );
+    }
+
+    // The simulator's driver section: four RNG words, then the TOS
+    // flag and value (a tag byte and a word). A TOS that is a pointer
+    // atom, even to a cell the heap holds, is refused.
+    for image in [&all.images[2].1, &all.images[3].1] {
+        let mut ckpt = decode_checkpoint(image).unwrap();
+        let held = ckpt.lp.entries.iter().find_map(|e| e.addr).unwrap();
+        let old_tos = if ckpt.driver[32] == 1 { 10 } else { 1 };
+        let mut driver = ckpt.driver[..32].to_vec();
+        driver.extend_from_slice(&[1, 0]);
+        driver.extend_from_slice(&Word::ptr(HeapAddr(held)).bits().to_le_bytes());
+        driver.extend_from_slice(&ckpt.driver[32 + old_tos..]);
+        ckpt.driver = driver;
+        let mut store = CrashStore::new();
+        store.install_checkpoint(encode_checkpoint(&ckpt));
+        assert_eq!(
+            run_sim_resumable(&all.trace, all.params, &mut store).err(),
+            Some(PersistError::MalformedImage(ImageError::Malformed))
+        );
+    }
+
+    // The wire: a ledger or stats reply with a retired word set does
+    // not decode.
+    let ledger = golden_session(&ServeConfig::default())
+        .ledger_reply()
+        .encode();
+    let stats = Reply::Stats(Box::new(StatsBody {
+        sessions: 1,
+        evictions: 0,
+        resumes: 0,
+        requests: 9,
+        counts: [0; 22],
+    }))
+    .encode();
+    for (text, slot) in [
+        (&ledger, "(overflow-entries 0)"),
+        (&ledger, "(overflow-exits 0)"),
+        (&ledger, "(heap-direct-ops 0)"),
+        (&stats, "(overflow-mode-entries 0)"),
+        (&stats, "(overflow-mode-exits 0)"),
+    ] {
+        assert!(Reply::decode(text).is_some(), "{text}");
+        let set = slot.replace(" 0)", " 1)");
+        assert_eq!(Reply::decode(&text.replace(slot, &set)), None, "{set}");
+    }
 }
 
 /// Session and simulator images of both versions, each holding a heap
