@@ -2010,22 +2010,6 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         Ok(())
     }
 
-    /// `copy` (§4.3.1): a top-cell copy for call-by-value parameters.
-    pub fn copy(&mut self, id: Id) -> Result<Id, LpError> {
-        self.drain_unroots();
-        self.ensure_fields(id)?;
-        let (car, cdr) = {
-            let e = &self.entries[id as usize];
-            (e.car, e.cdr)
-        };
-        let to_value = |f: Field| match f {
-            Field::Atom(w) => LpValue::Atom(w),
-            Field::Obj(c) => LpValue::Obj(c),
-            Field::Empty => unreachable!(),
-        };
-        self.cons(to_value(car), to_value(cdr))
-    }
-
     /// `writelist`: reconstruct the s-expression for a value. A cycle
     /// built by `rplaca`/`rplacd` is refused with a typed
     /// [`LpError::Cyclic`] rather than recursing without bound.

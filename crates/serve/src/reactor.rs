@@ -13,10 +13,10 @@
 //!
 //! There is no epoll here by design (no new dependencies): sockets are
 //! `std::net` nonblocking, the shard loop try-reads every connection
-//! each pass, and sleeps briefly when a pass does no work. That trades
-//! a few hundred microseconds of idle latency for complete
-//! portability; the structural properties (bounded queues, pinned
-//! sessions, ordered replies) are what this PR is about.
+//! each pass, and parks briefly when a pass does no work. That trades
+//! one idle quantum per round trip for complete portability; a shard
+//! that completes a reply into another shard's outbox wakes that
+//! shard, so the hop back costs no second quantum.
 
 use crate::protocol::{FrameBuf, Reply, Request, Role};
 use std::collections::BTreeMap;

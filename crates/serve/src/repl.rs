@@ -59,6 +59,7 @@ use crate::telemetry::VolatileMetrics;
 use small_persist::frame::{self, FrameError};
 use small_persist::{digest_bytes, ByteReader, DIGEST_SEED};
 use std::fmt;
+use std::sync::Mutex;
 
 /// Byte budget for one `(pull …)` batch (hex-doubled on the wire, so
 /// comfortably inside `MAX_FRAME`).
@@ -237,13 +238,12 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<WalRecord>, ReplError> {
 }
 
 /// Raw frame bytes from which the [`Wal`]'s open block is due to be
-/// sealed by [`Wal::seal_full`]. A seal compresses the block under the
-/// WAL mutex, so this size also sets how long a seal holds it.
+/// sealed by [`seal_full`].
 const BLOCK_BYTES: usize = 16 * 1024;
 
 /// The open block's limit: an append that would take it past this
-/// seals it first, so a log that nobody calls [`Wal::seal_full`] on
-/// (a busy server, an in-process standby) still seals.
+/// seals it first, so a log that nobody calls [`seal_full`] on (a busy
+/// server, an in-process standby) still seals.
 const OPEN_LIMIT: usize = 2 * BLOCK_BYTES;
 
 /// A sealed block of the [`Wal`]: consecutive frames, compressed.
@@ -264,14 +264,15 @@ struct SealedBlock {
 /// Appends encode each frame straight into one open block of raw
 /// frames. Sealing LZ-compresses the open block into an exactly sized
 /// buffer, and an index entry keeps its first LSN. A server shard seals
-/// a full block ([`BLOCK_BYTES`]) in an idle pass, so the compression
-/// delays no reply; an append that would take the open block past
-/// [`OPEN_LIMIT`] seals it first. The log's records repeat each other
-/// (the same programs, sessions and libraries), so a sealed block keeps
-/// about a third of its raw bytes. [`Wal::frames_from`]
-/// binary-searches the index and decompresses only the sealed blocks a
-/// pull touches; it reads the open block raw, so a caught-up replica
-/// never runs the codec.
+/// a full block ([`BLOCK_BYTES`]) in an idle pass, compressing a copy
+/// outside the mutex ([`seal_full`]), so the compression delays neither
+/// a reply nor another shard's append; an append that would take the
+/// open block past [`OPEN_LIMIT`] seals it first, in place. The log's
+/// records repeat each other (the same programs, sessions and
+/// libraries), so a sealed block keeps about a third of its raw bytes.
+/// [`Wal::frames_from`] binary-searches the index and decompresses only
+/// the sealed blocks a pull touches; it reads the open block raw, so a
+/// caught-up replica never runs the codec.
 pub struct Wal {
     /// Sealed blocks in LSN order: the sparse index and the bytes.
     sealed: Vec<SealedBlock>,
@@ -283,6 +284,12 @@ pub struct Wal {
     open_first: u64,
     /// The LSN the next append gets.
     next: u64,
+    /// Whether a copy of the open block is out being compressed
+    /// ([`seal_full`]), until the next install. Another shard's idle
+    /// pass then leaves the block alone instead of compressing it too:
+    /// two shards compressing at once took both cores from the clients
+    /// (`wire-small` p99 +0.4%).
+    sealing: bool,
 }
 
 impl Default for Wal {
@@ -300,6 +307,7 @@ impl Wal {
             open: Vec::with_capacity(OPEN_LIMIT),
             open_first: 0,
             next: 0,
+            sealing: false,
         }
     }
 
@@ -331,26 +339,48 @@ impl Wal {
         self.next += 1;
     }
 
-    /// Seal the open block if it holds at least [`BLOCK_BYTES`]. A
-    /// server shard calls this in its idle passes.
-    pub fn seal_full(&mut self) {
-        if self.open.len() >= BLOCK_BYTES {
-            self.seal();
+    /// Copy the open block into `copy` if it holds at least
+    /// [`BLOCK_BYTES`] and no other copy is out; returns whether it did.
+    fn copy_full(&mut self, copy: &mut OpenCopy) -> bool {
+        if self.open.len() < BLOCK_BYTES || self.sealing {
+            return false;
         }
+        self.sealing = true;
+        copy.first = self.open_first;
+        copy.next = self.next;
+        copy.raw.clear();
+        copy.raw.extend_from_slice(&self.open);
+        true
     }
 
     /// Compress the open block into the sealed index and start an
     /// empty one.
     fn seal(&mut self) {
-        let bytes = small_persist::compress(&self.open).into_boxed_slice();
+        let bytes = small_persist::compress(&self.open);
+        self.install(self.open_first, self.next, self.open.len(), bytes);
+    }
+
+    /// Make the records `first..next`, whose `raw_len` frame bytes
+    /// compress to `bytes`, the newest sealed block, and drop them from
+    /// the front of the open block. Nothing happens if the open block
+    /// no longer starts at `first`: the records were sealed since they
+    /// were copied out (by an append past [`OPEN_LIMIT`], or by another
+    /// shard's [`seal_full`]). Either way it clears `sealing`: an inline
+    /// seal leaves any copy still out stale.
+    fn install(&mut self, first: u64, next: u64, raw_len: usize, bytes: Vec<u8>) {
+        self.sealing = false;
+        if self.open_first != first {
+            return;
+        }
+        let bytes = bytes.into_boxed_slice();
         self.sealed_bytes += bytes.len();
         self.sealed.push(SealedBlock {
-            first_lsn: self.open_first,
-            raw_len: self.open.len(),
+            first_lsn: first,
+            raw_len,
             bytes,
         });
-        self.open_first = self.next;
-        self.open.clear();
+        self.open_first = next;
+        self.open.drain(..raw_len);
         // A frame larger than the limit grew the buffer; give that back.
         self.open.shrink_to(OPEN_LIMIT);
     }
@@ -393,6 +423,35 @@ impl Wal {
         copy_frames(&self.open, self.open_first, &mut next, &mut out, max_bytes);
         (out, next)
     }
+}
+
+/// The open block of a [`Wal`] as [`Wal::copy_full`] last copied it
+/// out. A shard keeps one and reuses its buffer for every seal, so the
+/// copy allocates nothing: a fresh 16–32 KiB buffer per seal, freed
+/// between the long-lived sealed blocks, fragments the heap.
+#[derive(Default)]
+pub(crate) struct OpenCopy {
+    /// LSN of its first frame.
+    first: u64,
+    /// LSN after its last frame.
+    next: u64,
+    /// Its raw frames.
+    raw: Vec<u8>,
+}
+
+/// Seal `wal`'s open block if it holds at least [`BLOCK_BYTES`]. The
+/// lock is held only to copy the block out and to install it; the
+/// compression runs outside it, so appends on other shards do not wait
+/// for the codec. Appends that land meanwhile stay in the open block,
+/// behind the sealed prefix. A server shard calls this in its idle
+/// passes, with its own `copy`.
+pub(crate) fn seal_full(wal: &Mutex<Wal>, copy: &mut OpenCopy) {
+    let lock = || wal.lock().unwrap_or_else(|e| e.into_inner());
+    if !lock().copy_full(copy) {
+        return;
+    }
+    let bytes = small_persist::compress(&copy.raw);
+    lock().install(copy.first, copy.next, copy.raw.len(), bytes);
 }
 
 /// Append to `out` the frames of `block`, whose first frame has LSN
@@ -776,21 +835,24 @@ mod tests {
     /// turns, each running `programs_for(seed, client, n)` seq'd.
     fn gen_mix_log(seed: u64, sessions: u64, n: usize) -> Wal {
         let mut store = SessionStore::new(ServeConfig::default());
-        let mut wal = Wal::new();
+        let mut shared = Mutex::new(Wal::new());
+        let mut copy = OpenCopy::default();
         let scripts: Vec<_> = (0..sessions)
             .map(|c| crate::gen::programs_for(seed, c, n))
             .collect();
         for id in 0..sessions {
-            primary_run(&mut store, &mut wal, id, WalOp::Open { token: None });
+            let wal = shared.get_mut().unwrap();
+            primary_run(&mut store, wal, id, WalOp::Open { token: None });
         }
         for k in 0..scripts[0].len() {
             for (id, script) in scripts.iter().enumerate() {
-                primary_run(&mut store, &mut wal, id as u64, seval(k as u64, &script[k]));
+                let wal = shared.get_mut().unwrap();
+                primary_run(&mut store, wal, id as u64, seval(k as u64, &script[k]));
                 // As a shard seals: in the idle pass after the reply.
-                wal.seal_full();
+                seal_full(&shared, &mut copy);
             }
         }
-        wal
+        shared.into_inner().unwrap()
     }
 
     #[test]
@@ -808,6 +870,63 @@ mod tests {
         // Deterministic: the log, its blocks and their codec output
         // are pure functions of the programs.
         assert_eq!((next, frames.len(), resident), (7728, 806_907, 307_319));
+    }
+
+    /// A copy of `wal`'s open block, if it is full.
+    fn copied(wal: &mut Wal) -> Option<OpenCopy> {
+        let mut copy = OpenCopy::default();
+        wal.copy_full(&mut copy).then_some(copy)
+    }
+
+    #[test]
+    fn a_seal_installs_behind_later_appends_unless_the_block_was_sealed_meanwhile() {
+        let mut big = Wal::new();
+        let mut frames = Vec::new();
+        let append = |wal: &mut Wal| {
+            let lsn = wal.next_lsn();
+            wal.append(lsn % 3, seval(lsn, &"(car acc)".repeat(20)), lsn);
+            wal.frames_from(lsn, usize::MAX).0
+        };
+        let block = loop {
+            if let Some(block) = copied(&mut big) {
+                break block;
+            }
+            frames.extend(append(&mut big));
+        };
+        assert!(copied(&mut big).is_none(), "one copy out at a time");
+        let bytes = small_persist::compress(&block.raw);
+        // Appends between the copy and the install stay open, behind
+        // the sealed prefix.
+        frames.extend(append(&mut big));
+        big.install(block.first, block.next, block.raw.len(), bytes);
+        assert_eq!(big.sealed.len(), 1);
+        assert_eq!(
+            (big.open_first, big.next_lsn()),
+            (block.next, block.next + 1)
+        );
+        assert_eq!(big.frames_from(0, usize::MAX).0, frames);
+        // A copy whose records an append past the limit sealed first is
+        // dropped, as is a second install of the same copy.
+        let block = loop {
+            frames.extend(append(&mut big));
+            if let Some(block) = copied(&mut big) {
+                break block;
+            }
+        };
+        while big.sealed.len() == 1 {
+            frames.extend(append(&mut big));
+        }
+        let bytes = small_persist::compress(&block.raw);
+        big.install(block.first, block.next, block.raw.len(), bytes);
+        assert_eq!(big.sealed.len(), 2);
+        assert_eq!(big.frames_from(0, usize::MAX).0, frames);
+        let (first, next) = (big.open_first, big.next_lsn());
+        big.install(block.first, block.next, block.raw.len(), Vec::new());
+        assert_eq!(
+            (big.sealed.len(), big.open_first, big.next_lsn()),
+            (2, first, next)
+        );
+        assert_eq!(big.frames_from(0, usize::MAX).0, frames);
     }
 
     #[test]
@@ -1095,15 +1214,26 @@ mod tests {
             /// any LSN (past the end too) under any byte budget (zero
             /// too), equals the pull from a frame-per-record log, for
             /// appends and for a standby's verbatim retention alike.
+            /// An idle-pass seal copies a full block out and installs
+            /// it up to 160 appends later, as a shard that compresses
+            /// outside the lock does while others append: the appends
+            /// in between, and any inline seal at the open block's
+            /// limit, fall between the copy and the install.
             #[test]
             fn wal_props_pulls_match_a_frame_per_record_log(
                 recs in records(),
                 retain in any::<bool>(),
-                idle in prop::collection::vec(0u8..8, 1300..1301),
+                idle in prop::collection::vec((0u8..8, 0usize..160), 1300..1301),
                 pulls in prop::collection::vec((any::<u64>(), 0usize..4, 0usize..20_000), 1..32),
             ) {
                 let mut wal = Wal::new();
                 let mut frames = Vec::new();
+                // A copied-out block, compressed, and the LSN after
+                // whose append it is installed.
+                let mut pending: Option<(OpenCopy, Vec<u8>, usize)> = None;
+                let install = |wal: &mut Wal, (block, bytes, _): (OpenCopy, Vec<u8>, usize)| {
+                    wal.install(block.first, block.next, block.raw.len(), bytes);
+                };
                 for (lsn, (session, op, reply_digest)) in recs.into_iter().enumerate() {
                     let rec = WalRecord { lsn: lsn as u64, session, op, reply_digest };
                     if retain {
@@ -1117,11 +1247,22 @@ mod tests {
                     prop_assert_eq!(frame.len(), rec.frame_len());
                     frames.push(frame);
                     prop_assert_eq!(wal.next_lsn(), frames.len() as u64);
-                    // Some appends are followed by an idle pass that
-                    // seals a full block; the others fill toward the limit.
-                    if idle[lsn] == 0 {
-                        wal.seal_full();
+                    if pending.as_ref().is_some_and(|p| p.2 <= lsn) {
+                        install(&mut wal, pending.take().unwrap());
                     }
+                    // Some appends are followed by an idle pass that
+                    // copies out a full block; the others fill toward
+                    // the limit.
+                    let (pass, delay) = idle[lsn];
+                    if pass == 0 && pending.is_none() {
+                        pending = copied(&mut wal).map(|block| {
+                            let bytes = small_persist::compress(&block.raw);
+                            (block, bytes, lsn + delay)
+                        });
+                    }
+                }
+                if let Some(p) = pending.take() {
+                    install(&mut wal, p);
                 }
                 prop_assert!(wal.sealed.len() >= 3, "{} sealed blocks", wal.sealed.len());
                 let n = frames.len() as u64;

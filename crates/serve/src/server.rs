@@ -2,10 +2,11 @@
 //!
 //! [`start`] binds a listener and spawns one acceptor thread plus
 //! [`ServerParams::shards`] shard event loops ([`crate::shard`]). The
-//! acceptor does nothing but `accept` and deal connections round-robin
-//! into per-shard inboxes — admission control (per-shard connection
-//! caps, bounded run queues) lives in the shards, where it can always
-//! answer with a typed reply instead of silently refusing.
+//! acceptor does nothing but `accept`, deal connections round-robin
+//! into per-shard inboxes and wake the shard it dealt to — admission
+//! control (per-shard connection caps, bounded run queues) lives in the
+//! shards, where it can always answer with a typed reply instead of
+//! silently refusing.
 //! [`start_standby`] starts the same server in the standby role; its
 //! handle feeds it pulled WAL batches and promotes it in place.
 //!
@@ -28,7 +29,7 @@ use small_persist::PersistError;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Concurrency and admission knobs for one server instance.
@@ -229,6 +230,7 @@ fn start_on(
         wal: params.replicate.then(|| Mutex::new(Wal::new())),
         standby: AtomicBool::new(standby),
         addr: local,
+        threads: (0..params.shards).map(|_| OnceLock::new()).collect(),
     });
 
     let shards: Vec<JoinHandle<SessionStore>> = (0..params.shards)
@@ -261,6 +263,7 @@ fn start_on(
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .push(stream);
+                    shared.wake(rr);
                     rr = (rr + 1) % shared.nshards();
                 }
             })
@@ -384,6 +387,7 @@ impl ServerHandle {
         if self.shared.queues[0].try_push(job).is_err() {
             panic!("shard 0's run queue is full");
         }
+        self.shared.wake(0);
         rx.recv().expect("control job panicked on shard 0")
     }
 

@@ -18,6 +18,19 @@
 //! only `hello`, `ping`, `pull` and `metrics`; everything else gets
 //! `(err repl not-primary)` at decode time.
 //!
+//! # Idle parks and wakes
+//!
+//! A pass that did no work parks the shard for [`IDLE_SLEEP`]. Bytes
+//! arriving on a socket do not wake it: a shard reads its sockets once
+//! per pass, so a request waits out the rest of the park its shard is
+//! in. Every handoff from another thread does wake the receiver
+//! ([`SharedState::wake`]): a push to another shard's run queue, a
+//! reply completed into an outbox another shard owns (one wake per
+//! owner per batch), the acceptor's handoff of a connection, a control
+//! job from the server handle, the stop flag and each drain barrier's
+//! acknowledgement. A round trip therefore waits one park whether or
+//! not its session lives on the connection's shard.
+//!
 //! # Drain (the shutdown/suspend race, fixed structurally)
 //!
 //! Graceful shutdown is a two-barrier protocol over [`SharedState`]:
@@ -43,24 +56,50 @@ use crate::protocol::{
     busy_reply, err, err_with, hello_reply, NodeRole, Reply, Request, Role, StatsBody,
 };
 use crate::reactor::{Conn, Outbox};
-use crate::repl::{reply_digest, serve_pull, Wal, WalOp};
+use crate::repl::{reply_digest, seal_full, serve_pull, OpenCopy, Wal, WalOp};
 use crate::telemetry::{ShardMetrics, TraceLog, VolatileMetrics};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpStream};
+use std::io::{ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// Idle sleep between event-loop passes that did no work. Linux adds
+/// Idle park between event-loop passes that did no work. Linux adds
 /// up to 50 µs of timer slack, so an idle shard looks at its sockets
-/// every 150–200 µs, and a closed-loop client waits that long once per
-/// round trip.
+/// every 150–200 µs: nothing wakes it when bytes reach a socket, and a
+/// closed-loop client waits that long once per round trip. Handoffs
+/// from other threads (queue pushes, cross-shard replies, accepted
+/// connections, control jobs, stop) wake it instead, so a request
+/// routed to another shard waits this quantum once, not once per hop.
 const IDLE_SLEEP: Duration = Duration::from_micros(150);
 
 /// How long the final flush may take per shard before giving up on
 /// unresponsive peers.
 const DRAIN_FLUSH_DEADLINE: Duration = Duration::from_secs(2);
+
+/// How long a connection refused over the cap stays half-open after
+/// its typed refusal, reading and discarding what the peer sends, so
+/// the peer's own first write does not reset the connection before it
+/// reads the refusal.
+const REFUSAL_LINGER: Duration = Duration::from_secs(1);
+
+/// Read and discard what a refused peer sent; `false` once it has
+/// closed or failed.
+fn discard_input(stream: &mut TcpStream) -> bool {
+    let mut buf = [0u8; 512];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
 
 /// One queued unit of work.
 pub enum Job {
@@ -70,6 +109,8 @@ pub enum Job {
         seq: u64,
         /// The connection's outbox (shared with the owning shard).
         outbox: Arc<Outbox>,
+        /// The shard that owns the connection, and flushes the outbox.
+        owner: usize,
         /// The target session (for an open: the id the decoding shard
         /// reserved, or resolved through the token routes for a retried
         /// tokenized open). It pins the job to its home shard.
@@ -164,6 +205,9 @@ pub struct SharedState {
     /// The listen address (shards self-connect to unblock the
     /// acceptor when a client-initiated shutdown sets `stop`).
     pub addr: SocketAddr,
+    /// Each shard's thread, registered at the top of [`shard_loop`],
+    /// for [`SharedState::wake`].
+    pub(crate) threads: Vec<OnceLock<Thread>>,
 }
 
 impl SharedState {
@@ -186,12 +230,31 @@ impl SharedState {
         }
     }
 
+    /// Cut shard `s`'s idle park short: call it after handing the
+    /// shard work, so it runs the work now instead of when its
+    /// [`IDLE_SLEEP`] ends. A wake that lands before the shard parks
+    /// makes its next park return at once, so none is lost; one sent
+    /// before the shard has registered is not needed, because the
+    /// shard has not yet looked at its queue and inbox.
+    pub(crate) fn wake(&self, s: usize) {
+        if let Some(thread) = self.threads[s].get() {
+            thread.unpark();
+        }
+    }
+
+    /// Wake every shard (the stop flag and the drain barriers concern
+    /// them all).
+    fn wake_all(&self) {
+        (0..self.nshards()).for_each(|s| self.wake(s));
+    }
+
     /// Begin drain (idempotent) and unblock the acceptor.
     pub fn begin_stop(&self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
             // Fire-and-forget self-connect; the acceptor wakes, sees
             // `stop`, and exits. Failure is harmless (listener gone).
             let _ = TcpStream::connect(self.addr);
+            self.wake_all();
         }
     }
 
@@ -276,14 +339,22 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
         .record(jobs.len() as u64);
     let ran = jobs.len();
     let mut completions: Vec<(Arc<Outbox>, u64, Reply)> = Vec::with_capacity(jobs.len());
+    // The other shards whose outboxes this batch completes into.
+    let mut owners: Vec<usize> = Vec::new();
     for job in jobs {
         let (seq, outbox, id, op) = match job {
             Job::Session {
                 seq,
                 outbox,
+                owner,
                 id,
                 op,
-            } => (seq, outbox, id, op),
+            } => {
+                if owner != me {
+                    owners.push(owner);
+                }
+                (seq, outbox, id, op)
+            }
             Job::Control(work) => {
                 // Contained so the shard outlives it; the dropped reply
                 // channel tells the waiting handle.
@@ -345,6 +416,12 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
     for (outbox, seq, reply) in completions {
         outbox.complete(seq, &reply);
     }
+    // One wake per owner, once its replies are in place.
+    owners.sort_unstable();
+    owners.dedup();
+    for owner in owners {
+        shared.wake(owner);
+    }
     ran
 }
 
@@ -372,10 +449,15 @@ fn handle_request(
         let job = Job::Session {
             seq,
             outbox: Arc::clone(&conn.outbox),
+            owner: me,
             id,
             op,
         };
-        if shared.queues[target].try_push(job).is_err() {
+        if shared.queues[target].try_push(job).is_ok() {
+            if target != me {
+                shared.wake(target);
+            }
+        } else {
             // Shed at decode time: typed, ordered, connection intact.
             // The shed is charged to the shard whose queue was full.
             shared.volatile[target]
@@ -469,7 +551,14 @@ pub fn shard_loop(
     shared: Arc<SharedState>,
     max_conns: usize,
 ) -> SessionStore {
+    // Registered before the first pass looks at the queue and inbox,
+    // so no handoff made after that look goes unwoken.
+    let _ = shared.threads[me].set(std::thread::current());
     let mut conns: Vec<Conn> = Vec::new();
+    // Connections refused over the cap, until their peer closes or
+    // their linger ends.
+    let mut refused: Vec<(TcpStream, Instant)> = Vec::new();
+    let mut seal_copy = OpenCopy::default();
     let mut decode_acked = false;
     let mut queue_acked = false;
     let nshards = shared.nshards();
@@ -482,6 +571,7 @@ pub fn shard_loop(
                 // route again.
                 decode_acked = true;
                 shared.decode_done.fetch_add(1, Ordering::SeqCst);
+                shared.wake_all();
             } else {
                 // Adopt newly accepted connections, shedding over the
                 // cap with a typed reply (never a silent close).
@@ -505,13 +595,25 @@ pub fn shard_loop(
                             .unwrap_or_else(|e| e.into_inner())
                             .conn_sheds
                             .inc();
-                        continue; // dropped: peer got the typed reply first
+                        // Half-closed, not dropped: a peer that writes
+                        // its hello after the refusal left would get a
+                        // reset instead of reading it.
+                        if stream.shutdown(Shutdown::Write).is_ok()
+                            && stream.set_nonblocking(true).is_ok()
+                        {
+                            refused.push((stream, Instant::now() + REFUSAL_LINGER));
+                        }
+                        continue;
                     }
                     if let Ok(conn) = Conn::adopt(stream) {
                         conns.push(conn);
                     }
                 }
                 drop(accept_span);
+                if !refused.is_empty() {
+                    let now = Instant::now();
+                    refused.retain_mut(|(stream, until)| now < *until && discard_input(stream));
+                }
                 // Decode and route everything readable. Frames are
                 // decoded borrowed straight out of the receive buffer
                 // ([`Conn::next_request`]) — no per-frame text
@@ -539,10 +641,10 @@ pub fn shard_loop(
         //
         // Replies go out after the read and before the jobs run, so a
         // reply completed in this pass leaves in the next one, right
-        // before that pass may sleep. Whether a shard sleeps thus never
+        // before that pass may park. Whether a shard parks thus never
         // depends on how fast a client answers a reply. Flushing after
         // the jobs would let a client that shares the shard's CPU
-        // answer before the next read and skip the sleep, while one on
+        // answer before the next read and skip the park, while one on
         // another CPU waits it out: throughput would swing with thread
         // placement.
         let flush_t0 = shared.trace.as_ref().map(|log| log.now_us());
@@ -571,6 +673,7 @@ pub fn shard_loop(
             if !queue_acked {
                 queue_acked = true;
                 shared.queues_done.fetch_add(1, Ordering::SeqCst);
+                shared.wake_all();
             }
             if shared.queues_done.load(Ordering::SeqCst) == nshards {
                 // Every reply in the system is completed; push the
@@ -598,13 +701,14 @@ pub fn shard_loop(
         if worked == 0 {
             let mut sleep = IDLE_SLEEP;
             if let Some(wal) = &shared.wal {
-                // An idle pass seals a full WAL block inside the sleep
+                // An idle pass seals a full WAL block inside the park
                 // it takes anyway, so the compression delays no reply.
+                // A wake meanwhile makes the park return at once.
                 let t0 = Instant::now();
-                wal.lock().unwrap_or_else(|e| e.into_inner()).seal_full();
+                seal_full(wal, &mut seal_copy);
                 sleep = sleep.saturating_sub(t0.elapsed());
             }
-            std::thread::sleep(sleep);
+            std::thread::park_timeout(sleep);
         }
     }
 }
@@ -617,6 +721,7 @@ mod tests {
         Job::Session {
             seq,
             outbox: Outbox::new(),
+            owner: 0,
             id: seq,
             op: SessionOp::Ledger,
         }
