@@ -631,7 +631,7 @@ pub struct EntryImage {
 pub struct LpImage {
     /// Table size (must match the importing configuration).
     pub table_size: usize,
-    /// Every entry, in identifier order.
+    /// Every entry, in identifier order: one per table slot.
     pub entries: Vec<EntryImage>,
     /// Head of the free list.
     pub free_head: Option<Id>,
@@ -639,7 +639,8 @@ pub struct LpImage {
     pub free_tail: Option<Id>,
     /// Live entry count.
     pub live: usize,
-    /// EP-side stack counts (split mode), sorted by identifier.
+    /// EP-side stack counts (split mode), sorted by identifier; only
+    /// non-zero counts are listed.
     pub ep_counts: Vec<(Id, u32)>,
     /// Recent pseudo-overflow times (hybrid compression state).
     pub recent_overflows: Vec<u64>,
@@ -728,12 +729,12 @@ pub struct ListProcessor<C: HeapController, S: EventSink = NoopSink> {
     config: LpConfig,
     stats: LptStats,
     sink: S,
-    /// EP-side stack reference counts (split mode). Conceptually this
-    /// table lives in the EP (§5.2.4); it is held here so the LP API is
-    /// self-contained. Keyed by small dense ids and hit on every
-    /// binding acquire/release, so it uses the vendored FxHash (a
-    /// SipHash map here is measurable on the simulator's wall time).
-    ep_counts: fxhash::FxHashMap<Id, u32>,
+    /// EP-side stack reference counts (split mode), indexed by id; 0
+    /// for an entry the EP holds no stack reference to. Conceptually
+    /// this table lives in the EP (§5.2.4); it is held here so the LP
+    /// API is self-contained. Hit on every binding acquire/release, so
+    /// it is a plain array over the fixed table rather than a map.
+    ep_counts: Vec<u32>,
     /// Recent pseudo-overflow times (in occupancy samples), for the
     /// hybrid compression policy.
     recent_overflows: std::collections::VecDeque<u64>,
@@ -781,7 +782,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             config,
             stats: LptStats::default(),
             sink,
-            ep_counts: fxhash::FxHashMap::default(),
+            ep_counts: vec![0; config.table_size],
             recent_overflows: std::collections::VecDeque::new(),
             pending: Vec::new(),
             pin: None,
@@ -1077,7 +1078,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             RefcountMode::Split => {
                 self.stats.ep_refops += 1;
                 self.sink.record(Event::EpRefOp);
-                let c = self.ep_counts.entry(id).or_insert(0);
+                let c = &mut self.ep_counts[id as usize];
                 *c += 1;
                 self.stats.max_ep_refcount = self.stats.max_ep_refcount.max(*c);
                 let e = &mut self.entries[id as usize];
@@ -1101,14 +1102,10 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             RefcountMode::Split => {
                 self.stats.ep_refops += 1;
                 self.sink.record(Event::EpRefOp);
-                let c = self
-                    .ep_counts
-                    .get_mut(&id)
-                    .unwrap_or_else(|| panic!("stack release of untracked {id}"));
-                debug_assert!(*c > 0);
+                let c = &mut self.ep_counts[id as usize];
+                assert!(*c > 0, "stack release of untracked {id}");
                 *c -= 1;
                 if *c == 0 {
-                    self.ep_counts.remove(&id);
                     // The last stack reference died: one message to the
                     // LP to clear the StackBit (§5.2.4).
                     self.stats.refops += 1;
@@ -1711,7 +1708,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             e.stack_bit = true;
             self.stats.ep_refops += 1;
             self.sink.record(Event::EpRefOp);
-            let c = self.ep_counts.entry(id).or_insert(0);
+            let c = &mut self.ep_counts[id as usize];
             *c += 1;
             self.stats.max_ep_refcount = self.stats.max_ep_refcount.max(*c);
         }
@@ -2057,7 +2054,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     /// Count of entries the EP currently holds stack references to
     /// (split mode bookkeeping; for tests).
     pub fn ep_tracked(&self) -> usize {
-        self.ep_counts.len()
+        self.ep_counts.iter().filter(|&&c| c > 0).count()
     }
 
     /// Introspect an entry's materialized fields without touching stats
@@ -2198,15 +2195,15 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                             .push(Violation::StackBitMismatch { id: i as Id });
                     }
                 }
-                let mut stray: Vec<Id> = self.ep_counts.keys().copied().collect();
-                stray.sort_unstable();
-                for id in stray {
-                    report.violations.push(Violation::StackBitMismatch { id });
+                for (id, _) in self.ep_counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+                    report
+                        .violations
+                        .push(Violation::StackBitMismatch { id: id as Id });
                 }
             }
             RefcountMode::Split => {
                 for (i, e) in self.entries.iter().enumerate() {
-                    let counted = self.ep_counts.get(&(i as Id)).copied().unwrap_or(0) > 0;
+                    let counted = self.ep_counts[i] > 0;
                     let mismatch = if e.live {
                         e.stack_bit != counted
                     } else {
@@ -2402,9 +2399,9 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 }
             }
         }
-        for (&id, &c) in &self.ep_counts {
-            if (id as usize) < n && c > 0 && self.entries[id as usize].live {
-                stack.push(id);
+        for (id, &c) in self.ep_counts.iter().enumerate() {
+            if c > 0 && self.entries[id].live {
+                stack.push(id as Id);
             }
         }
         // Pending lazy decrements are references too: a dead entry's
@@ -2509,20 +2506,16 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         // 6. Stack bits follow the EP-side table (split mode); the
         //    unified mode has none. EP counts on dead entries are
         //    corrupt leftovers and are dropped.
-        let dead_counts: Vec<Id> = self
-            .ep_counts
-            .keys()
-            .copied()
-            .filter(|&id| id as usize >= n || !self.entries[id as usize].live)
-            .collect();
-        for id in dead_counts {
-            self.ep_counts.remove(&id);
-            stats.stack_bits_fixed += 1;
+        for (c, e) in self.ep_counts.iter_mut().zip(&self.entries) {
+            if *c > 0 && !e.live {
+                *c = 0;
+                stats.stack_bits_fixed += 1;
+            }
         }
         for i in 0..n {
             let should = self.config.refcounts == RefcountMode::Split
                 && self.entries[i].live
-                && self.ep_counts.get(&(i as Id)).copied().unwrap_or(0) > 0;
+                && self.ep_counts[i] > 0;
             let e = &mut self.entries[i];
             if e.stack_bit != should {
                 e.stack_bit = should;
@@ -2582,9 +2575,10 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 lazy: e.lazy,
             })
             .collect();
-        let mut ep_counts: Vec<(Id, u32)> =
-            self.ep_counts.iter().map(|(&id, &c)| (id, c)).collect();
-        ep_counts.sort_unstable_by_key(|&(id, _)| id);
+        let ep_counts = (self.ep_counts.iter().enumerate())
+            .filter(|(_, &c)| c > 0)
+            .map(|(id, &c)| (id as Id, c))
+            .collect();
         LpImage {
             table_size: self.config.table_size,
             entries,
@@ -2659,11 +2653,15 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         if live != image.live {
             return Err(ImageError::Malformed);
         }
-        let mut ep_counts = fxhash::FxHashMap::default();
+        // A processor never holds a zero count (the release that
+        // reaches zero drops the entry's stack bit), so an image that
+        // lists one is damaged, like one that lists an id twice.
+        let mut ep_counts = vec![0; n];
         for &(id, c) in &image.ep_counts {
-            if !in_range(id) || ep_counts.insert(id, c).is_some() {
+            if !in_range(id) || c == 0 || ep_counts[id as usize] != 0 {
                 return Err(ImageError::Malformed);
             }
+            ep_counts[id as usize] = c;
         }
         Ok(ListProcessor {
             controller,
@@ -2721,9 +2719,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         }
         let covered = |(id, &k): (usize, &u64)| match self.config.refcounts {
             RefcountMode::Unified => k <= u64::from(self.entries[id].rc),
-            RefcountMode::Split => {
-                k <= u64::from(self.ep_counts.get(&(id as Id)).copied().unwrap_or(0))
-            }
+            RefcountMode::Split => k <= u64::from(self.ep_counts[id]),
         };
         if held.iter().enumerate().all(covered) {
             Ok(())

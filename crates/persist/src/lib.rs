@@ -61,7 +61,20 @@
 //! path, with no second decoder: a version-1 two-pointer heap is the
 //! case `frontier == capacity` (six scalars, an arena threaded to its
 //! last cell), and a version-1 cdr-coded heap gives its capacity by its
-//! array length. Encoding always writes the current version.
+//! array length.
+//!
+//! Version 3 writes an LPT entry in full, with its id, only when it
+//! holds state: live entries, lazily freed entries (whose fields still
+//! hold the children their reuse will release), and anything else that
+//! is not a plain free entry. A plain free entry's only state is its
+//! place in the free list, so the longest tail of that list made of
+//! plain free entries is written as its order alone, one id each. A
+//! suspended serving session thus costs its live entries plus 4 bytes
+//! per free one, not 31 bytes for each of the 512. Decoding requires
+//! every id of the table exactly once, across the full records and the
+//! order. Versions 1 and 2 are the dense case of the same decoder:
+//! every entry in full, in id order. Encoding always writes the current
+//! version.
 
 pub mod frame;
 mod lz;
@@ -429,9 +442,11 @@ fn intern(name: &str) -> Result<&'static str, &'static str> {
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"SMALLCKP";
 
 /// Current checkpoint format version. Bumped on any layout change (see
-/// the crate docs for the policy). Version 2 writes only the allocated
-/// part of each heap; version 1 images still decode.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// the crate docs for the policy). Version 3 writes the plain free LPT
+/// entries as their free-list order, one id each, and every other entry
+/// in full with its id; version 2 writes only the allocated part of
+/// each heap. Version 1 and 2 images still decode.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A complete machine snapshot: everything needed to resume a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -498,16 +513,107 @@ fn get_stats(r: &mut ByteReader) -> Result<LptStats, &'static str> {
 /// `free_next` and the flag byte.
 const ENTRY_BYTES: usize = 2 * 9 + 3 * 4 + 1;
 
-fn put_lp_image(w: &mut ByteWriter, lp: &LpImage) {
+/// Encoded bytes of one full version-3 record: the id, then the entry.
+const RECORD_BYTES_V3: usize = 4 + ENTRY_BYTES;
+
+/// A plain free entry: what a version-3 image leaves out apart from its
+/// id. Its `free_next` is implied by its place in the free order.
+const PLAIN_FREE: EntryImage = EntryImage {
+    car: FieldImage::Empty,
+    cdr: FieldImage::Empty,
+    rc: 0,
+    addr: None,
+    stack_bit: false,
+    live: false,
+    free_next: None,
+    lazy: false,
+};
+
+fn put_entry(w: &mut ByteWriter, e: &EntryImage) {
+    put_field(w, e.car);
+    put_field(w, e.cdr);
+    w.put_u32(e.rc);
+    w.put_opt_u32(e.addr);
+    w.put_opt_u32(e.free_next);
+    w.put_u8(e.stack_bit as u8 | (e.live as u8) << 1 | (e.lazy as u8) << 2);
+}
+
+fn get_entry(r: &mut ByteReader) -> Result<EntryImage, &'static str> {
+    let car = get_field(r)?;
+    let cdr = get_field(r)?;
+    let rc = r.refcount()?;
+    let addr = r.opt_u32()?;
+    let free_next = r.opt_u32()?;
+    let flags = r.u8()?;
+    if flags & !0b111 != 0 {
+        return Err("bad entry flags");
+    }
+    Ok(EntryImage {
+        car,
+        cdr,
+        rc,
+        addr,
+        stack_bit: flags & 1 != 0,
+        live: flags & 2 != 0,
+        free_next,
+        lazy: flags & 4 != 0,
+    })
+}
+
+/// The entries a version-3 image writes as bare ids, in free-list
+/// order: the longest tail of the list from `free_head` in which every
+/// entry is [`PLAIN_FREE`] but for its link, and which ends the list.
+/// Each one's `free_next` is then the next id of the order (none for
+/// the last), so the decoder restores it exactly; every other entry is
+/// written in full. A list that leaves the table or loops has no end,
+/// and so no such tail.
+fn plain_free_order(lp: &LpImage) -> Vec<u32> {
+    let n = lp.entries.len();
+    let mut list = Vec::new();
+    let mut at = lp.free_head;
+    while let Some(id) = at {
+        // A list that ends visits each entry at most once.
+        if id as usize >= n || list.len() == n {
+            return Vec::new();
+        }
+        list.push(id);
+        at = lp.entries[id as usize].free_next;
+    }
+    let plain = |&id: &u32| {
+        let e = &lp.entries[id as usize];
+        EntryImage {
+            free_next: None,
+            ..*e
+        } == PLAIN_FREE
+    };
+    let tail = list.iter().rev().take_while(|id| plain(id)).count();
+    list.split_off(list.len() - tail)
+}
+
+/// Version 3 writes the table as `table_size`, the full-record and
+/// free-order counts, the full records (id, entry) in id order, then
+/// the free order (one id each). `order` is [`plain_free_order`].
+fn put_lp_image(w: &mut ByteWriter, lp: &LpImage, order: &[u32]) {
+    assert_eq!(
+        lp.entries.len(),
+        lp.table_size,
+        "an LP image holds one entry per table slot"
+    );
+    let mut in_order = vec![false; lp.table_size];
+    for &id in order {
+        in_order[id as usize] = true;
+    }
     w.put_u64(lp.table_size as u64);
-    w.put_u64(lp.entries.len() as u64);
-    for e in &lp.entries {
-        put_field(w, e.car);
-        put_field(w, e.cdr);
-        w.put_u32(e.rc);
-        w.put_opt_u32(e.addr);
-        w.put_opt_u32(e.free_next);
-        w.put_u8(e.stack_bit as u8 | (e.live as u8) << 1 | (e.lazy as u8) << 2);
+    w.put_u64((lp.table_size - order.len()) as u64);
+    w.put_u64(order.len() as u64);
+    for (id, e) in lp.entries.iter().enumerate() {
+        if !in_order[id] {
+            w.put_u32(id as u32);
+            put_entry(w, e);
+        }
+    }
+    for &id in order {
+        w.put_u32(id);
     }
     w.put_opt_u32(lp.free_head);
     w.put_opt_u32(lp.free_tail);
@@ -526,30 +632,82 @@ fn put_lp_image(w: &mut ByteWriter, lp: &LpImage) {
     put_stats(w, &lp.stats);
 }
 
-fn get_lp_image(r: &mut ByteReader) -> Result<LpImage, &'static str> {
-    let table_size = r.u64()? as usize;
-    let n = r.count(ENTRY_BYTES)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let car = get_field(r)?;
-        let cdr = get_field(r)?;
-        let rc = r.refcount()?;
-        let addr = r.opt_u32()?;
-        let free_next = r.opt_u32()?;
-        let flags = r.u8()?;
-        if flags & !0b111 != 0 {
-            return Err("bad entry flags");
+/// An LP section as [`get_lp_image`] read it, before its entries are
+/// laid out in a table.
+struct LpSection {
+    /// The image, its `entries` holding the full records as written.
+    image: LpImage,
+    /// The full records' ids: none in a dense section.
+    ids: Vec<u32>,
+    /// The free order.
+    order: Vec<u32>,
+}
+
+impl LpSection {
+    /// Lay the entries out in id order, every id in `0..table_size`
+    /// exactly once across the full records and the free order; each
+    /// entry of the order links to the next. A dense section already is
+    /// in id order. [`decode_checkpoint`] calls this only once every
+    /// section has parsed, so a damaged checkpoint is refused before the
+    /// table (several times the bytes of the ids it is read from) is
+    /// allocated.
+    fn into_image(self) -> Result<LpImage, &'static str> {
+        let LpSection {
+            mut image,
+            ids,
+            order,
+        } = self;
+        if ids.is_empty() && order.is_empty() {
+            return Ok(image);
         }
-        entries.push(EntryImage {
-            car,
-            cdr,
-            rc,
-            addr,
-            stack_bit: flags & 1 != 0,
-            live: flags & 2 != 0,
-            free_next,
-            lazy: flags & 4 != 0,
-        });
+        let records = std::mem::take(&mut image.entries);
+        let mut entries = vec![PLAIN_FREE; image.table_size];
+        let mut seen = vec![false; image.table_size];
+        let mut claim = |id: u32| match seen.get_mut(id as usize) {
+            Some(s) if !*s => {
+                *s = true;
+                Ok(id as usize)
+            }
+            Some(_) => Err("entry id repeated"),
+            None => Err("entry id out of range"),
+        };
+        for (&id, e) in ids.iter().zip(records) {
+            entries[claim(id)?] = e;
+        }
+        for (k, &id) in order.iter().enumerate() {
+            entries[claim(id)?].free_next = order.get(k + 1).copied();
+        }
+        image.entries = entries;
+        Ok(image)
+    }
+}
+
+/// Read the LP section of a checkpoint of `version`. Versions 1 and 2
+/// are the dense case: every entry in full, in id order, with no ids and
+/// no free order. The two counts must add up to the table size, so the
+/// table cannot claim more entries than the bytes hold.
+fn get_lp_image(r: &mut ByteReader, version: u32) -> Result<LpSection, &'static str> {
+    let table_size = r.u64()?;
+    let dense = version < 3;
+    let (n_full, n_order) = if dense {
+        (r.count(ENTRY_BYTES)?, 0)
+    } else {
+        (r.count(RECORD_BYTES_V3)?, r.count(4)?)
+    };
+    if (n_full + n_order) as u64 != table_size {
+        return Err("entry count differs from the table size");
+    }
+    let mut ids = Vec::with_capacity(if dense { 0 } else { n_full });
+    let mut entries = Vec::with_capacity(n_full);
+    for _ in 0..n_full {
+        if !dense {
+            ids.push(r.u32()?);
+        }
+        entries.push(get_entry(r)?);
+    }
+    let mut order = Vec::with_capacity(n_order);
+    for _ in 0..n_order {
+        order.push(r.u32()?);
     }
     let free_head = r.opt_u32()?;
     let free_tail = r.opt_u32()?;
@@ -570,8 +728,8 @@ fn get_lp_image(r: &mut ByteReader) -> Result<LpImage, &'static str> {
         recent_overflows.push(r.u64()?);
     }
     let stats = get_stats(r)?;
-    Ok(LpImage {
-        table_size,
+    let image = LpImage {
+        table_size: n_full + n_order,
         entries,
         free_head,
         free_tail,
@@ -579,7 +737,8 @@ fn get_lp_image(r: &mut ByteReader) -> Result<LpImage, &'static str> {
         ep_counts,
         recent_overflows,
         stats,
-    })
+    };
+    Ok(LpSection { image, ids, order })
 }
 
 fn put_controller_image(w: &mut ByteWriter, img: &ControllerImage) {
@@ -614,15 +773,17 @@ fn get_controller_image(r: &mut ByteReader) -> Result<ControllerImage, &'static 
 /// `u64` payload length.
 const CHECKPOINT_HEADER: usize = CHECKPOINT_MAGIC.len() + 16;
 
-/// The exact encoded payload size of `ckpt`, so the encoder allocates
-/// once and the blob carries no spare capacity.
-fn checkpoint_payload_len(ckpt: &Checkpoint) -> usize {
+/// The exact encoded payload size of `ckpt` with the free order
+/// `order`, so the encoder allocates once and the blob carries no spare
+/// capacity.
+fn checkpoint_payload_len(ckpt: &Checkpoint, order: &[u32]) -> usize {
     let lp = &ckpt.lp;
-    // Table size and entry count, the entries, free head and tail plus
-    // `live` and the retired overflow-mode byte, two counted vectors,
-    // and the 20 stats.
-    let lp_len = 16
-        + ENTRY_BYTES * lp.entries.len()
+    // Table size and the two record counts, the full records and the
+    // free order, free head and tail plus `live` and the retired
+    // overflow-mode byte, two counted vectors, and the 20 stats.
+    let lp_len = 24
+        + RECORD_BYTES_V3 * (lp.entries.len() - order.len())
+        + 4 * order.len()
         + 17
         + (8 + 8 * lp.ep_counts.len())
         + (8 + 8 * lp.recent_overflows.len())
@@ -641,8 +802,14 @@ fn checkpoint_payload_len(ckpt: &Checkpoint) -> usize {
 /// length, payload. The payload is written straight behind a reserved
 /// header, which is then sealed in place. Deterministic — equal
 /// checkpoints encode to identical bytes.
+///
+/// # Panics
+///
+/// If the LP image does not hold exactly `table_size` entries (every
+/// image [`small_core::ListProcessor::export_image`] takes does).
 pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
-    let payload_len = checkpoint_payload_len(ckpt);
+    let order = plain_free_order(&ckpt.lp);
+    let payload_len = checkpoint_payload_len(ckpt, &order);
     let mut w = ByteWriter {
         buf: Vec::with_capacity(CHECKPOINT_HEADER + payload_len),
     };
@@ -652,7 +819,7 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     w.put_u64(0);
     w.put_u64(ckpt.event_index);
     w.put_u64(ckpt.journal_seq);
-    put_lp_image(&mut w, &ckpt.lp);
+    put_lp_image(&mut w, &ckpt.lp, &order);
     put_controller_image(&mut w, &ckpt.controller);
     w.put_bytes(&ckpt.driver);
     let mut bytes = w.finish();
@@ -691,10 +858,11 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     let mut p = ByteReader::new(payload);
     let event_index = p.counter().map_err(corrupt)?;
     let journal_seq = p.counter().map_err(corrupt)?;
-    let lp = get_lp_image(&mut p).map_err(corrupt)?;
+    let lp = get_lp_image(&mut p, version).map_err(corrupt)?;
     let controller = get_controller_image(&mut p).map_err(corrupt)?;
     let driver = p.bytes().map_err(corrupt)?.to_vec();
     p.expect_end().map_err(corrupt)?;
+    let lp = lp.into_image().map_err(corrupt)?;
     Ok(Checkpoint {
         event_index,
         journal_seq,
@@ -1236,6 +1404,211 @@ mod tests {
         let back = decode_checkpoint(&bytes).unwrap();
         assert_eq!(back, ckpt);
         assert_eq!(encode_checkpoint(&back), bytes);
+    }
+
+    /// A splitmix64 stream, so one drawn seed shapes a whole image.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n.max(1)
+        }
+
+        fn one_in(&mut self, n: u64) -> bool {
+            self.below(n) == 0
+        }
+    }
+
+    /// An arbitrary LP image of `n` entries. `shape` 0 mixes live,
+    /// lazy and stray free entries with a free list whose entries are
+    /// sometimes not plain and which may loop, leave the table or end
+    /// early; 1 is a table of plain free entries threaded in a random
+    /// order; 2 is a full table, every entry live.
+    fn arbitrary_lp_image(seed: u64, n: usize, shape: u8) -> LpImage {
+        let mut rng = Mix(seed);
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let field = |rng: &mut Mix| match rng.below(3) {
+            0 => FieldImage::Empty,
+            1 => FieldImage::Atom(rng.next()),
+            _ => FieldImage::Obj(rng.below(n as u64 + 2) as u32),
+        };
+        let link = |rng: &mut Mix| match rng.below(3) {
+            0 => None,
+            _ => Some(rng.below(n as u64 + 2) as u32),
+        };
+        let mut entries = vec![PLAIN_FREE; n];
+        let chain_len = match shape {
+            1 => n,
+            2 => 0,
+            _ => rng.below(n as u64 + 1) as usize,
+        };
+        let (chain, rest) = ids.split_at(chain_len);
+        for (k, &id) in chain.iter().enumerate() {
+            let e = &mut entries[id as usize];
+            e.free_next = chain.get(k + 1).copied();
+            if shape == 0 && rng.one_in(5) {
+                // Not plain: a lazy entry, a set stack bit, a count or
+                // an address; or a plain entry whose link goes astray.
+                match rng.below(5) {
+                    0 => {
+                        e.lazy = true;
+                        e.car = field(&mut rng);
+                        e.cdr = field(&mut rng);
+                    }
+                    1 => e.stack_bit = true,
+                    2 => e.rc = rng.below(4) as u32,
+                    3 => e.addr = Some(rng.below(1 << 20) as u32),
+                    _ => e.free_next = link(&mut rng),
+                }
+            }
+        }
+        for &id in rest {
+            let e = &mut entries[id as usize];
+            if shape == 2 || rng.one_in(2) {
+                e.live = true;
+                e.rc = rng.below(u64::from(u32::MAX / 2) + 1) as u32;
+                e.stack_bit = rng.one_in(4);
+                if rng.one_in(3) {
+                    e.addr = Some(rng.below(u64::from(u32::MAX)) as u32);
+                } else {
+                    e.car = field(&mut rng);
+                    e.cdr = field(&mut rng);
+                }
+            } else {
+                // A free entry off the list: plain, lazy, or linked.
+                e.lazy = rng.one_in(3);
+                if e.lazy {
+                    e.car = field(&mut rng);
+                    e.cdr = field(&mut rng);
+                }
+                e.free_next = link(&mut rng);
+            }
+        }
+        let free_head = match (chain.first(), shape) {
+            (Some(&h), 1 | 2) => Some(h),
+            (h, _) if !rng.one_in(6) => h.copied(),
+            _ => link(&mut rng),
+        };
+        // A stack's tail is the first entry it freed; a queue's is the
+        // list's last.
+        let free_tail = match rng.below(3) {
+            0 => chain.last().copied(),
+            1 => chain.first().copied(),
+            _ => link(&mut rng),
+        };
+        let ep_counts = (0..rng.below(4))
+            .map(|_| (rng.below(n as u64 + 1) as u32, rng.below(1 << 31) as u32))
+            .collect();
+        let recent_overflows = (0..rng.below(3)).map(|_| rng.next()).collect();
+        LpImage {
+            table_size: n,
+            live: entries.iter().filter(|e| e.live).count(),
+            entries,
+            free_head,
+            free_tail,
+            ep_counts,
+            recent_overflows,
+            stats: LptStats {
+                refops: rng.below(1 << 40),
+                frees: rng.below(1 << 20),
+                max_occupancy: n,
+                max_ep_refcount: rng.below(1 << 31) as u32,
+                ..LptStats::default()
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every image round-trips exactly through version 3 and
+        /// re-encodes to the same bytes, whatever its free list holds;
+        /// a table of plain free entries costs one id per entry.
+        #[test]
+        fn lp_image_round_trips_through_v3(
+            seed in any::<u64>(),
+            n in prop::sample::select(vec![0usize, 1, 2, 3, 7, 16, 40, 128]),
+            shape in 0u8..3,
+        ) {
+            let ckpt = Checkpoint {
+                lp: arbitrary_lp_image(seed, n, shape),
+                ..sample_checkpoint()
+            };
+            let bytes = encode_checkpoint(&ckpt);
+            let back = decode_checkpoint(&bytes).unwrap();
+            prop_assert_eq!(&back, &ckpt);
+            prop_assert_eq!(encode_checkpoint(&back), bytes.clone());
+            if shape == 1 {
+                let mut none = ckpt.clone();
+                none.lp.table_size = 0;
+                none.lp.entries.clear();
+                prop_assert_eq!(bytes.len(), encode_checkpoint(&none).len() + 4 * n);
+            }
+        }
+    }
+
+    /// Re-seal a checkpoint's payload length and CRC over its bytes.
+    fn reseal(b: &mut [u8]) {
+        let len = (b.len() - 24) as u64;
+        b[16..24].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&b[24..]);
+        b[12..16].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// A version-3 table must list every id exactly once, across its
+    /// full records and its free order.
+    #[test]
+    fn v3_ids_missing_or_repeated_fail_closed() {
+        let bytes = encode_checkpoint(&sample_checkpoint());
+        // Behind the header and the progress counters: the table size,
+        // the two counts, three full records (ids 0, 1, 2) and the free
+        // order (id 3).
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!([word(40), word(48), word(56)], [4, 3, 1]);
+        let id_at = [64, 64 + RECORD_BYTES_V3, 64 + 2 * RECORD_BYTES_V3];
+        let order_at = 64 + 3 * RECORD_BYTES_V3;
+        let set = |at: usize, v: u64, width: usize| {
+            let mut m = bytes.clone();
+            m[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+            reseal(&mut m);
+            m
+        };
+        let cases = [
+            (set(id_at[1], 0, 4), "entry id repeated"),
+            (set(order_at, 2, 4), "entry id repeated"),
+            (set(id_at[2], 4, 4), "entry id out of range"),
+            (
+                set(order_at, u64::from(u32::MAX), 4),
+                "entry id out of range",
+            ),
+            (set(40, 5, 8), "entry count differs from the table size"),
+            (set(40, 3, 8), "entry count differs from the table size"),
+        ];
+        // The order dropped: one id fewer than the table holds.
+        let mut dropped = bytes.clone();
+        dropped.drain(order_at..order_at + 4);
+        dropped[56..64].copy_from_slice(&0u64.to_le_bytes());
+        reseal(&mut dropped);
+        for (m, why) in cases
+            .into_iter()
+            .chain([(dropped, "entry count differs from the table size")])
+        {
+            assert_eq!(
+                decode_checkpoint(&m),
+                Err(PersistError::CorruptCheckpoint(why))
+            );
+        }
     }
 
     #[test]

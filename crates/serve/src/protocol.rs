@@ -1067,6 +1067,20 @@ mod tests {
         ] {
             replies.push(parse_error_reply(&e));
         }
+        replies.extend([busy_reply(3), seq_gap_reply(4, 6), seq_too_old_reply(2)]);
+        for node in [NodeRole::Primary, NodeRole::Standby] {
+            replies.push(hello_reply(PROTO_VERSION, node));
+            replies.push(hello_reply(PROTO_VERSION + 1, node));
+        }
+        // The replies the shard loop builds itself.
+        for (class, code) in [
+            ("repl", "not-primary"),
+            ("repl", "disabled"),
+            ("proto", "not-a-replica"),
+            ("session", "panicked"),
+        ] {
+            replies.push(err(class, code));
+        }
         for r in replies {
             assert_eq!(
                 Reply::decode(&r.encode()),

@@ -271,8 +271,9 @@ struct SealedBlock {
 /// records repeat each other (the same programs, sessions and
 /// libraries), so a sealed block keeps about a third of its raw bytes.
 /// [`Wal::frames_from`] binary-searches the index and decompresses only
-/// the sealed blocks a pull touches; it reads the open block raw, so a
-/// caught-up replica never runs the codec.
+/// the sealed blocks a pull touches, and keeps the one a pull stops
+/// inside for the next pull, which starts there; it reads the open
+/// block raw, so a caught-up replica never runs the codec.
 pub struct Wal {
     /// Sealed blocks in LSN order: the sparse index and the bytes.
     sealed: Vec<SealedBlock>,
@@ -290,6 +291,24 @@ pub struct Wal {
     /// two shards compressing at once took both cores from the clients
     /// (`wire-small` p99 +0.4%).
     sealing: bool,
+    /// The sealed block the last pull stopped inside, decompressed.
+    /// Behind a lock of its own because pulls read the log through
+    /// `&self`.
+    pulled: Mutex<PullCache>,
+}
+
+/// The sealed block a [`Wal::frames_from`] stopped inside, so a replica
+/// catching up in batches decompresses each block once, not once per
+/// batch that touches it. Sealed blocks never change, so it cannot go
+/// stale. It is not counted in [`Wal::resident_bytes`]: it is at most
+/// one block's raw frames, for one catching-up replica.
+#[derive(Default)]
+struct PullCache {
+    /// The block's index in `Wal::sealed`, and its raw frames.
+    block: Option<(usize, Vec<u8>)>,
+    /// Sealed blocks pulls have decompressed so far.
+    #[cfg(test)]
+    decompressed: usize,
 }
 
 impl Default for Wal {
@@ -308,6 +327,7 @@ impl Wal {
             open_first: 0,
             next: 0,
             sealing: false,
+            pulled: Mutex::default(),
         }
     }
 
@@ -408,14 +428,26 @@ impl Wal {
             return (out, next);
         }
         let mut block = self.sealed.partition_point(|b| b.first_lsn <= from);
+        let mut pulled = self.pulled.lock().unwrap_or_else(|e| e.into_inner());
+        let mut kept = pulled.block.take();
         while next < self.open_first {
             if !out.is_empty() && out.len() >= max_bytes {
                 return (out, next); // not even a header fits
             }
             let b = &self.sealed[block - 1];
-            let raw = small_persist::decompress(&b.bytes, b.raw_len)
-                .expect("a sealed block decompresses to its frames");
+            let raw = match kept.take() {
+                Some((at, raw)) if at == block - 1 => raw,
+                _ => {
+                    #[cfg(test)]
+                    {
+                        pulled.decompressed += 1;
+                    }
+                    small_persist::decompress(&b.bytes, b.raw_len)
+                        .expect("a sealed block decompresses to its frames")
+                }
+            };
             if !copy_frames(&raw, b.first_lsn, &mut next, &mut out, max_bytes) {
+                pulled.block = Some((block - 1, raw));
                 return (out, next);
             }
             block += 1;
@@ -870,6 +902,21 @@ mod tests {
         // Deterministic: the log, its blocks and their codec output
         // are pure functions of the programs.
         assert_eq!((next, frames.len(), resident), (7728, 806_907, 307_319));
+    }
+
+    #[test]
+    fn a_cold_pull_in_batches_decompresses_each_sealed_block_once() {
+        let wal = gen_mix_log(11, 24, 300);
+        let (mut pulled, mut from) = (Vec::new(), 0);
+        while from < wal.next_lsn() {
+            let (batch, next) = wal.frames_from(from, 64 * 1024);
+            pulled.extend_from_slice(&batch);
+            from = next;
+        }
+        let blocks = wal.sealed.len();
+        assert!(blocks > 40, "{blocks} sealed blocks");
+        assert_eq!(wal.pulled.lock().unwrap().decompressed, blocks);
+        assert_eq!(pulled, wal.frames_from(0, usize::MAX).0);
     }
 
     /// A copy of `wal`'s open block, if it is full.

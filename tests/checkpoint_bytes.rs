@@ -4,18 +4,22 @@
 //! and the FNV-1a-64 digest of one encoding: a serving session's
 //! suspend blob, and the simulator's final durable-run checkpoint.
 //!
-//! Version 2 writes only the allocated part of the heap. The version-1
-//! goldens stay as decode tests: [`to_v1`] rebuilds a version-1 image
-//! from a version-2 one the way version 1 exported it, that image must
-//! hash to the old fingerprint, and resuming it must behave exactly
-//! like resuming the version-2 image, allocation order included.
+//! Version 3 writes plain free LPT entries as their free-list order and
+//! every other entry in full with its id; version 2 writes every entry
+//! in full, and only the allocated part of the heap. The older goldens
+//! stay as decode tests: [`to_v2`] and [`to_v1`] rebuild a version-2 or
+//! version-1 image from a version-3 one the way those versions exported
+//! it (the library only writes version 3), each must hash to its old
+//! fingerprint, and resuming it must behave exactly like resuming the
+//! version-3 image, allocation order included.
 //!
 //! Decoding fails closed on arbitrary bytes: a proptest damages session
-//! and simulator images of both versions and re-seals their CRC, and
-//! each must then either resume to a machine that runs on without a
-//! panic or be refused with a typed error. It runs 48 cases in a
-//! debug build and 4000 in a release build, where arena access is
-//! unchecked.
+//! and simulator images of all three versions and re-seals their CRC,
+//! and each must then either resume to a machine that runs on without a
+//! panic or be refused with a typed error. Neither may allocate more
+//! than 8 times its bytes, or what a clean run with the same
+//! configuration allocates anyway. It runs 48 cases in a debug build
+//! and 4000 in a release build, where arena access is unchecked.
 
 use proptest::prelude::*;
 use small_repro::heap::{HeapAddr, ImageError, Word};
@@ -26,6 +30,7 @@ use small_repro::persist::{
 use small_repro::serve::protocol::StatsBody;
 use small_repro::serve::{Reply, ServeConfig, Session};
 use small_repro::simulator::{run_sim_resumable, SimParams};
+use small_repro::small::FieldImage;
 use small_repro::workloads::synthetic;
 use std::sync::OnceLock;
 
@@ -37,11 +42,66 @@ fn fingerprint(bytes: &[u8]) -> (usize, u64) {
     (bytes.len(), digest_bytes(DIGEST_SEED, bytes))
 }
 
-/// The version-1 encoding of a checkpoint: the two-pointer heap
-/// exported the way version 1 did, with its arena threaded eagerly to
-/// the last cell (virgin cell `i` links to `i + 1`, the last to none)
-/// and no frontier scalar, behind a version-1 header. An image already
-/// at `frontier == capacity` only loses its frontier scalar.
+/// Byte offset, in a version-3 checkpoint, of its LP section's entry
+/// counts: behind the 24-byte header and the two progress counters, and
+/// the table size.
+const V3_COUNTS: usize = 24 + 16 + 8;
+
+fn word_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// Byte offset, in a checkpoint of any version, of what follows the LP
+/// entries: the free head.
+fn entries_end(bytes: &[u8]) -> usize {
+    if bytes[8..12] == 3u32.to_le_bytes() {
+        let (full, order) = (word_at(bytes, V3_COUNTS), word_at(bytes, V3_COUNTS + 8));
+        V3_COUNTS + 16 + 35 * full + 4 * order
+    } else {
+        V3_COUNTS + 8 + 31 * word_at(bytes, V3_COUNTS)
+    }
+}
+
+/// The dense encoding of a version-3 checkpoint, as versions 1 and 2
+/// wrote its LP section: the entry count, then every entry in full and
+/// in id order, with no ids and no free order, behind a `version`
+/// header. Everything else is the same bytes.
+fn to_dense(v3: &[u8], version: u32) -> Vec<u8> {
+    let lp = decode_checkpoint(v3).expect("decodes").lp;
+    let mut b = v3[..V3_COUNTS].to_vec();
+    b[8..12].copy_from_slice(&version.to_le_bytes());
+    b.extend_from_slice(&(lp.entries.len() as u64).to_le_bytes());
+    let opt = |v: Option<u32>| v.unwrap_or(u32::MAX).to_le_bytes();
+    for e in &lp.entries {
+        for f in [e.car, e.cdr] {
+            let (tag, payload) = match f {
+                FieldImage::Empty => (0u8, 0),
+                FieldImage::Atom(bits) => (1, bits),
+                FieldImage::Obj(id) => (2, u64::from(id)),
+            };
+            b.push(tag);
+            b.extend_from_slice(&payload.to_le_bytes());
+        }
+        b.extend_from_slice(&e.rc.to_le_bytes());
+        b.extend_from_slice(&opt(e.addr));
+        b.extend_from_slice(&opt(e.free_next));
+        b.push(e.stack_bit as u8 | (e.live as u8) << 1 | (e.lazy as u8) << 2);
+    }
+    b.extend_from_slice(&v3[entries_end(v3)..]);
+    reseal(&mut b);
+    b
+}
+
+/// The version-2 encoding of a version-3 checkpoint.
+fn to_v2(v3: &[u8]) -> Vec<u8> {
+    to_dense(v3, 2)
+}
+
+/// The version-1 encoding of a version-3 checkpoint: dense, with the
+/// two-pointer heap exported the way version 1 did, its arena threaded
+/// eagerly to the last cell (virgin cell `i` links to `i + 1`, the last
+/// to none) and no frontier scalar. An image already at `frontier ==
+/// capacity` only loses its frontier scalar.
 fn to_v1(bytes: &[u8]) -> Vec<u8> {
     let mut ckpt = decode_checkpoint(bytes).expect("decodes");
     let sections = &mut ckpt.controller.sections;
@@ -56,15 +116,12 @@ fn to_v1(bytes: &[u8]) -> Vec<u8> {
         arena[2 * i] = Word::free_link(next).bits();
         arena[2 * i + 1] = Word::UNUSED.bits();
     }
-    let mut v1 = encode_checkpoint(&ckpt);
-    // The CRC covers the payload only, so the header version is free.
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    v1
+    to_dense(&encode_checkpoint(&ckpt), 1)
 }
 
 /// The two-pointer heap scalars of a checkpoint: `[free_head, live,
-/// capacity, allocs, frees, high_water]`, then the frontier in
-/// version 2.
+/// capacity, allocs, frees, high_water]`, then the frontier from
+/// version 2 on.
 fn heap(bytes: &[u8]) -> Vec<u64> {
     let ckpt = decode_checkpoint(bytes).unwrap();
     ckpt.controller.section("heap").unwrap().to_vec()
@@ -91,7 +148,8 @@ fn golden_session(cfg: &ServeConfig) -> Session {
 #[test]
 fn session_suspend_blob_is_pinned() {
     let blob = golden_session(&ServeConfig::default()).suspend();
-    assert_eq!(fingerprint(&blob), (17_239, 0x4ec3_3eda_6a49_491a));
+    assert_eq!(fingerprint(&blob), (3_578, 0x2c57_dff5_d3e6_b04f));
+    assert_eq!(fingerprint(&to_v2(&blob)), (17_239, 0x4ec3_3eda_6a49_491a));
     assert_eq!(fingerprint(&to_v1(&blob)), (279_375, 0x461d_3042_b6d3_8f55));
 }
 
@@ -112,7 +170,7 @@ const SPILL_SCRIPT: &[&str] = &[
 ];
 
 #[test]
-fn session_v1_blob_resumes_like_v2() {
+fn session_v1_and_v2_blobs_resume_like_v3() {
     let cfg = ServeConfig::default();
     let spill = |s: &mut Session| -> Vec<String> {
         SPILL_SCRIPT
@@ -122,29 +180,38 @@ fn session_v1_blob_resumes_like_v2() {
     };
     let mut s = golden_session(&cfg);
     spill(&mut s);
-    let v2 = s.suspend();
+    let v3 = s.suspend();
     // The explicit free list is not empty.
-    let at_suspend = heap(&v2);
+    let at_suspend = heap(&v3);
     assert!(at_suspend[0] < at_suspend[6], "{at_suspend:?}");
-    let v1 = to_v1(&v2);
+    let (v1, v2) = (to_v1(&v3), to_v2(&v3));
     assert_eq!(&v1[8..12], &1u32.to_le_bytes());
+    assert_eq!(&v2[8..12], &2u32.to_le_bytes());
     let run = |mut s: Session| {
         let replies = spill(&mut s);
         let ledger = s.ledger_reply().encode();
         let digest = s.digest_reply().encode();
-        (replies, ledger, digest, to_v1(&s.suspend()))
+        (replies, ledger, digest, s.suspend())
     };
     let resume = |blob: &[u8]| Session::resume(3, &cfg, blob).expect("resume");
-    let (a, b) = (run(resume(&v1)), run(resume(&v2)));
-    assert!(a.0.iter().all(|r| r.starts_with("(ok value")), "{:?}", a.0);
-    assert_eq!(a.0, b.0, "replies");
-    assert_eq!(a.1, b.1, "ledger");
-    assert_eq!(a.2, b.2, "digest");
-    assert!(a.3 == b.3, "the next exported images differ");
-    // Both also match the session that was never suspended.
+    let (a, b, c) = (run(resume(&v1)), run(resume(&v2)), run(resume(&v3)));
+    assert!(c.0.iter().all(|r| r.starts_with("(ok value")), "{:?}", c.0);
+    for old in [&a, &b] {
+        assert_eq!(old.0, c.0, "replies");
+        assert_eq!(old.1, c.1, "ledger");
+        assert_eq!(old.2, c.2, "digest");
+    }
+    // A version-1 heap has no frontier, so its next image matches only
+    // in the version-1 form.
+    assert!(
+        to_v1(&a.3) == to_v1(&c.3),
+        "the next exported images differ"
+    );
+    assert!(b.3 == c.3, "the next exported images differ");
+    // All three also match the session that was never suspended.
     let mut resident = golden_session(&cfg);
     spill(&mut resident);
-    assert!(run(resident) == b, "suspending changed the session");
+    assert!(run(resident) == c, "suspending changed the session");
     // The script used up the free list and went on past the frontier.
     let free = at_suspend[6] - at_suspend[1];
     assert!(heap(&a.3)[3] > at_suspend[3] + free);
@@ -170,7 +237,8 @@ fn simulator_checkpoint_is_pinned() {
     let r = run_sim_resumable(&trace, params, &mut store).expect("durable run");
     assert!(!r.true_overflow && r.failure.is_none());
     let ckpt = store.checkpoint().expect("final checkpoint");
-    assert_eq!(fingerprint(ckpt), (11_426, 0xd0fe_8691_dd31_8efa));
+    assert_eq!(fingerprint(ckpt), (9_187, 0xdd38_1b69_8ce1_05e4));
+    assert_eq!(fingerprint(&to_v2(ckpt)), (11_426, 0xd0fe_8691_dd31_8efa));
     assert_eq!(fingerprint(&to_v1(ckpt)), (70_826, 0x0b8d_16e9_179b_6977));
 }
 
@@ -190,23 +258,31 @@ fn crashed_store(trace: &small_repro::trace::Trace, params: SimParams) -> CrashS
 }
 
 #[test]
-fn simulator_v1_checkpoint_recovers_like_v2() {
+fn simulator_v1_and_v2_checkpoints_recover_like_v3() {
     let (trace, params) = simulator_run();
     let params = params.with_checkpoint_every(16);
-    let mut v2 = crashed_store(&trace, params);
-    let at_crash = heap(v2.checkpoint().unwrap());
+    let mut v3 = crashed_store(&trace, params);
+    let at_crash = heap(v3.checkpoint().unwrap());
     assert!(at_crash[6] < at_crash[2], "{at_crash:?}");
-    let mut v1 = v2.clone();
-    v1.install_checkpoint(to_v1(v2.checkpoint().unwrap()));
+    let (mut v1, mut v2) = (v3.clone(), v3.clone());
+    v1.install_checkpoint(to_v1(v3.checkpoint().unwrap()));
+    v2.install_checkpoint(to_v2(v3.checkpoint().unwrap()));
     let a = run_sim_resumable(&trace, params, &mut v1).expect("v1 recovery");
     let b = run_sim_resumable(&trace, params, &mut v2).expect("v2 recovery");
-    assert!(!a.true_overflow && a.failure.is_none());
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    let (a, b) = (v1.checkpoint().unwrap(), v2.checkpoint().unwrap());
-    assert!(to_v1(a) == to_v1(b), "the next exported images differ");
+    let c = run_sim_resumable(&trace, params, &mut v3).expect("v3 recovery");
+    assert!(!c.true_overflow && c.failure.is_none());
+    assert_eq!(format!("{a:?}"), format!("{c:?}"));
+    assert_eq!(format!("{b:?}"), format!("{c:?}"));
+    let (a, b, c) = (
+        v1.checkpoint().unwrap(),
+        v2.checkpoint().unwrap(),
+        v3.checkpoint().unwrap(),
+    );
+    assert!(to_v1(a) == to_v1(c), "the next exported images differ");
+    assert!(b == c, "the next exported images differ");
     let free = at_crash[6] - at_crash[1];
     assert!(
-        heap(b)[3] > at_crash[3] + free,
+        heap(c)[3] > at_crash[3] + free,
         "recovery stayed below the frontier"
     );
 }
@@ -240,13 +316,12 @@ fn simulator_inflated_heap_capacity_fails_closed() {
 }
 
 /// Byte offsets, in an encoded checkpoint, of the retired overflow-mode
-/// byte and of the first LPT stats word: behind the 24-byte header come
-/// the two progress counters, the table size and entry count, the
-/// 31-byte entries, the free head and tail and `live`; behind the
-/// retired byte, the two counted vectors and then the 20 stats words.
+/// byte and of the first LPT stats word: behind the entries come the
+/// free head and tail and `live`; behind the retired byte, the two
+/// counted vectors and then the 20 stats words.
 fn retired_offsets(bytes: &[u8]) -> (usize, usize) {
     let lp = decode_checkpoint(bytes).unwrap().lp;
-    let retired = 24 + 16 + 16 + 31 * lp.entries.len() + 4 + 4 + 8;
+    let retired = entries_end(bytes) + 4 + 4 + 8;
     let stats = retired + 1 + 8 + 8 * lp.ep_counts.len() + 8 + 8 * lp.recent_overflows.len();
     (retired, stats)
 }
@@ -254,7 +329,7 @@ fn retired_offsets(bytes: &[u8]) -> (usize, usize) {
 /// The slots the removed §4.3.2.3 overflow mode used stay zero, and
 /// every decoder refuses a non-zero one with a typed error: the
 /// checkpoint's overflow-mode byte and stats words 17–19 (session and
-/// simulator images of both versions), the session's event-count words
+/// simulator images of all three versions), the session's event-count words
 /// 20–21, an EP root that is a pointer atom, and the wire ledger's and
 /// stats reply's retired words.
 #[test]
@@ -295,7 +370,7 @@ fn retired_overflow_mode_slots_fail_closed() {
 
     // A session's driver section carries two progress words, then the
     // 22 event-count words.
-    let session = &all.images[1].1;
+    let session = &all.images[2].1;
     for k in 20..22 {
         let mut ckpt = decode_checkpoint(session).unwrap();
         let at = 16 + 8 * k;
@@ -313,7 +388,7 @@ fn retired_overflow_mode_slots_fail_closed() {
     // The simulator's driver section: four RNG words, then the TOS
     // flag and value (a tag byte and a word). A TOS that is a pointer
     // atom, even to a cell the heap holds, is refused.
-    for image in [&all.images[2].1, &all.images[3].1] {
+    for (_, image) in all.images.iter().filter(|(session, _)| !session) {
         let mut ckpt = decode_checkpoint(image).unwrap();
         let held = ckpt.lp.entries.iter().find_map(|e| e.addr).unwrap();
         let old_tos = if ckpt.driver[32] == 1 { 10 } else { 1 };
@@ -356,8 +431,9 @@ fn retired_overflow_mode_slots_fail_closed() {
     }
 }
 
-/// Session and simulator images of both versions, each holding a heap
-/// with live cells and a non-empty free list.
+/// Session and simulator images of all three versions, each holding a
+/// heap with live cells and a non-empty free list, and last the golden
+/// session's small version-3 image, whose table is mostly free order.
 struct Images {
     trace: small_repro::trace::Trace,
     params: SimParams,
@@ -366,6 +442,10 @@ struct Images {
     /// The largest allocation a clean simulator recovery makes: the
     /// machine and trace bookkeeping it sizes from its parameters.
     sim_peak: usize,
+    /// The largest allocation a clean resume of the small session image
+    /// makes: the table that `ServeConfig` sizes, which is more than 8
+    /// times that image's bytes.
+    session_peak: usize,
 }
 
 /// Recover the simulator from `checkpoint` with an empty journal and
@@ -391,17 +471,25 @@ fn images() -> &'static Images {
         let params = params.with_checkpoint_every(16);
         let sim = crashed_store(&trace, params).checkpoint().unwrap().to_vec();
         let sim_peak = recover_sim(&trace, params, to_v1(&sim));
+        let small = golden_session(&cfg).suspend();
+        PEAK.set(0);
+        Session::resume(3, &cfg, &small).expect("resume");
+        let session_peak = PEAK.get();
         let images = vec![
             (true, to_v1(&session)),
+            (true, to_v2(&session)),
             (true, session),
             (false, to_v1(&sim)),
+            (false, to_v2(&sim)),
             (false, sim),
+            (true, small),
         ];
         Images {
             trace,
             params,
             images,
             sim_peak,
+            session_peak,
         }
     })
 }
@@ -454,14 +542,14 @@ proptest! {
 
     #[test]
     fn damaged_checkpoints_resume_cleanly_or_fail_closed(
-        which in 0usize..4,
-        other in 1usize..4,
+        which in 0usize..7,
+        other in 1usize..7,
         kind in 0u8..4,
         r in (any::<u64>(), any::<u64>()),
     ) {
         let all = images();
         let (session, ours) = &all.images[which];
-        let theirs = &all.images[(which + other) % 4].1;
+        let theirs = &all.images[(which + other) % 7].1;
         let m = mutate(ours, theirs, kind, r);
         // Decoding and restoring may allocate in proportion to the
         // bytes, never to a count the bytes claim.
@@ -471,6 +559,7 @@ proptest! {
             PEAK.set(0);
             let resumed = Session::resume(3, &cfg, &m);
             let peak = PEAK.get();
+            let bound = bound.max(all.session_peak);
             prop_assert!(peak <= bound, "{} bytes drove a {peak}-byte allocation", m.len());
             if let Ok(mut s) = resumed {
                 // Spill into the heap, then touch every golden global.
