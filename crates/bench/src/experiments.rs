@@ -51,6 +51,7 @@ pub const ALL: &[&str] = &[
     "table5.5",
     "fig5.6",
     "traversal",
+    "survey",
 ];
 
 /// Run one experiment by id.
@@ -85,6 +86,7 @@ pub fn run(id: &str, suite: &Suite) -> Option<String> {
         "fig5.5" => fig5_5(suite),
         "table5.5" => table5_5(suite),
         "traversal" => traversal_531(),
+        "survey" => survey(),
         _ => return None,
     })
 }
@@ -770,6 +772,432 @@ pub fn traversal_531() -> String {
             c.hit_rate() * 100.0
         );
     }
+    out
+}
+
+// ---------------------------------------------------------------------
+// Chapter 2
+// ---------------------------------------------------------------------
+
+/// 8-byte words per 64-byte line.
+const LINE_WORDS: usize = 8;
+
+/// List lengths of the representation survey. A structure-coded list of
+/// n elements needs node numbers n + 1 levels deep, and a `u64` node
+/// number holds 63 levels, so 48 is the longest of these it can encode.
+const SURVEY_LENGTHS: [usize; 3] = [48, 64, 512];
+
+/// Memory traffic of one list operation on one representation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ListCost {
+    /// `two-pointer`, `cdr-coded`, `linked-vector` or `structure-coded`.
+    pub heap: &'static str,
+    /// Elements in the list.
+    pub len: usize,
+    /// Words read (traversal) or written (intern).
+    pub words: u64,
+    /// Distinct 64-byte lines those words fall in.
+    pub lines: u64,
+    /// Associative exception-table searches (structure-coded only).
+    pub probes: u64,
+}
+
+/// Environment counters after one call/lookup mix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvCost {
+    /// `call-heavy` or `lookup-heavy`.
+    pub mix: &'static str,
+    /// `deep`, `shallow` or `value-cache`.
+    pub env: &'static str,
+    /// The environment's own counters.
+    pub stats: small_lisp::env::EnvStats,
+}
+
+/// Collector work over one allocation-churn run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GcCost {
+    /// `mark-sweep`, `refcount` or `copying`.
+    pub collector: &'static str,
+    /// Heap size in cells (per semispace for copying).
+    pub cells: usize,
+    /// Collections (mark-sweep) or flips (copying).
+    pub collections: u64,
+    /// Cells marked plus cells swept (mark-sweep).
+    pub visited: u64,
+    /// Cells evacuated (copying).
+    pub copied: u64,
+    /// Reference-count updates (refcount).
+    pub refops: u64,
+}
+
+/// The Chapter 2 survey's counts (§2.3), every one deterministic.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Survey {
+    /// Spine walks: the car and cdr of every element.
+    pub traversals: Vec<ListCost>,
+    /// Reading each list into a fresh heap.
+    pub interns: Vec<ListCost>,
+    /// Deep, shallow and value-cached binding on two mixes.
+    pub envs: Vec<EnvCost>,
+    /// The three collectors on one churn loop at two heap sizes.
+    pub collectors: Vec<GcCost>,
+}
+
+impl Survey {
+    /// The traversal of `heap` at `len`, if that heap holds the list.
+    pub fn traversal(&self, heap: &str, len: usize) -> Option<&ListCost> {
+        (self.traversals.iter()).find(|c| c.heap == heap && c.len == len)
+    }
+
+    /// The intern of `heap` at `len`, if that heap holds the list.
+    pub fn intern(&self, heap: &str, len: usize) -> Option<&ListCost> {
+        (self.interns.iter()).find(|c| c.heap == heap && c.len == len)
+    }
+
+    /// The counters of `env` on `mix`.
+    pub fn env(&self, mix: &str, env: &str) -> &small_lisp::env::EnvStats {
+        let c = self.envs.iter().find(|c| c.mix == mix && c.env == env);
+        &c.expect("surveyed environment").stats
+    }
+
+    /// The work of `collector` on a heap of `cells`.
+    pub fn collector(&self, collector: &str, cells: usize) -> &GcCost {
+        let c = (self.collectors.iter()).find(|c| c.collector == collector && c.cells == cells);
+        c.expect("surveyed collector")
+    }
+}
+
+/// Words touched and the lines they fall in.
+#[derive(Default)]
+struct Touches {
+    words: u64,
+    lines: std::collections::BTreeSet<usize>,
+}
+
+impl Touches {
+    fn word(&mut self, index: usize) {
+        self.words += 1;
+        self.lines.insert(index / LINE_WORDS);
+    }
+
+    fn cost(self, heap: &'static str, len: usize, probes: u64) -> ListCost {
+        let (words, lines) = (self.words, self.lines.len() as u64);
+        ListCost {
+            heap,
+            len,
+            words,
+            lines,
+            probes,
+        }
+    }
+}
+
+/// The survey list: `len` symbols, every 7th replaced by a two-element
+/// sublist.
+fn survey_list(len: usize, i: &mut small_sexpr::Interner) -> small_sexpr::SExpr {
+    let body: Vec<String> = (0..len)
+        .map(|k| match k % 7 {
+            3 => format!("(s{k} t{k})"),
+            _ => format!("a{k}"),
+        })
+        .collect();
+    small_sexpr::parse(&format!("({})", body.join(" ")), i).expect("survey list parses")
+}
+
+/// Levels of the binary tree of `e` (root = 0, each car or cdr + 1).
+fn tree_depth(e: &small_sexpr::SExpr) -> u32 {
+    match e {
+        small_sexpr::SExpr::Cons(c) => 1 + tree_depth(&c.0).max(tree_depth(&c.1)),
+        _ => 0,
+    }
+}
+
+/// Walk a list's spine: `cdr` steps to the next element, and `words`
+/// names the word indices that reading an element's car and cdr touches.
+fn walk(
+    mut w: small_heap::Word,
+    cdr: impl Fn(small_heap::HeapAddr) -> small_heap::Word,
+    words: impl Fn(small_heap::HeapAddr, small_heap::Word) -> Vec<usize>,
+) -> Touches {
+    let mut t = Touches::default();
+    while w.is_ptr() {
+        let next = cdr(w.addr());
+        words(w.addr(), next).into_iter().for_each(|i| t.word(i));
+        w = next;
+    }
+    t
+}
+
+/// Cdr-coded and linked-vector cells hold their code in the car word, so
+/// a cdr costs a second word only when the code does not imply it (a
+/// cdr-normal pair, or an indirection cell). On these freshly interned
+/// lists an implied cdr is exactly one that is nil or the next cell.
+fn coded_words(a: small_heap::HeapAddr, next: small_heap::Word) -> Vec<usize> {
+    use small_heap::{HeapAddr, Word};
+    match next == Word::NIL || next == Word::ptr(HeapAddr(a.0 + 1)) {
+        true => vec![a.index()],
+        false => vec![a.index(), a.index() + 1],
+    }
+}
+
+fn survey_lists(survey: &mut Survey) {
+    use small_heap::cdr_coded::CdrCodedHeap;
+    use small_heap::linked_vector::LinkedVectorHeap;
+    use small_heap::structure_coded::{car_child, cdr_child, StructureCodedHeap};
+    use small_heap::TwoPointerHeap;
+    let mut i = small_sexpr::Interner::new();
+    for len in SURVEY_LENGTHS {
+        let e = survey_list(len, &mut i);
+
+        // Two-pointer: cell `a` is words 2a (car) and 2a + 1 (cdr).
+        let cell_words = |a: small_heap::HeapAddr, _| vec![a.index() * 2, a.index() * 2 + 1];
+        let mut tp = TwoPointerHeap::with_capacity(len * 4);
+        let w = tp.intern(&e).expect("list fits");
+        let mut t = Touches::default();
+        (tp.live_cells()).for_each(|a| cell_words(a, w).into_iter().for_each(|i| t.word(i)));
+        survey.interns.push(t.cost("two-pointer", len, 0));
+        let t = walk(w, |a| tp.cdr(a), cell_words);
+        survey.traversals.push(t.cost("two-pointer", len, 0));
+
+        // Cdr-coded and linked vector: one word per cell.
+        let mut cc = CdrCodedHeap::with_capacity(len * 4);
+        let w = cc.intern(&e).expect("list fits");
+        let mut t = Touches::default();
+        (0..cc.used()).for_each(|a| t.word(a));
+        survey.interns.push(t.cost("cdr-coded", len, 0));
+        let t = walk(w, |a| cc.cdr(a).unwrap(), coded_words);
+        survey.traversals.push(t.cost("cdr-coded", len, 0));
+
+        let mut lv = LinkedVectorHeap::with_capacity(len * 4);
+        let w = lv.intern(&e).expect("list fits");
+        let mut t = Touches::default();
+        (0..lv.used()).for_each(|a| t.word(a));
+        survey.interns.push(t.cost("linked-vector", len, 0));
+        let t = walk(w, |a| lv.cdr(a).unwrap(), coded_words);
+        survey.traversals.push(t.cost("linked-vector", len, 0));
+
+        // Structure-coded: element k is the car of spine node k; every
+        // access is an associative search of the exception table.
+        if tree_depth(&e) > 63 {
+            continue;
+        }
+        let mut sc = StructureCodedHeap::new();
+        let table = sc.intern(&e).addr();
+        let inserted = sc.probes.replace(0);
+        let none = Touches::default;
+        survey
+            .interns
+            .push(none().cost("structure-coded", len, inserted));
+        let mut node = 1;
+        while let Some(Err(())) = sc.lookup(table, node) {
+            sc.lookup(table, car_child(node));
+            node = cdr_child(node);
+        }
+        let probes = sc.probes.get();
+        survey
+            .traversals
+            .push(none().cost("structure-coded", len, probes));
+    }
+}
+
+fn survey_envs(survey: &mut Survey) {
+    use small_lisp::env::{DeepEnv, Environment, ShallowEnv, ValueCacheEnv};
+    use small_lisp::value::Value;
+    /// 100 nested calls, each binding 3 names and then looking up
+    /// `lookups` names mixed between locals and deep bindings.
+    fn mix<E: Environment>(mut env: E, names: &[small_sexpr::Symbol], lookups: usize) -> E {
+        for depth in 0..100 {
+            env.push_frame();
+            for k in 0..3 {
+                env.bind(
+                    names[(depth * 3 + k) % names.len()],
+                    Value::Int(depth as i64),
+                );
+            }
+            for k in 0..lookups {
+                env.lookup(names[(depth + k * 7) % names.len()]);
+            }
+        }
+        for _ in 0..100 {
+            env.pop_frame();
+        }
+        env
+    }
+    let mut i = small_sexpr::Interner::new();
+    let names: Vec<_> = (0..48).map(|k| i.intern(&format!("v{k}"))).collect();
+    for (name, lookups) in [("call-heavy", 2), ("lookup-heavy", 24)] {
+        let stats = [
+            ("deep", mix(DeepEnv::new(), &names, lookups).stats()),
+            ("shallow", mix(ShallowEnv::new(), &names, lookups).stats()),
+            (
+                "value-cache",
+                mix(ValueCacheEnv::new(16), &names, lookups).stats(),
+            ),
+        ];
+        for (env, stats) in stats {
+            survey.envs.push(EnvCost {
+                mix: name,
+                env,
+                stats,
+            });
+        }
+    }
+}
+
+/// Conses in the churn loop.
+const CHURN: usize = 6000;
+
+/// The churn loop: `CHURN` conses onto a chain, dropping the chain at
+/// every 64th. `cons(car, root)` allocates a cell whose cdr is `root`,
+/// collecting first if it must (which may move `root`).
+fn churn(mut cons: impl FnMut(small_heap::Word, &mut small_heap::Word) -> small_heap::HeapAddr) {
+    use small_heap::Word;
+    let mut root = Word::NIL;
+    for k in 0..CHURN {
+        let cell = cons(Word::int(k as i64), &mut root);
+        root = match k % 64 {
+            0 => Word::NIL,
+            _ => Word::ptr(cell),
+        };
+    }
+}
+
+fn survey_collectors(survey: &mut Survey) {
+    use small_heap::gc::{CopyingHeap, MarkSweep, RefCountHeap};
+    use small_heap::{TwoPointerHeap, Word};
+    // 8192 cells never fill under the churn; 512 do, every ~450 conses.
+    for cells in [8192, 512] {
+        let mut h = TwoPointerHeap::with_capacity(cells);
+        let mut gc = MarkSweep::new();
+        churn(|car, root| loop {
+            match h.alloc(car, *root) {
+                Some(a) => break a,
+                None => _ = gc.collect(&mut h, &[*root]),
+            }
+        });
+        survey.collectors.push(GcCost {
+            collector: "mark-sweep",
+            cells,
+            collections: gc.collections,
+            visited: gc.visited,
+            ..GcCost::default()
+        });
+
+        // The loop holds one reference, to the newest cell: it releases
+        // the previous one as the new cell takes it over (or, after a
+        // drop, as the last holder of the dropped chain).
+        let mut h = RefCountHeap::with_capacity(cells);
+        let mut held = Word::NIL;
+        churn(|car, root| {
+            let cell = h.cons(car, *root).expect("churn fits");
+            h.release(std::mem::replace(&mut held, Word::ptr(cell)));
+            cell
+        });
+        survey.collectors.push(GcCost {
+            collector: "refcount",
+            cells,
+            refops: h.refops,
+            ..GcCost::default()
+        });
+
+        let mut h = CopyingHeap::with_capacity(cells);
+        churn(|car, root| loop {
+            match h.alloc(car, *root) {
+                Some(a) => break a,
+                None => h.collect(std::slice::from_mut(root)),
+            }
+        });
+        survey.collectors.push(GcCost {
+            collector: "copying",
+            cells,
+            collections: h.flips,
+            copied: h.evacuated,
+            ..GcCost::default()
+        });
+    }
+}
+
+/// Run the Chapter 2 survey's workloads and collect their counts.
+pub fn survey_counts() -> Survey {
+    let mut survey = Survey::default();
+    survey_lists(&mut survey);
+    survey_envs(&mut survey);
+    survey_collectors(&mut survey);
+    survey
+}
+
+/// Chapter 2 survey (§2.3): the list representations, binding
+/// environments and collectors the thesis compares, as memory-access
+/// counts.
+pub fn survey() -> String {
+    let s = survey_counts();
+    let list_rows = |costs: &[ListCost]| -> Vec<Vec<String>> {
+        (costs.iter())
+            .map(|c| {
+                let (words, lines, probes) = match c.probes {
+                    0 => (c.words.to_string(), c.lines.to_string(), "-".to_string()),
+                    p => ("-".to_string(), "-".to_string(), p.to_string()),
+                };
+                vec![c.heap.to_string(), c.len.to_string(), words, lines, probes]
+            })
+            .collect()
+    };
+    let mut out = String::from(
+        "Chapter 2 — survey: memory accesses of the §2.3 designs\n\
+         Lists of n elements, every 7th a two-element sublist; 8-byte words, 64-byte lines.\n\
+         structure-coded holds only the 48-element list: n elements need n+1 levels of node numbers, a u64 holds 63.\n\n\
+         §2.3.3 traversal: car and cdr of every element\n",
+    );
+    let list_headers = ["heap", "n", "words read", "lines", "probes"];
+    out += &table(&list_headers, &list_rows(&s.traversals));
+    out += "\n§2.3.3 intern: the list read into a fresh heap\n";
+    let list_headers = ["heap", "n", "words written", "lines", "probes"];
+    out += &table(&list_headers, &list_rows(&s.interns));
+    out += "\n§2.3.2 environments: 100 nested calls of 3 binds; 2 (call-heavy) or 24 (lookup-heavy) lookups per call; 16-entry value cache\n";
+    let env_rows: Vec<Vec<String>> = (s.envs.iter())
+        .map(|c| {
+            let st = &c.stats;
+            let cells = [st.lookups, st.probes, st.binds, st.unbinds, st.cache_hits];
+            let mut row = vec![c.mix.to_string(), c.env.to_string()];
+            row.extend(cells.iter().map(u64::to_string));
+            row
+        })
+        .collect();
+    out += &table(
+        &[
+            "mix",
+            "env",
+            "lookups",
+            "probes",
+            "binds",
+            "unbinds",
+            "cache hits",
+        ],
+        &env_rows,
+    );
+    let _ = writeln!(
+        out,
+        "\n§2.3.4 collectors: {CHURN} conses onto a chain dropped every 64th (copying: cells per semispace)"
+    );
+    let gc_rows: Vec<Vec<String>> = (s.collectors.iter())
+        .map(|c| {
+            let cells = [c.collections, c.visited, c.copied, c.refops];
+            let mut row = vec![c.cells.to_string(), c.collector.to_string()];
+            row.extend(cells.iter().map(u64::to_string));
+            row
+        })
+        .collect();
+    out += &table(
+        &[
+            "cells",
+            "collector",
+            "collections",
+            "cells visited",
+            "cells copied",
+            "refcount updates",
+        ],
+        &gc_rows,
+    );
     out
 }
 

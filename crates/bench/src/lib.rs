@@ -10,9 +10,9 @@
 //!
 //! `regress --loc` counts the workspace's non-test lines ([`loc`]).
 //!
-//! Criterion micro-benchmarks (list representations, environments,
-//! collectors, LPT vs direct heap, compression policies) live under
-//! `benches/`.
+//! The Chapter 2 survey (`repro survey`) compares list representations,
+//! binding environments and collectors by memory-access counts, not by
+//! time: [`experiments::survey_counts`].
 
 pub mod experiments;
 pub mod loc;

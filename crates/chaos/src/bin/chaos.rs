@@ -11,74 +11,51 @@
 //! violated the robustness contract.
 
 use small_chaos::{run_campaign, Severity};
+use small_serve::campaign::{usage_error, write_report, Args};
 use small_workloads::synthetic;
 use std::process::ExitCode;
 
 /// The CI smoke job's pinned seeds.
 const PINNED_SEEDS: [u64; 3] = [11, 23, 47];
 
-struct Args {
+const USAGE: &str =
+    "usage: chaos [--seeds a,b,c | --count N] [--aggressive] [--prims P] [--out PATH]";
+
+struct Opts {
     seeds: Vec<u64>,
     severity: Severity,
     prims: usize,
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seeds: PINNED_SEEDS.to_vec(),
-        severity: Severity::Standard,
-        prims: 2_000,
-        out: "results/chaos_report.json".to_string(),
+/// `--seeds` lists seeds; `--count N` runs seeds `1..=N` instead.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+    let a = Args::parse(args, "--seeds --count --prims --out", "--aggressive")?;
+    let seeds = match a.value("--count") {
+        Some(_) => (1..=a.get("--count", 0u64)?).collect(),
+        None => a.list("--seeds", PINNED_SEEDS.to_vec())?,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match a.as_str() {
-            "--seeds" => {
-                args.seeds = val("--seeds")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u64>()
-                            .map_err(|e| format!("bad seed: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--count" => {
-                let n: u64 = val("--count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-                args.seeds = (1..=n).collect();
-            }
-            "--aggressive" => args.severity = Severity::Aggressive,
-            "--prims" => {
-                args.prims = val("--prims")?
-                    .parse()
-                    .map_err(|e| format!("bad prims: {e}"))?;
-            }
-            "--out" => args.out = val("--out")?,
-            "--help" | "-h" => {
-                return Err("usage: chaos [--seeds a,b,c | --count N] [--aggressive] \
-                     [--prims P] [--out PATH]"
-                    .to_string())
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    if args.seeds.is_empty() {
+    if seeds.is_empty() {
         return Err("no seeds given".to_string());
     }
-    Ok(args)
+    Ok(Opts {
+        seeds,
+        severity: match a.value("--aggressive") {
+            Some(_) => Severity::Aggressive,
+            None => Severity::Standard,
+        },
+        prims: a.get("--prims", 2_000)?,
+        out: a
+            .value("--out")
+            .unwrap_or("results/chaos_report.json")
+            .to_string(),
+    })
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse(std::env::args().skip(1)) {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error("chaos", &format!("{e}\n{USAGE}")),
     };
 
     let mut p = synthetic::table_5_1("slang");
@@ -98,16 +75,8 @@ fn main() -> ExitCode {
         mid_r.to_json(),
         tight_r.to_json()
     );
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("cannot write {}: {e}", args.out);
+    if let Err(e) = write_report(&args.out, &json) {
+        eprintln!("cannot write {e}");
         return ExitCode::from(2);
     }
     println!("report written to {}", args.out);
@@ -117,5 +86,33 @@ fn main() -> ExitCode {
     } else {
         eprintln!("chaos contract violated — see report");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn chaos_rejects_unknown_flags() {
+        let err = |a: &[&str]| parse(args(a)).err().unwrap();
+        assert_eq!(err(&["--seed", "3"]), "unknown argument: --seed");
+        assert_eq!(err(&["--aggressive", "1"]), "unknown argument: 1");
+        assert_eq!(err(&["--count"]), "--count needs a value");
+        let o = parse(args(&["--seeds", "5", "--aggressive"])).unwrap();
+        assert_eq!(o.seeds, vec![5], "a lone seed is that seed");
+        assert_eq!(o.severity, Severity::Aggressive);
+        assert_eq!(parse(args(&["--count", "3"])).unwrap().seeds, vec![1, 2, 3]);
+        assert_eq!(parse(args(&[])).unwrap().out, "results/chaos_report.json");
+    }
+
+    #[test]
+    fn chaos_rejects_zero_seeds() {
+        let err = parse(args(&["--count", "0"])).err().unwrap();
+        assert_eq!(err, "no seeds given");
     }
 }

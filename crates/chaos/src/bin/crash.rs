@@ -16,6 +16,7 @@
 //! exits nonzero on any contract violation.
 
 use small_chaos::crash::run_crash_campaign;
+use small_serve::campaign::{usage_error, write_report, Args};
 use small_simulator::SimParams;
 use small_workloads::synthetic;
 use std::process::ExitCode;
@@ -23,7 +24,10 @@ use std::process::ExitCode;
 /// The CI crash-smoke job's pinned seeds.
 const PINNED_SEEDS: [u64; 3] = [11, 23, 47];
 
-struct Args {
+const USAGE: &str = "usage: crash [--seeds a,b,c] [--per-seed N] [--prims P] \
+     [--checkpoint-every K] [--out PATH]";
+
+struct Opts {
     seeds: Vec<u64>,
     per_seed: usize,
     prims: usize,
@@ -31,65 +35,28 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seeds: PINNED_SEEDS.to_vec(),
-        per_seed: 35,
-        prims: 300,
-        checkpoint_every: 48,
-        out: "results/crash_report.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match a.as_str() {
-            "--seeds" => {
-                args.seeds = val("--seeds")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u64>()
-                            .map_err(|e| format!("bad seed: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--per-seed" => {
-                args.per_seed = val("--per-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad per-seed: {e}"))?;
-            }
-            "--prims" => {
-                args.prims = val("--prims")?
-                    .parse()
-                    .map_err(|e| format!("bad prims: {e}"))?;
-            }
-            "--checkpoint-every" => {
-                args.checkpoint_every = val("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("bad checkpoint-every: {e}"))?;
-            }
-            "--out" => args.out = val("--out")?,
-            "--help" | "-h" => {
-                return Err("usage: crash [--seeds a,b,c] [--per-seed N] [--prims P] \
-                     [--checkpoint-every K] [--out PATH]"
-                    .to_string())
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    if args.seeds.is_empty() {
-        return Err("no seeds given".to_string());
-    }
-    Ok(args)
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+    let a = Args::parse(
+        args,
+        "--seeds --per-seed --prims --checkpoint-every --out",
+        "",
+    )?;
+    Ok(Opts {
+        seeds: a.list("--seeds", PINNED_SEEDS.to_vec())?,
+        per_seed: a.get("--per-seed", 35)?,
+        prims: a.get("--prims", 300)?,
+        checkpoint_every: a.get("--checkpoint-every", 48)?,
+        out: a
+            .value("--out")
+            .unwrap_or("results/crash_report.json")
+            .to_string(),
+    })
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse(std::env::args().skip(1)) {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error("crash", &format!("{e}\n{USAGE}")),
     };
 
     let mut p = synthetic::table_5_1("slang");
@@ -110,16 +77,8 @@ fn main() -> ExitCode {
     print!("{}", report.summary_table());
 
     let json = format!("{}\n", report.to_json());
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("cannot write {}: {e}", args.out);
+    if let Err(e) = write_report(&args.out, &json) {
+        eprintln!("cannot write {e}");
         return ExitCode::from(2);
     }
     println!("report written to {}", args.out);
@@ -129,5 +88,34 @@ fn main() -> ExitCode {
     } else {
         eprintln!("crash-consistency contract violated — see report");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn crash_rejects_unknown_flags() {
+        let err = |a: &[&str]| parse(args(a)).err().unwrap();
+        assert_eq!(err(&["--per-seeds", "3"]), "unknown argument: --per-seeds");
+        assert_eq!(err(&["--count", "3"]), "unknown argument: --count");
+        assert_eq!(err(&["--out"]), "--out needs a value");
+        assert_eq!(err(&["--prims", "x"]), "bad --prims: x");
+        let o = parse(args(&["--seeds", "5,6", "--per-seed", "2"])).unwrap();
+        assert_eq!((o.seeds, o.per_seed), (vec![5, 6], 2));
+        let o = parse(args(&[])).unwrap();
+        assert_eq!((o.prims, o.checkpoint_every), (300, 48));
+        assert_eq!(o.out, "results/crash_report.json");
+    }
+
+    #[test]
+    fn crash_rejects_an_empty_seed_list() {
+        let err = parse(args(&["--seeds", ""])).err().unwrap();
+        assert_eq!(err, "bad --seeds: ");
     }
 }

@@ -26,6 +26,6 @@ pub mod timing;
 pub use lp::{
     AuditReport, CompressPolicy, DecrementPolicy, EntryImage, FieldImage, FreeDiscipline, Id,
     ListProcessor, LpConfig, LpError, LpImage, LpValue, LptCacheStats, LptStats, Perturbation,
-    ReconcileStats, RefcountMode, RootKind, Violation, TRANSIENT_RETRY_LIMIT,
+    RefcountMode, RootKind, Violation, TRANSIENT_RETRY_LIMIT,
 };
 pub use machine::SmallBackend;

@@ -519,8 +519,7 @@ impl AuditReport {
 /// A deliberate corruption applied by [`ListProcessor::perturb`].
 ///
 /// Chaos/test tooling only: each variant models a bit-flip class the
-/// invariant auditor must catch and [`ListProcessor::reconcile`] must
-/// repair.
+/// invariant auditor must catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Perturbation {
     /// Overwrite a live entry's reference count.
@@ -553,31 +552,6 @@ pub enum Perturbation {
         /// The entry to resurrect.
         id: Id,
     },
-}
-
-/// What a [`ListProcessor::reconcile`] pass repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReconcileStats {
-    /// Entries whose reference count was rewritten.
-    pub refcounts_fixed: usize,
-    /// Fields cleared or defaulted because they named dead or
-    /// out-of-range entries (or were inconsistently materialized).
-    pub fields_cleared: usize,
-    /// Unreachable live entries swept back to the free list.
-    pub entries_swept: usize,
-    /// Stack bits realigned with the EP-side count table.
-    pub stack_bits_fixed: usize,
-    /// Free lists rebuilt because the existing threading was invalid
-    /// (0 or 1 — a structurally sound list is left untouched).
-    pub free_lists_rebuilt: usize,
-}
-
-impl ReconcileStats {
-    /// True when the pass repaired nothing: the table was already
-    /// consistent and is byte-for-byte unchanged.
-    pub fn is_clean(&self) -> bool {
-        *self == ReconcileStats::default()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2251,8 +2225,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
 
     /// Deliberately corrupt the table (chaos/test tooling only): apply
     /// one [`Perturbation`] with no bookkeeping, modeling a bit flip
-    /// the [`Self::audit`] walk must catch and [`Self::reconcile`]
-    /// must repair.
+    /// the [`Self::audit`] walk must catch.
     pub fn perturb(&mut self, p: Perturbation) {
         self.cache_clear();
         match p {
@@ -2283,270 +2256,6 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 }
             }
         }
-    }
-
-    /// Walk the free list and decide whether its threading is
-    /// structurally sound: every link targets an in-range dead entry,
-    /// no entry repeats, the walk covers *every* dead entry, and the
-    /// final node is the recorded tail. Used by [`Self::reconcile`] to
-    /// leave a healthy list (whose order encodes workload history)
-    /// untouched instead of unconditionally rebuilding it.
-    fn free_list_is_valid(&self) -> bool {
-        let n = self.entries.len();
-        let dead_total = self.entries.iter().filter(|e| !e.live).count();
-        let mut seen = vec![false; n];
-        let mut visited = 0usize;
-        let mut last: Option<Id> = None;
-        let mut cursor = self.free_head;
-        while let Some(id) = cursor {
-            let i = id as usize;
-            if i >= n || seen[i] || self.entries[i].live {
-                return false;
-            }
-            seen[i] = true;
-            visited += 1;
-            last = Some(id);
-            cursor = self.entries[i].free_next;
-        }
-        visited == dead_total && last == self.free_tail
-    }
-
-    /// Audit-driven repair: rebuild the table's bookkeeping from
-    /// trusted external roots, reusing the true-overflow mark
-    /// machinery. `roots` must list every EP-held reference that is
-    /// counted in entry refcounts — register references in both modes,
-    /// plus stack/binding references under [`RefcountMode::Unified`]
-    /// (one element per reference). Split-mode stack references are
-    /// recovered from the EP-side count table automatically.
-    ///
-    /// The pass clears corrupt fields, sweeps unreachable live
-    /// entries, recomputes every reference count from internal
-    /// in-degree plus root multiplicity, realigns stack bits with the
-    /// EP-side table, and — only if its threading is invalid — rebuilds
-    /// the free list deterministically (dead identifiers ascending,
-    /// threaded low-first). Reachable structure is never dropped;
-    /// ambiguous heap addresses are leaked rather than freed.
-    ///
-    /// The pass is **idempotent**: on an already-consistent table it
-    /// repairs nothing ([`ReconcileStats::is_clean`]) and leaves every
-    /// entry — including free-list threading and pending lazy
-    /// obligations — byte-for-byte unchanged, so recovery gates can run
-    /// it unconditionally.
-    pub fn reconcile(&mut self, roots: &[LpValue]) -> ReconcileStats {
-        self.cache_clear();
-        let mut stats = ReconcileStats::default();
-        let n = self.entries.len();
-        let nil = Field::Atom(Word::NIL);
-        // 1. Field hygiene: clear fields naming dead or out-of-range
-        //    entries; resolve fields/address inconsistencies.
-        for i in 0..n {
-            if !(self.entries[i].live || self.entries[i].lazy) {
-                continue;
-            }
-            for is_car in [true, false] {
-                let e = &self.entries[i];
-                let f = if is_car { e.car } else { e.cdr };
-                if let Field::Obj(c) = f {
-                    if c as usize >= n || !self.entries[c as usize].live {
-                        let e = &mut self.entries[i];
-                        if is_car {
-                            e.car = nil;
-                        } else {
-                            e.cdr = nil;
-                        }
-                        stats.fields_cleared += 1;
-                    }
-                }
-            }
-            if self.entries[i].live {
-                let e = &mut self.entries[i];
-                let has_fields = e.car != Field::Empty || e.cdr != Field::Empty;
-                if has_fields && e.addr.is_some() {
-                    // Trust the materialized fields; the stale address
-                    // may alias live structure, so it leaks.
-                    e.addr = None;
-                    stats.fields_cleared += 1;
-                }
-                if has_fields {
-                    if e.car == Field::Empty {
-                        e.car = nil;
-                        stats.fields_cleared += 1;
-                    }
-                    if e.cdr == Field::Empty {
-                        e.cdr = nil;
-                        stats.fields_cleared += 1;
-                    }
-                } else if e.addr.is_none() {
-                    // No recoverable structure: default to (nil . nil)
-                    // so the entry stays accessible.
-                    e.car = nil;
-                    e.cdr = nil;
-                    stats.fields_cleared += 1;
-                }
-            }
-        }
-        // 2. Mark from the trusted roots (the same machinery as
-        //    true-overflow cycle breaking, with externally supplied
-        //    roots instead of count-derived ones).
-        let mut marked = vec![false; n];
-        let mut stack: Vec<Id> = Vec::new();
-        let mut root_mult = vec![0u32; n];
-        for v in roots {
-            if let LpValue::Obj(id) = v {
-                if (*id as usize) < n && self.entries[*id as usize].live {
-                    root_mult[*id as usize] += 1;
-                    stack.push(*id);
-                }
-            }
-        }
-        for (id, &c) in self.ep_counts.iter().enumerate() {
-            if c > 0 && self.entries[id].live {
-                stack.push(id as Id);
-            }
-        }
-        // Pending lazy decrements are references too: a dead entry's
-        // not-yet-drained fields still hold counted references to their
-        // targets (step 5 counts them in the in-degree), so they must
-        // also anchor the mark — otherwise an entry kept alive only by
-        // a pending decrement is swept from a perfectly clean table.
-        for i in 0..n {
-            if !self.entries[i].lazy {
-                continue;
-            }
-            let e = &self.entries[i];
-            for f in [e.car, e.cdr] {
-                if let Field::Obj(c) = f {
-                    if (c as usize) < n && self.entries[c as usize].live {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut marked[id as usize], true) {
-                continue;
-            }
-            let e = &self.entries[id as usize];
-            for f in [e.car, e.cdr] {
-                if let Field::Obj(c) = f {
-                    if !marked[c as usize] {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        // 3. Sweep unreachable live entries back to dead.
-        for (i, &m) in marked.iter().enumerate() {
-            if !self.entries[i].live || m {
-                continue;
-            }
-            let (car, cdr, addr) = {
-                let e = &mut self.entries[i];
-                e.live = false;
-                e.lazy = false;
-                e.rc = 0;
-                e.stack_bit = false;
-                (
-                    std::mem::take(&mut e.car),
-                    std::mem::take(&mut e.cdr),
-                    e.addr.take(),
-                )
-            };
-            if let Some(a) = addr {
-                self.controller.free_object(a);
-                self.sink.record(Event::HeapFree);
-            }
-            for f in [car, cdr] {
-                self.free_field_word(f);
-            }
-            stats.entries_swept += 1;
-        }
-        // 4. Pending lazy fields whose target was just swept: drop the
-        //    deferred decrement (the target is already gone).
-        for i in 0..n {
-            if !self.entries[i].lazy {
-                continue;
-            }
-            for is_car in [true, false] {
-                let e = &self.entries[i];
-                let f = if is_car { e.car } else { e.cdr };
-                if let Field::Obj(c) = f {
-                    if !self.entries[c as usize].live {
-                        let e = &mut self.entries[i];
-                        if is_car {
-                            e.car = nil;
-                        } else {
-                            e.cdr = nil;
-                        }
-                        stats.fields_cleared += 1;
-                    }
-                }
-            }
-        }
-        // 5. Recompute reference counts: internal in-degree over live
-        //    and pending fields, plus declared root multiplicity.
-        let mut indeg = vec![0u32; n];
-        for e in &self.entries {
-            if e.live || e.lazy {
-                for f in [e.car, e.cdr] {
-                    if let Field::Obj(c) = f {
-                        indeg[c as usize] += 1;
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            let want = indeg[i] + root_mult[i];
-            let e = &mut self.entries[i];
-            if e.live && e.rc != want {
-                e.rc = want;
-                stats.refcounts_fixed += 1;
-            }
-        }
-        // 6. Stack bits follow the EP-side table (split mode); the
-        //    unified mode has none. EP counts on dead entries are
-        //    corrupt leftovers and are dropped.
-        for (c, e) in self.ep_counts.iter_mut().zip(&self.entries) {
-            if *c > 0 && !e.live {
-                *c = 0;
-                stats.stack_bits_fixed += 1;
-            }
-        }
-        for i in 0..n {
-            let should = self.config.refcounts == RefcountMode::Split
-                && self.entries[i].live
-                && self.ep_counts[i] > 0;
-            let e = &mut self.entries[i];
-            if e.stack_bit != should {
-                e.stack_bit = should;
-                stats.stack_bits_fixed += 1;
-            }
-        }
-        // 7. Free list: keep the existing threading when it is
-        //    structurally sound (so a clean table — whose list order
-        //    reflects workload history — passes through untouched, and
-        //    a second invocation is a no-op); rebuild deterministically
-        //    (dead identifiers ascending, threaded low-first) only when
-        //    the walk finds corruption.
-        if !self.free_list_is_valid() {
-            self.free_head = None;
-            self.free_tail = None;
-            for i in (0..n).rev() {
-                if self.entries[i].live {
-                    self.entries[i].free_next = None;
-                } else {
-                    self.entries[i].free_next = self.free_head;
-                    self.free_head = Some(i as Id);
-                    if self.free_tail.is_none() {
-                        self.free_tail = Some(i as Id);
-                    }
-                }
-            }
-            stats.free_lists_rebuilt += 1;
-        }
-        // 8. Recount occupancy.
-        self.live = self.entries.iter().filter(|e| e.live).count();
-        stats
     }
 
     // -----------------------------------------------------------------
@@ -2604,7 +2313,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     /// mismatch. The references the owner held at export time stay
     /// counted in the image: the owner keeps their values and unroots
     /// them as usual. Recovery gates should follow up with
-    /// [`Self::check_roots`], [`Self::audit`] / [`Self::reconcile`].
+    /// [`Self::check_roots`] and [`Self::audit`], and fail closed on any
+    /// violation.
     pub fn from_image(
         controller: C,
         config: LpConfig,
@@ -3558,95 +3268,6 @@ mod tests {
             x,
             Violation::FieldsAddrMismatch { id: 5 }
         )));
-    }
-
-    #[test]
-    fn reconcile_repairs_counts_and_free_list_without_losing_structure() {
-        let mut i = Interner::new();
-        let mut lp = lp();
-        let v = read(&mut lp, &mut i, "(a (b c) d)");
-        let id = v.obj().unwrap();
-        let cdr = lp.cdr(id).unwrap();
-        let cdr_id = cdr.obj().unwrap();
-        let inner = lp.car(cdr_id).unwrap();
-        release(&mut lp, cdr);
-        release(&mut lp, inner);
-        let before = print(&lp.writelist(v).unwrap(), &i);
-        assert!(lp.audit().is_clean());
-        lp.perturb(Perturbation::SetRefcount { id: cdr_id, rc: 7 });
-        lp.perturb(Perturbation::BreakFreeList);
-        lp.perturb(Perturbation::ResurrectEntry { id: 400 });
-        assert!(!lp.audit().is_clean());
-        let stats = lp.reconcile(&[v]);
-        assert!(stats.refcounts_fixed >= 1);
-        assert!(stats.entries_swept >= 1, "the resurrected husk is swept");
-        assert_eq!(stats.free_lists_rebuilt, 1, "severed list is rebuilt");
-        let r = lp.audit();
-        assert!(r.is_clean(), "{:?}", r.violations);
-        assert_eq!(print(&lp.writelist(v).unwrap(), &i), before);
-    }
-
-    #[test]
-    fn reconcile_clears_corrupted_fields_and_sweeps_orphans() {
-        let mut i = Interner::new();
-        let mut lp = lp();
-        let v = read(&mut lp, &mut i, "((a) b)");
-        let id = v.obj().unwrap();
-        let child = lp.car(id).unwrap();
-        release(&mut lp, child);
-        // Overwrite the cdr field with a dangling reference: the old
-        // cdr subtree becomes unreachable and must be swept, and the
-        // forged field must be defaulted rather than followed.
-        lp.perturb(Perturbation::CorruptField {
-            id,
-            car: false,
-            child: 300,
-        });
-        let stats = lp.reconcile(&[v]);
-        assert!(stats.fields_cleared >= 1);
-        assert!(stats.entries_swept >= 1);
-        let r = lp.audit();
-        assert!(r.is_clean(), "{:?}", r.violations);
-        assert_eq!(print(&lp.writelist(v).unwrap(), &i), "((a))");
-    }
-
-    #[test]
-    fn reconcile_noop_on_clean_table_with_lazy_state() {
-        // A healthy table — workload-order free list, freed entries
-        // with pending lazy decrements, children kept alive only by
-        // those pending fields — must pass through reconcile with zero
-        // repairs and byte-identical state.
-        let mut i = Interner::new();
-        let mut lp = lp();
-        let keep = read(&mut lp, &mut i, "(x y)");
-        let v = read(&mut lp, &mut i, "((a b) c)");
-        // Dropping the list frees its spine lazily: the `(a b)` child
-        // survives only through the dead spine entry's pending field.
-        release(&mut lp, v);
-        assert!(lp.audit().is_clean());
-        let before = lp.export_image();
-        let stats = lp.reconcile(&[keep]);
-        assert!(stats.is_clean(), "clean table repaired: {stats:?}");
-        assert_eq!(lp.export_image(), before, "state must be untouched");
-        assert!(lp.audit().is_clean());
-    }
-
-    #[test]
-    fn reconcile_is_idempotent_after_repair() {
-        let mut i = Interner::new();
-        let mut lp = lp();
-        let v = read(&mut lp, &mut i, "(a (b c) d)");
-        lp.perturb(Perturbation::SetRefcount {
-            id: v.obj().unwrap(),
-            rc: 9,
-        });
-        lp.perturb(Perturbation::BreakFreeList);
-        let first = lp.reconcile(&[v]);
-        assert!(!first.is_clean());
-        let repaired = lp.export_image();
-        let second = lp.reconcile(&[v]);
-        assert!(second.is_clean(), "second pass repaired: {second:?}");
-        assert_eq!(lp.export_image(), repaired, "second pass must not move");
     }
 
     #[test]

@@ -18,6 +18,9 @@ pub struct MarkSweep {
     pub collections: u64,
     /// Statistics: total cells reclaimed.
     pub reclaimed: u64,
+    /// Statistics: cells visited — marked by the mark phase plus
+    /// examined by the sweep.
+    pub visited: u64,
 }
 
 impl MarkSweep {
@@ -49,6 +52,7 @@ impl MarkSweep {
             if self.mark_bit(a) {
                 continue;
             }
+            self.visited += 1;
             let car = heap.raw_car(a);
             let cdr = heap.raw_cdr(a);
             self.push_word(car);
@@ -58,6 +62,7 @@ impl MarkSweep {
         // Sweep phase.
         let mut freed = 0;
         let live: Vec<HeapAddr> = heap.live_cells().collect();
+        self.visited += live.len() as u64;
         for a in live {
             let (w, b) = (a.index() / 64, a.index() % 64);
             if self.marks[w] >> b & 1 == 0 {

@@ -166,9 +166,15 @@ pub struct StructureCodedHeap {
     tables: Vec<Option<ExceptionTable>>,
     free: Vec<HeapAddr>,
     /// Forwarding-pointer dereferences performed (the indirect-access
-    /// cost §4.3.3.2 warns about; exposed for benches). A `Cell` so
-    /// read-side operations can count without `&mut`.
+    /// cost §4.3.3.2 warns about). A `Cell` so read-side operations can
+    /// count without `&mut`.
     pub forward_derefs: std::cell::Cell<u64>,
+    /// Associative searches of an exception table (the §2.3.3.2 access
+    /// cost): one per tuple inserted by [`Self::intern`], one per exact
+    /// or ancestor key tried by [`Self::lookup`], and one for its
+    /// "any key below this node" query. A measurement of this process
+    /// only: images do not carry it.
+    pub probes: std::cell::Cell<u64>,
 }
 
 impl StructureCodedHeap {
@@ -226,9 +232,14 @@ impl StructureCodedHeap {
                     }
                 }
                 go(expr, 1, &mut t);
+                self.probe(t.len() as u64);
                 Word::ptr(self.alloc_table(t))
             }
         }
+    }
+
+    fn probe(&self, n: u64) {
+        self.probes.set(self.probes.get() + n);
     }
 
     /// Look up the value at `num` in the object at `a`, chasing
@@ -237,10 +248,11 @@ impl StructureCodedHeap {
     /// * `Some(Ok(word))` — a leaf,
     /// * `Some(Err(()))` — an internal node (subtree exists below),
     /// * `None` — no such node.
-    fn lookup(&self, mut a: HeapAddr, mut num: NodeNum) -> Option<Result<Word, ()>> {
+    pub fn lookup(&self, mut a: HeapAddr, mut num: NodeNum) -> Option<Result<Word, ()>> {
         'tables: loop {
             let t = self.tables[a.index()].as_ref().expect("freed table");
             // Exact hit.
+            self.probe(1);
             if let Some(v) = t.entries.get(&num).copied() {
                 match v {
                     TableValue::Leaf(w) => return Some(Ok(w)),
@@ -255,6 +267,7 @@ impl StructureCodedHeap {
             // Deepest stored ancestor, if any, covers `num`.
             let mut anc = num >> 1;
             while anc >= 1 {
+                self.probe(1);
                 match t.entries.get(&anc).copied() {
                     Some(TableValue::Forward(fa)) => {
                         self.forward_derefs.set(self.forward_derefs.get() + 1);
@@ -277,6 +290,7 @@ impl StructureCodedHeap {
             // No covering entry: `num` is internal iff some stored key
             // lies strictly below it.
             let dn = level(num);
+            self.probe(1);
             let has_descendant = t.entries.keys().any(|k| {
                 let dk = level(*k);
                 dk > dn && (*k >> (dk - dn)) == num
@@ -566,6 +580,7 @@ impl crate::persist::PersistableController for StructureCodedController {
                 tables,
                 free,
                 forward_derefs: std::cell::Cell::new(misc[0]),
+                probes: std::cell::Cell::new(0),
             },
             stats: crate::persist::stats_from_words(image.section("ctrl")?)?,
         })

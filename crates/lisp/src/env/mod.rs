@@ -14,7 +14,7 @@
 //!   value cache with frame-number invalidation (Figure 2.5).
 //!
 //! Each records the operation counts a machine designer would care about
-//! ([`EnvStats`]), which the `env_binding` bench compares.
+//! ([`EnvStats`]), which `repro survey` compares.
 
 mod deep;
 mod shallow;

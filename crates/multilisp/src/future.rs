@@ -9,7 +9,7 @@
 //! side-effect-free computations, which the caller asserts by using
 //! them (the same contract Multilisp places on the programmer).
 
-use crossbeam::channel::{bounded, Receiver};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::thread;
 
 /// A value that may still be computing.
@@ -29,7 +29,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     let handle = thread::spawn(move || {
         // A dropped future never touches the channel; ignore send errors.
         let _ = tx.send(f());
@@ -50,7 +50,7 @@ impl<T> Future<T> {
     /// Whether the value has resolved (without blocking).
     pub fn is_ready(&self) -> bool {
         match &self.state {
-            FutureState::Pending(rx, _) => !rx.is_empty(),
+            FutureState::Pending(_, handle) => handle.is_finished(),
             FutureState::Ready(_) => true,
             FutureState::Taken => false,
         }

@@ -3,7 +3,7 @@
 //! Where [`crate::node::MultiNode`] is a deterministic single-threaded
 //! simulation (exact message accounting for the Chapter 6 claims), this
 //! module runs each node as a real OS thread owning its own List
-//! Processor, connected by crossbeam channels. Requests:
+//! Processor, connected by `std::sync::mpsc` channels. Requests:
 //!
 //! * `Create` — intern a list on the node, registering a weight;
 //! * `Fetch` — read the structure behind a reference (copy reply);
@@ -16,10 +16,10 @@
 //! threads freely — the Figure 6.5 point: no owner interaction on copy.
 
 use crate::weights::{WeightTable, WeightedRef};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use small_core::{Id, ListProcessor, LpConfig, LpValue, RootKind};
 use small_heap::controller::TwoPointerController;
 use small_sexpr::SExpr;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 
 /// A sendable reference to a list object owned by some node.
@@ -33,17 +33,17 @@ pub struct RemoteRef {
 enum Request {
     Create {
         expr: SExpr,
-        reply: Sender<RemoteRef>,
+        reply: SyncSender<RemoteRef>,
     },
     Fetch {
         obj: u64,
-        reply: Sender<SExpr>,
+        reply: SyncSender<SExpr>,
     },
     WeightUpdate {
         updates: Vec<(u64, u64)>,
     },
     Occupancy {
-        reply: Sender<usize>,
+        reply: SyncSender<usize>,
     },
     Shutdown,
 }
@@ -107,7 +107,7 @@ impl ParallelSystem {
         let mut senders = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for index in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let state = NodeState {
                 index,
                 lp: ListProcessor::new(
@@ -142,7 +142,7 @@ impl ParallelSystem {
 
     /// Create a list object on `node`; blocks for the reference.
     pub fn create(&self, node: usize, expr: SExpr) -> RemoteRef {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.senders[node]
             .send(Request::Create { expr, reply })
             .expect("node alive");
@@ -151,7 +151,7 @@ impl ParallelSystem {
 
     /// Fetch the structure behind a reference (one request/reply).
     pub fn fetch(&self, r: &RemoteRef) -> SExpr {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.senders[r.node]
             .send(Request::Fetch {
                 obj: r.wref.obj,
@@ -202,7 +202,7 @@ impl ParallelSystem {
 
     /// Current LPT occupancy of a node.
     pub fn occupancy(&self, node: usize) -> usize {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.senders[node]
             .send(Request::Occupancy { reply })
             .expect("node alive");

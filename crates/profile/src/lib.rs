@@ -31,7 +31,7 @@
 //!
 //! Like `NoopSink`, a disabled sink (`SpanSink<false>`) must cost
 //! nothing: every method body is behind `if !ACTIVE`, a const the
-//! compiler erases (the `metrics_overhead` bench pins this down).
+//! compiler erases.
 
 use small_core::timing::{CycleClock, StreamTiming, TimingModel, DEFAULT_EP_GAP};
 use small_metrics::{Event, EventSink, JsonObject, OpClass, PrimKind};

@@ -21,8 +21,7 @@
 //! [`CrashStore`] starts a fresh durable run, a non-empty one recovers
 //! and resumes. Before replay begins, the restored counts must cover
 //! every restored driver root ([`check_roots`]) and the restored table
-//! must pass [`audit`]; `reconcile` is deliberately not run (see
-//! `recovery_gate`).
+//! must pass [`audit`], or recovery fails closed (see `recovery_gate`).
 //!
 //! [`check_roots`]: small_core::ListProcessor::check_roots
 //! [`audit`]: small_core::ListProcessor::audit
@@ -196,15 +195,13 @@ fn export_checkpoint(d: &DurableDriver<'_>, event_index: u64, prims: u64) -> Vec
 /// [`audit`](ListProcessor::audit) — the pure invariant check — before
 /// any replay happens.
 ///
-/// [`reconcile`](ListProcessor::reconcile) is deliberately *not* run
-/// here: a reference-counting machine legitimately retains cyclic
-/// garbage (unreachable from any root, kept live by its own internal
-/// counts) until a true overflow collects it, and reconcile's
-/// mark-from-roots pass would sweep those cycles. That is a repair on
-/// a perfectly legal state — it would diverge the recovered machine
-/// from the uninterrupted run and break digest verification. Reconcile
-/// stays the *repair* tool for tables that fail the audit; recovery of
-/// a valid store must be observation-only.
+/// The gate only observes; it never repairs. A reference-counting
+/// machine legitimately retains cyclic garbage (unreachable from any
+/// root, kept live by its own internal counts) until a true overflow
+/// collects it, so a mark-from-roots repair pass would sweep those
+/// cycles out of a perfectly legal state, diverge the recovered machine
+/// from the uninterrupted run and break digest verification. A table
+/// that fails the audit is refused instead.
 fn recovery_gate(d: &DurableDriver<'_>) -> Result<(), PersistError> {
     if !d.lp.audit().is_clean() {
         return Err(PersistError::CorruptCheckpoint(

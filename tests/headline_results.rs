@@ -1,6 +1,6 @@
 //! Regression guards for the headline reproduced results (see
-//! EXPERIMENTS.md). Uses the two small Chapter 5 traces so the guards
-//! stay fast in debug builds.
+//! EXPERIMENTS.md). Uses the two small Chapter 5 traces and the Chapter 2
+//! survey's counts so the guards stay fast in debug builds.
 
 use small_repro::simulator::driver::{run_sim, CacheConfig};
 use small_repro::simulator::{sweep, SimParams};
@@ -81,4 +81,49 @@ fn table5_2_and_5_3_directions_editor() {
     let split = sweep::split_counts(&t, SimParams::default());
     assert!(split.refops_now < split.refops_then);
     assert!(split.max_now_lpt <= split.max_then);
+}
+
+#[test]
+fn survey_orderings_hold() {
+    // Every ordering EXPERIMENTS.md "Chapter 2 — survey" states.
+    let s = small_bench::experiments::survey_counts();
+    let walk = |heap, n| s.traversal(heap, n).expect("surveyed list").clone();
+    let intern = |heap, n| s.intern(heap, n).expect("surveyed list").clone();
+    for n in [48, 64, 512] {
+        let tp = walk("two-pointer", n);
+        for coded in ["cdr-coded", "linked-vector"] {
+            let c = walk(coded, n);
+            assert_eq!(2 * c.words, tp.words, "{coded} reads half the words");
+            assert!(c.lines < tp.lines, "{coded} touches fewer lines at {n}");
+            assert_eq!(2 * intern(coded, n).words, intern("two-pointer", n).words);
+        }
+        // A u64 node number holds 63 levels: only n = 48 encodes.
+        assert_eq!(s.traversal("structure-coded", n).is_some(), n == 48);
+    }
+    assert!(walk("structure-coded", 48).probes >= 10 * walk("two-pointer", 48).words);
+    assert!(intern("structure-coded", 48).probes > 0);
+
+    let probes = |mix, env| s.env(mix, env).probes;
+    let lookup = "lookup-heavy";
+    assert!(probes(lookup, "shallow") < probes(lookup, "value-cache"));
+    assert!(probes(lookup, "value-cache") < probes(lookup, "deep"));
+    assert_eq!(probes(lookup, "shallow"), s.env(lookup, "shallow").lookups);
+    assert!(s.env(lookup, "value-cache").cache_hits > 0);
+    for mix in ["call-heavy", lookup] {
+        let deep = s.env(mix, "deep");
+        for env in ["shallow", "value-cache"] {
+            let e = s.env(mix, env);
+            assert_eq!((e.binds, e.unbinds), (deep.binds, deep.unbinds));
+        }
+        assert!(probes(mix, "shallow") < probes(mix, "deep"));
+    }
+
+    let big = |c| s.collector(c, 8192).clone();
+    assert_eq!(big("mark-sweep").collections, 0, "the big heap never fills");
+    assert_eq!(big("copying").collections, 0);
+    assert_eq!(big("refcount").refops, s.collector("refcount", 512).refops);
+    let tight = |c| s.collector(c, 512).clone();
+    assert!(tight("mark-sweep").collections > 0 && tight("copying").collections > 0);
+    assert!(tight("copying").copied < tight("mark-sweep").visited);
+    assert!(tight("mark-sweep").visited < tight("refcount").refops);
 }
